@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, VertexId
+from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
 from .params import ParamSchedule
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, derive_rng
@@ -101,9 +101,15 @@ def _inner_vertices(n_prev: int):
             yield VertexId(layer, i)
 
 
+def _dense_input(identity: VertexId, vecs: dict, level: int) -> VertexInput:
+    """A vertex input over dense stage vectors, one per other layer."""
+    rows = {w: TypeRow.from_dense(vec, level + 1) for w, vec in vecs.items()}
+    return VertexInput(identity=identity, vectors=rows, r=level)
+
+
 def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, vecs: dict,
                      level: int) -> dict:
-    inp = VertexInput(identity=_outer_id(x, ids), vectors=vecs, r=level)
+    inp = _dense_input(_outer_id(x, ids), vecs, level)
     return pi.message_fn(1, inp, {}, None)
 
 
@@ -190,9 +196,11 @@ def sample_pair_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
 def _outer_partner_input(w: VertexId, x_out: VertexId, t: int, n: int,
                          level: int) -> VertexInput:
     """The full input of an outer vertex whose single channel goes to x."""
-    default = level + 1
-    vectors = {layer: [default] * n for layer in w.layer.others}
-    vectors[x_out.layer][x_out.index - 1] = t
+    vectors = {
+        layer: TypeRow(n, level + 1,
+                       {x_out.index - 1: t} if layer is x_out.layer else None)
+        for layer in w.layer.others
+    }
     return VertexInput(identity=w, vectors=vectors, r=level)
 
 
@@ -280,7 +288,7 @@ def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
             inbox[(1, _outer_id(y, st1.ids))] = bits
     for w, bits in s3.incoming.items():
         inbox[(1, w)] = bits
-    inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
+    inp = _dense_input(x_out, s3.vecs, level)
     if pi.output_fn(inp, inbox, view):
         return True
     starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
@@ -297,10 +305,9 @@ def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
             if pi.output_fn(w_inp, w_inbox, view):
                 return True
     # one isolated outer vertex stands in for all channel-free vertices
-    default = level + 1
     iso = VertexInput(
         identity=VertexId(x.layer, n),
-        vectors={w: [default] * n for w in x.layer.others}, r=level)
+        vectors={w: TypeRow(n, level + 1) for w in x.layer.others}, r=level)
     return bool(pi.output_fn(iso, {}, view))
 
 

@@ -4,6 +4,12 @@ A graph at round regime ``r`` assigns every cross-layer vertex pair a type in
 ``[0, r+1]``.  Type 0 pairs are edges; a pair of type ``t`` is a usable channel
 in rounds ``1 .. r+1-t``; type ``r+1`` pairs never communicate.  Same-layer
 pairs carry no type at all.
+
+Only non-default pairs are stored.  A vertex's view of one other layer is a
+``TypeRow``: a read-only length-n row that holds its non-default slots
+explicitly and answers the default type ``r+1`` everywhere else, so building
+and scanning it costs the vertex's stored pairs, not ``n``.
+``neighborhood_vector`` gives the same row as a dense list.
 """
 
 from __future__ import annotations
@@ -46,6 +52,53 @@ class VertexId:
 def pair_key(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
     """Canonical (layer-order, index) key for an unordered cross-layer pair."""
     return (u, v) if (u.layer, u.index) < (v.layer, v.index) else (v, u)
+
+
+class TypeRow:
+    """Read-only length-n row of pair types from one vertex to one layer.
+
+    Indexing is 0-based like the dense list it stands for (slot ``i`` is the
+    vertex of index ``i + 1``), negative indices count from the end, and an
+    index past either end raises ``IndexError``.  ``slots`` maps each
+    non-default 0-based index to its type, in ascending index order; every
+    other slot has type ``default``.  The constructor takes ``slots`` as
+    given, so callers pass them non-default and sorted.
+    """
+
+    __slots__ = ("n", "default", "slots")
+
+    def __init__(self, n: int, default: int, slots: dict | None = None):
+        self.n = n
+        self.default = default
+        self.slots = {} if slots is None else slots
+
+    @classmethod
+    def from_dense(cls, vec, default: int) -> "TypeRow":
+        return cls(len(vec), default,
+                   {i: t for i, t in enumerate(vec) if t != default})
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> int:
+        j = i + self.n if i < 0 else i
+        if not 0 <= j < self.n:
+            raise IndexError(f"slot {i} outside a row of length {self.n}")
+        return self.slots.get(j, self.default)
+
+    def __iter__(self):
+        get, default = self.slots.get, self.default
+        return (get(i, default) for i in range(self.n))
+
+    def count(self, t: int) -> int:
+        if t == self.default:
+            return self.n - len(self.slots)
+        return sum(1 for s in self.slots.values() if s == t)
+
+    def __contains__(self, t) -> bool:
+        if t == self.default:
+            return len(self.slots) < self.n
+        return t in self.slots.values()
 
 
 class TypedTripartiteGraph:
@@ -172,6 +225,15 @@ class TypedTripartiteGraph:
             if v.layer is target:
                 vec[v.index - 1] = t
         return vec
+
+    def type_rows(self, u: VertexId) -> dict:
+        """The sparse rows of ``u`` toward both other layers, in layer order."""
+        self._check_vertex(u)
+        slots = {w: {} for w in u.layer.others}
+        for v, t in self._adj.get(u, {}).items():
+            slots[v.layer][v.index - 1] = t
+        return {w: TypeRow(self.n, self.default_type, dict(sorted(s.items())))
+                for w, s in slots.items()}
 
     def validate(self) -> list[str]:
         """Return a list of invariant violations (empty when well-formed)."""

@@ -3,7 +3,12 @@
 Messages are bit strings of explicit length (zero-length allowed); a pair
 without an available channel carries no entry at all, which receivers can
 distinguish from an empty message through the channel metadata in their
-input vectors.
+inputs.
+
+A vertex's input holds one sparse ``TypeRow`` per other layer, built from the
+graph's stored pairs, and the transcript files every message under its
+receiver too, so a round costs the stored pairs and the messages sent, not
+``n`` slots per vertex or a scan of all messages per vertex.
 """
 
 from __future__ import annotations
@@ -21,10 +26,17 @@ from .randomness import RandomnessView
 
 @dataclass
 class VertexInput:
-    """Everything one vertex knows up front: identity and its type vectors."""
+    """Everything one vertex knows up front: identity and its type rows.
+
+    ``vectors`` maps each other layer, in layer order, to a read-only
+    length-n ``TypeRow``: slot ``j`` (0-based) is the type of the pair with
+    vertex ``j + 1`` of that layer, stored explicitly when it is not the
+    default ``r+1``.  Rows support ``[]``, ``len``, iteration, ``count`` and
+    ``in`` like the dense lists they replace.
+    """
 
     identity: VertexId
-    vectors: dict  # other Layer -> length-n list of types
+    vectors: dict  # other Layer -> TypeRow
     r: int
 
     @property
@@ -35,20 +47,18 @@ class VertexInput:
         return self.vectors[other.layer][other.index - 1]
 
     def partners_at_round(self, i: int):
-        """Vertices reachable in round i (pairs of type <= r+1-i)."""
+        """Vertices reachable in round i >= 1 (pairs of type <= r+1-i), in
+        layer and then index order.  Default slots never qualify, so only
+        the stored slots are walked."""
         cutoff = self.r + 1 - i
-        for layer, vec in self.vectors.items():
-            for idx, t in enumerate(vec, start=1):
+        for layer, row in self.vectors.items():
+            for j, t in row.slots.items():
                 if t <= cutoff:
-                    yield VertexId(layer, idx)
+                    yield VertexId(layer, j + 1)
 
 
 def vertex_input(g: TypedTripartiteGraph, v: VertexId) -> VertexInput:
-    return VertexInput(
-        identity=v,
-        vectors={w: g.neighborhood_vector(v, w) for w in v.layer.others},
-        r=g.r,
-    )
+    return VertexInput(identity=v, vectors=g.type_rows(v), r=g.r)
 
 
 @dataclass
@@ -77,15 +87,17 @@ class Transcript:
 
     def __init__(self):
         self.entries: dict = {}
+        # receiver -> {(round, sender): bits}, in recording order
+        self._inboxes: dict = {}
 
     def record(self, rnd: int, sender: VertexId, receiver: VertexId, bits: str):
         self.entries[(rnd, sender, receiver)] = bits
+        self._inboxes.setdefault(receiver, {})[(rnd, sender)] = bits
 
     def inbox_of(self, v: VertexId, upto_round: int) -> dict:
         return {
-            (rnd, s): bits
-            for (rnd, s, rcv), bits in self.entries.items()
-            if rcv == v and rnd <= upto_round
+            key: bits for key, bits in self._inboxes.get(v, {}).items()
+            if key[0] <= upto_round
         }
 
     def max_length(self) -> int:

@@ -149,7 +149,8 @@ def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
     ids = _sample_ids(n, n_prev, rng)
     pools = {}
     for layer in LAYERS:
-        pool = [i for i in range(1, n + 1) if i not in set(ids[layer])]
+        starred = set(ids[layer])
+        pool = [i for i in range(1, n + 1) if i not in starred]
         rng.shuffle(pool)
         pools[layer] = pool
     return _assemble_gr(inner, ids, pools, p, level)
@@ -293,7 +294,8 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
     alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
     pools, pos = {}, {}
     for layer in LAYERS:
-        pool = [i for i in range(1, n + 1) if i not in set(ids[layer])]
+        starred = set(ids[layer])
+        pool = [i for i in range(1, n + 1) if i not in starred]
         rng.shuffle(pool)
         pools[layer], pos[layer] = pool, 0
 

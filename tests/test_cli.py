@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -167,3 +170,26 @@ def test_info_missing_other_exit_1(tmp_path):
     result = runner.invoke(main, ["info", "--table", str(path),
                                   "--measure", "kl"])
     assert result.exit_code == 1
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_micro_params("sched.json")
+    cells = [[a, b, c, 1 / 8] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    Path("joint.json").write_text(
+        json.dumps({"coords": ["A", "B", "C"], "entries": cells}))
+    examples = readme_cli_examples()
+    assert len(examples) == 7
+    runner = CliRunner()
+    for argv in examples:
+        assert argv[0] == "congestlab"
+        result = runner.invoke(main, argv[1:])
+        assert result.exit_code == 0, (argv, result.output)
+    assert os.path.exists("out/base/instance-0002.json")
+    assert os.path.exists("out/restructured/instance-0000.meta.json")

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestlab.errors import OutOfRange, RoundOutOfRange, SameLayerPair
 from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, VertexId,
                                brute_force_has_triangle, pair_key)
+from congestlab.protocols import vertex_input
 
 
 def make_triangle_graph():
@@ -87,3 +90,54 @@ def test_vertices_enumeration():
     g = TypedTripartiteGraph(2, 0)
     assert len(list(g.vertices())) == 6
     assert all(v.layer in LAYERS for v in g.vertices())
+
+
+@st.composite
+def typed_graphs(draw):
+    """A random typed graph in which A1's row toward B stores every slot
+    and C_n stores none."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, 3))
+    g = TypedTripartiteGraph(n, r)
+    for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C), (Layer.B, Layer.C)):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                g.set_type(VertexId(la, i), VertexId(lb, j),
+                           draw(st.integers(0, r + 1)))
+    a1 = VertexId(Layer.A, 1)
+    for j in range(1, n + 1):
+        g.set_type(a1, VertexId(Layer.B, j), draw(st.integers(0, r)))
+    c_n = VertexId(Layer.C, n)
+    for w in c_n.layer.others:
+        for j in range(1, n + 1):
+            g.set_type(c_n, VertexId(w, j), g.default_type)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(typed_graphs())
+def test_type_rows_match_dense_vectors_slot_by_slot(g):
+    n, r = g.n, g.r
+    for v in g.vertices():
+        inp = vertex_input(g, v)
+        for w in v.layer.others:
+            row, vec = inp.vectors[w], g.neighborhood_vector(v, w)
+            assert len(row) == len(vec) == n
+            assert list(row) == vec
+            for i in range(-n, n):
+                assert row[i] == vec[i]
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    row[i]
+            for t in range(r + 2):
+                assert row.count(t) == vec.count(t)
+                assert (t in row) == (t in vec)
+        for i in range(1, r + 1):
+            dense = [VertexId(w, j) for w in v.layer.others
+                     for j, t in enumerate(g.neighborhood_vector(v, w), 1)
+                     if t <= r + 1 - i]
+            assert list(inp.partners_at_round(i)) == dense
+    a1_row = vertex_input(g, VertexId(Layer.A, 1)).vectors[Layer.B]
+    assert len(a1_row.slots) == n
+    c_rows = vertex_input(g, VertexId(Layer.C, n)).vectors
+    assert all(not row.slots for row in c_rows.values())

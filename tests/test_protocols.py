@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from congestlab.elimination import EliminationConfig, build_pi_r_minus_1
 from congestlab.errors import (BandwidthViolation, ChannelViolation,
                                RegimeMismatch, SupportTooLarge)
-from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId
-from congestlab.protocols import (ProtocolSpec, exact_success,
+from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId, pair_key
+from congestlab.params import ParamSchedule
+from congestlab.protocols import (ProtocolSpec, VertexInput, exact_success,
                                   estimate_success, judge, registry, simulate,
                                   vertex_input, wilson_interval)
 from congestlab.randomness import RandomnessView
-from congestlab.sampling import enumerate_g0, sample_g0
+from congestlab.sampling import enumerate_g0, sample_g0, sample_gr
+
+MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 
 
 def triangle_instance():
@@ -130,3 +134,101 @@ def test_wilson_interval_bounds():
     assert lo == 0.0 and 0 < hi < 0.35
     lo, hi = wilson_interval(10, 10)
     assert hi == 1.0 and lo > 0.65
+
+
+# -- reference simulator ----------------------------------------------------
+
+
+class DenseInput(VertexInput):
+    """A vertex input over dense length-n lists, scanned slot by slot."""
+
+    def partners_at_round(self, i):
+        cutoff = self.r + 1 - i
+        return [VertexId(w, j) for w, vec in self.vectors.items()
+                for j, t in enumerate(vec, start=1) if t <= cutoff]
+
+
+def reference_simulate(p, g, rnd):
+    """Dense inputs from ``neighborhood_vector`` and every inbox found by a
+    scan of all messages; returns (entries, outputs)."""
+    inputs = {v: DenseInput(v, {w: g.neighborhood_vector(v, w)
+                                for w in v.layer.others}, g.r)
+              for v in g.vertices()}
+    entries = {}
+
+    def inbox(v, upto):
+        return {(i, s): bits for (i, s, rcv), bits in entries.items()
+                if rcv == v and i <= upto}
+
+    for i in range(1, p.rounds + 1):
+        available, sent = g.channels_at_round(i), {}
+        for v, inp in inputs.items():
+            msgs = p.message_fn(i, inp, inbox(v, i - 1), rnd.restrict(v))
+            for target, bits in msgs.items():
+                assert pair_key(v, target) in available
+                assert len(bits) <= p.bandwidth
+                sent[(i, v, target)] = bits
+        entries.update(sent)
+    outputs = {v: bool(p.output_fn(inp, inbox(v, p.rounds), rnd.restrict(v)))
+               for v, inp in inputs.items()}
+    return entries, outputs
+
+
+def assert_matches_reference(pi, g, seed):
+    transcript, outputs = simulate(pi, g, RandomnessView(seed))
+    entries, ref_outputs = reference_simulate(pi, g, RandomnessView(seed))
+    assert transcript.entries == entries
+    assert outputs == ref_outputs
+
+
+@pytest.mark.parametrize("name", sorted(registry(rounds=1)))
+def test_simulate_matches_reference_on_recursive_instances(name):
+    pi = registry(rounds=1)[name]
+    for seed in range(3):
+        g, _ = sample_gr(MICRO, 1, random.Random(seed))
+        assert_matches_reference(pi, g, seed)
+
+
+@pytest.mark.parametrize("name", sorted(registry(rounds=0)))
+def test_simulate_matches_reference_on_base_instances(name):
+    pi = registry(rounds=0)[name]
+    for seed in range(6):
+        g, _ = sample_g0(3, random.Random(seed))
+        assert_matches_reference(pi, g, seed)
+
+
+def test_compiled_protocol_matches_reference():
+    cfg = EliminationConfig(params=MICRO, level=1)
+    pi = build_pi_r_minus_1(registry(rounds=1)["type-broadcast"], cfg)
+    for seed in range(2):
+        g, _ = sample_g0(1, random.Random(seed))
+        assert_matches_reference(pi, g, seed)
+
+
+def _echo_messages(i, inp, inbox, view):
+    # round 1 sends edge bits; round 2 reports the parity of the ones heard
+    # and of the inbox size, so a message seen too early changes the bits
+    if i == 1:
+        return {v: "1" if inp.pair_type(v) == 0 else "0"
+                for v in inp.partners_at_round(1)}
+    ones = sum(bits.count("1") for bits in inbox.values())
+    bits = f"{ones % 2}{len(inbox) % 2}"
+    return {v: bits for v in inp.partners_at_round(i)}
+
+
+def _echo_output(inp, inbox, view):
+    return sum(bits.count("1") for bits in inbox.values()) % 2 == 1
+
+
+def test_two_round_simulate_matches_reference():
+    pi = ProtocolSpec("echo", 2, 2, _echo_messages, _echo_output)
+    for seed in range(5):
+        rng = random.Random(seed)
+        g = TypedTripartiteGraph(5, 2)
+        for u in g.vertices():
+            for v in g.vertices():
+                if u.layer < v.layer and rng.random() < 0.5:
+                    g.set_type(u, v, rng.randrange(3))
+        transcript, _ = simulate(pi, g, RandomnessView(seed))
+        assert {rnd for rnd, _, _ in transcript.entries} == {1, 2}
+        assert_matches_reference(pi, g, seed)
