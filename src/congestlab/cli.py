@@ -28,6 +28,17 @@ MEMORY_CAP = 5_000_000
 
 FALLBACKS = {"fail": "fail", "drop": "drop"}
 
+# the options each `info` measure reads; any other option is refused, so a
+# wrong pairing fails instead of answering a different question
+INFO_OPTIONS = {
+    "entropy": {"of"},
+    "cond-entropy": {"of", "given"},
+    "mi": {"a", "b"},
+    "cmi": {"a", "b", "given"},
+    "kl": {"other"},
+    "tvd": {"other"},
+}
+
 
 def _load_params(path: str) -> ParamSchedule:
     with open(path) as fh:
@@ -290,6 +301,13 @@ def info(table_path, measure, of, given, a_coords, b_coords, other):
         return infotheory.JointTable(obj["coords"], table)
 
     try:
+        options = {"of": of, "given": given, "a": a_coords, "b": b_coords,
+                   "other": other}
+        unused = [f"--{name}" for name, value in options.items()
+                  if value is not None and name not in INFO_OPTIONS[measure]]
+        if unused:
+            raise ValueError(f"--measure {measure} does not take "
+                             f"{', '.join(unused)}")
         j = load(table_path)
         if measure == "entropy":
             value = infotheory.entropy(j.marginal(split(of) or j.coords))

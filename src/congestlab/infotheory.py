@@ -63,19 +63,36 @@ class JointTable:
             out[sub] = out.get(sub, 0.0) + p
         return FiniteDistribution(out)
 
-    def conditional(self, target, given, given_value) -> FiniteDistribution:
+    def conditionals(self, target, given) -> dict:
+        """Every conditional law of ``target`` given ``given``, in one pass.
+
+        Returns ``{given value: FiniteDistribution}`` with the given values
+        in first-occurrence order, which is the order of
+        ``marginal(given)``.  Each law sums its denominator and numerators
+        in table order.
+        """
         t_axes = self._axes(target)
         g_axes = self._axes(given)
-        num, den = {}, 0.0
+        groups = {}
         for key, p in self.table.items():
-            if tuple(key[a] for a in g_axes) != tuple(given_value):
-                continue
-            den += p
+            gval = tuple(key[a] for a in g_axes)
+            group = groups.get(gval)
+            if group is None:
+                group = groups[gval] = [0.0, {}]
+            group[0] += p
+            num = group[1]
             sub = tuple(key[a] for a in t_axes)
             num[sub] = num.get(sub, 0.0) + p
-        if den <= 0:
+        # every stored row has p > 0, so every group's denominator is positive
+        return {g: FiniteDistribution({k: v / den for k, v in num.items()})
+                for g, (den, num) in groups.items()}
+
+    def conditional(self, target, given, given_value) -> FiniteDistribution:
+        """The law of ``target`` given ``given`` == ``given_value``."""
+        law = self.conditionals(target, given).get(tuple(given_value))
+        if law is None:
             raise InvalidDistribution("conditioning event has probability 0")
-        return FiniteDistribution({k: v / den for k, v in num.items()})
+        return law
 
 
 def entropy(d: FiniteDistribution) -> float:
@@ -83,11 +100,11 @@ def entropy(d: FiniteDistribution) -> float:
 
 
 def cond_entropy(j: JointTable, target, given) -> float:
-    gdist = j.marginal(given)
+    laws = j.conditionals(target, given)
     out = 0.0
-    for gval, gp in gdist.probs.items():
+    for gval, gp in j.marginal(given).probs.items():
         if gp > 0:
-            out += gp * entropy(j.conditional(target, given, gval))
+            out += gp * entropy(laws[gval])
     return out
 
 
@@ -127,12 +144,12 @@ def mi_kl_identity_check(j: JointTable, a, b, c) -> float:
     lhs = cond_mutual_info(j, a, b, c)
     rhs = 0.0
     bc = list(b) + list(c)
-    bcd = j.marginal(bc)
-    for val, p in bcd.probs.items():
+    a_bc = j.conditionals(a, bc)
+    a_c = j.conditionals(a, c)
+    for val, p in j.marginal(bc).probs.items():
         if p <= 0:
             continue
-        cval = tuple(val[len(b):])
-        rhs += p * kl(j.conditional(a, bc, val), j.conditional(a, c, cval))
+        rhs += p * kl(a_bc[val], a_c[val[len(b):]])
     return abs(lhs - rhs)
 
 
@@ -147,17 +164,17 @@ def tvd_chain_bound_check(mu: JointTable, nu: JointTable):
         if not prefix:
             rhs += tvd(mu.marginal([name]), nu.marginal([name]))
             continue
+        mu_laws = mu.conditionals([name], prefix)
+        nu_laws = nu.conditionals([name], prefix)
         for pval, pp in mu.marginal(prefix).probs.items():
             if pp <= 0:
                 continue
-            try:
-                nu_cond = nu.conditional([name], prefix, pval)
-            except InvalidDistribution:
+            if pval not in nu_laws:
                 # nu gives the observed prefix probability 0: the slice
                 # contributes its full mass
                 rhs += pp
                 continue
-            rhs += pp * tvd(mu.conditional([name], prefix, pval), nu_cond)
+            rhs += pp * tvd(mu_laws[pval], nu_laws[pval])
     return lhs, rhs, lhs <= rhs + PROPERTY_TOL
 
 
@@ -170,14 +187,16 @@ def overconditioning_check(xz: JointTable, yz: JointTable):
     zx, zy = xz.marginal(zname), yz.marginal(zname)
     averaged = None
     if tvd(zx, zy) <= IDENTITY_TOL:
+        x_laws = xz.conditionals([xz.coords[0]], zname)
+        y_laws = yz.conditionals([yz.coords[0]], zname)
         averaged = 0.0
         for zval, zp in zx.probs.items():
             if zp <= 0:
                 continue
-            averaged += zp * tvd(
-                xz.conditional([xz.coords[0]], zname, zval),
-                yz.conditional([yz.coords[0]], zname, zval),
-            )
+            if zval not in y_laws:
+                raise InvalidDistribution(
+                    "conditioning event has probability 0")
+            averaged += zp * tvd(x_laws[zval], y_laws[zval])
     holds = lhs <= joint + PROPERTY_TOL
     if averaged is not None:
         holds = holds and abs(joint - averaged) <= PROPERTY_TOL
@@ -247,12 +266,10 @@ def table_with_a_indep_d_given_bc(sizes, rng: random.Random) -> JointTable:
 
 def _verify_ci(j: JointTable, a, d, given):
     """Check A independent of D given the listed coordinates."""
-    for gval, gp in j.marginal(given).probs.items():
-        if gp <= 0:
-            continue
-        pa = j.conditional(a, given, gval)
-        pd = j.conditional(d, given, gval)
-        pad = j.conditional(list(a) + list(d), given, gval)
+    pd_laws = j.conditionals(d, given)
+    pad_laws = j.conditionals(list(a) + list(d), given)
+    for gval, pa in j.conditionals(a, given).items():
+        pd, pad = pd_laws[gval], pad_laws[gval]
         for av in pa.probs:
             for dv in pd.probs:
                 expect = pa[av] * pd[dv]

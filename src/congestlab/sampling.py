@@ -207,17 +207,26 @@ def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
 def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
     """The two neighborhood vectors of one vertex in a level instance.
 
-    Materializes a full instance and projects the first inner vertex of
-    layer A; by the relabeling symmetry of the construction this is the
-    marginal of any inner vertex.  Vectors are returned toward the two other
-    layers in layer order.
+    Projects the first inner vertex of layer A; by the relabeling symmetry
+    of the construction this is the marginal of any inner vertex.  Vectors
+    are returned toward the two other layers in layer order.  Level 0 draws
+    the vectors of A1 in a ``sample_g0`` instance directly, consuming the
+    same stream (three starred indices, then the coins of (a,b), (b,c) and
+    (c,a)); higher levels materialize a full instance.
     """
     if level == 0:
-        g = sample_g0(p.n[0], rng)[0]
-        v = VertexId(Layer.A, 1)
-    else:
-        g, emb = sample_gr(p, level, rng)
-        v = emb.outer(VertexId(Layer.A, 1))
+        n0 = p.n[0]
+        ia, ib, ic = [rng.randrange(1, n0 + 1) for _ in LAYERS]
+        ab, _, ca = [rng.random() < 0.5 for _ in range(3)]
+        to_b, to_c = [1] * n0, [1] * n0
+        if ia == 1:
+            if ab:
+                to_b[ib - 1] = 0
+            if ca:
+                to_c[ic - 1] = 0
+        return to_b, to_c
+    g, emb = sample_gr(p, level, rng)
+    v = emb.outer(VertexId(Layer.A, 1))
     return (g.neighborhood_vector(v, Layer.B), g.neighborhood_vector(v, Layer.C))
 
 

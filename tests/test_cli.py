@@ -172,6 +172,44 @@ def test_info_missing_other_exit_1(tmp_path):
     assert result.exit_code == 1
 
 
+INFO_PAIRINGS = [
+    ["--measure", "entropy", "--of", "A"],
+    ["--measure", "cond-entropy", "--of", "A", "--given", "B"],
+    ["--measure", "mi", "--a", "A", "--b", "B"],
+    ["--measure", "cmi", "--a", "A", "--b", "B", "--given", "C"],
+    ["--measure", "kl", "--other", "{table}"],
+    ["--measure", "tvd", "--other", "{table}"],
+]
+
+
+def write_abc_table(path):
+    cells = [[a, b, c, 1 / 8] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    path.write_text(json.dumps({"coords": ["A", "B", "C"], "entries": cells}))
+    return str(path)
+
+
+def test_info_accepts_each_measure_with_its_options(tmp_path):
+    table = write_abc_table(tmp_path / "t.json")
+    runner = CliRunner()
+    for argv in INFO_PAIRINGS:
+        argv = [a.format(table=table) for a in argv]
+        result = runner.invoke(main, ["info", "--table", table] + argv)
+        assert result.exit_code == 0, (argv, result.output)
+
+
+def test_info_rejects_options_its_measure_ignores(tmp_path):
+    table = write_abc_table(tmp_path / "t.json")
+    runner = CliRunner()
+    for argv, unused in (
+            (["--measure", "mi", "--given", "C", "--a", "A", "--b", "B"],
+             "--given"),
+            (["--measure", "cmi", "--of", "A", "--given", "C", "--a", "A",
+              "--b", "B"], "--of")):
+        result = runner.invoke(main, ["info", "--table", table] + argv)
+        assert result.exit_code == 1, (argv, result.output)
+        assert f"does not take {unused}" in result.output
+
+
 def readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
@@ -181,9 +219,7 @@ def readme_cli_examples():
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_micro_params("sched.json")
-    cells = [[a, b, c, 1 / 8] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    Path("joint.json").write_text(
-        json.dumps({"coords": ["A", "B", "C"], "entries": cells}))
+    write_abc_table(Path("joint.json"))
     examples = readme_cli_examples()
     assert len(examples) == 7
     runner = CliRunner()

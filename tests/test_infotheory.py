@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestlab.errors import (InvalidCoordinate, InvalidDistribution,
                                PremiseViolated)
@@ -147,3 +150,176 @@ def test_cmi_chain_rule():
         rhs = (mutual_info(j, ["A"], ["B"])
                + cond_mutual_info(j, ["A"], ["C"], ["B"]))
         assert abs(lhs - rhs) <= 1e-9
+
+
+def test_tvd_chain_bound_counts_full_mass_where_nu_misses_a_prefix():
+    # nu never shows X = 1, which mu does with mass 1/2, so that slice adds
+    # 1/2 whole; the X = 0 slice adds 1/2 * tvd((3/4, 1/4), (1/2, 1/2)) and
+    # the X marginals differ by 1/2: rhs = 1/2 + 1/8 + 1/2
+    mu = JointTable(["X", "Y"], {(0, 0): 0.375, (0, 1): 0.125, (1, 0): 0.5})
+    nu = JointTable(["X", "Y"], {(0, 0): 0.5, (0, 1): 0.5})
+    assert tvd_chain_bound_check(mu, nu) == (0.5, 1.125, True)
+
+
+# -- reference measures that condition slice by slice: one table scan per
+# conditioning value, summing each slice in table order
+
+
+def ref_conditional(j, target, given, given_value):
+    t_axes = j._axes(target)
+    g_axes = j._axes(given)
+    num, den = {}, 0.0
+    for key, p in j.table.items():
+        if tuple(key[a] for a in g_axes) != tuple(given_value):
+            continue
+        den += p
+        sub = tuple(key[a] for a in t_axes)
+        num[sub] = num.get(sub, 0.0) + p
+    if den <= 0:
+        raise InvalidDistribution("conditioning event has probability 0")
+    return FiniteDistribution({k: v / den for k, v in num.items()})
+
+
+def ref_cond_entropy(j, target, given):
+    out = 0.0
+    for gval, gp in j.marginal(given).probs.items():
+        if gp > 0:
+            out += gp * entropy(ref_conditional(j, target, given, gval))
+    return out
+
+
+def ref_cond_mutual_info(j, a, b, c):
+    return ref_cond_entropy(j, a, c) - ref_cond_entropy(j, a, b + c)
+
+
+def ref_mi_kl_identity_check(j, a, b, c):
+    lhs = ref_cond_mutual_info(j, a, b, c)
+    rhs = 0.0
+    for val, p in j.marginal(b + c).probs.items():
+        if p <= 0:
+            continue
+        rhs += p * kl(ref_conditional(j, a, b + c, val),
+                      ref_conditional(j, a, c, val[len(b):]))
+    return abs(lhs - rhs)
+
+
+def ref_tvd_chain_bound_check(mu, nu):
+    lhs = tvd(mu.marginal(mu.coords), nu.marginal(nu.coords))
+    rhs = 0.0
+    for i, name in enumerate(mu.coords):
+        prefix = mu.coords[:i]
+        if not prefix:
+            rhs += tvd(mu.marginal([name]), nu.marginal([name]))
+            continue
+        for pval, pp in mu.marginal(prefix).probs.items():
+            if pp <= 0:
+                continue
+            try:
+                nu_cond = ref_conditional(nu, [name], prefix, pval)
+            except InvalidDistribution:
+                rhs += pp
+                continue
+            rhs += pp * tvd(ref_conditional(mu, [name], prefix, pval),
+                            nu_cond)
+    return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def ref_overconditioning_check(xz, yz):
+    lhs = tvd(xz.marginal([xz.coords[0]]), yz.marginal([yz.coords[0]]))
+    joint = tvd(xz.marginal(xz.coords), yz.marginal(yz.coords))
+    zname = [xz.coords[1]]
+    zx, zy = xz.marginal(zname), yz.marginal(zname)
+    averaged = None
+    if tvd(zx, zy) <= 1e-12:
+        averaged = 0.0
+        for zval, zp in zx.probs.items():
+            if zp <= 0:
+                continue
+            averaged += zp * tvd(
+                ref_conditional(xz, [xz.coords[0]], zname, zval),
+                ref_conditional(yz, [yz.coords[0]], zname, zval))
+    holds = lhs <= joint + 1e-9
+    if averaged is not None:
+        holds = holds and abs(joint - averaged) <= 1e-9
+    return lhs, joint, averaged, holds
+
+
+def ref_verify_ci(j, a, d, given):
+    for gval, gp in j.marginal(given).probs.items():
+        if gp <= 0:
+            continue
+        pa = ref_conditional(j, a, given, gval)
+        pd = ref_conditional(j, d, given, gval)
+        pad = ref_conditional(j, a + d, given, gval)
+        for av in pa.probs:
+            for dv in pd.probs:
+                if abs(pad[av + dv] - pa[av] * pd[dv]) > 1e-9:
+                    raise PremiseViolated(
+                        f"conditional independence fails at {gval}")
+
+
+def ci_outcome(check, *args):
+    try:
+        check(*args)
+    except PremiseViolated as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def table_cases(draw):
+    """Two tables over the same 1-4 coordinates, a split of the coordinates
+    into roles A, B, C and unused, and for two or more coordinates an (X, Z)
+    pair of tables that share their Z marginal when they can.
+
+    Coordinate values are spaced integers, rows come in a drawn order, and
+    some rows carry probability zero (the table drops them)."""
+    k = draw(st.integers(1, 4))
+    coords = ["P", "Q", "R", "S"][:k]
+    values = [sorted(draw(st.sets(st.integers(-5, 5).map(lambda x: 7 * x + 3),
+                                  min_size=1, max_size=3)))
+              for _ in coords]
+    keys = list(itertools.product(*values))
+
+    def table():
+        weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.55,
+                                                 0.7, 1.0]),
+                                min_size=len(keys), max_size=len(keys)))
+        if not any(weights):
+            weights[0] = 1.0
+        total = sum(weights)
+        order = draw(st.permutations(range(len(keys))))
+        return JointTable(coords, {keys[i]: weights[i] / total
+                                   for i in order})
+
+    mu, nu = table(), table()
+    roles = draw(st.lists(st.sampled_from("ABCx"), min_size=k, max_size=k))
+    a, b, c = ([n for n, r in zip(coords, roles) if r == role]
+               for role in "ABC")
+    pair = None
+    if k >= 2:
+        xz = mu.marginal(coords[:2]).probs
+        yz = nu.marginal(coords[:2]).probs
+        pz, qz = mu.marginal(coords[1:2]).probs, nu.marginal(coords[1:2]).probs
+        if set(pz) <= set(qz):
+            yz = {(y, z): pz[(z,)] * p / qz[(z,)]
+                  for (y, z), p in yz.items() if (z,) in pz}
+        pair = JointTable(["X", "Z"], xz), JointTable(["Y", "Z"], yz)
+    return mu, nu, a, b, c, pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_one_pass_measures_equal_the_per_slice_reference(case):
+    mu, nu, a, b, c, pair = case
+    assert cond_entropy(mu, a, b + c) == ref_cond_entropy(mu, a, b + c)
+    assert cond_entropy(nu, b, a) == ref_cond_entropy(nu, b, a)
+    assert cond_mutual_info(mu, a, b, c) == ref_cond_mutual_info(mu, a, b, c)
+    assert (mi_kl_identity_check(mu, a, b, c)
+            == ref_mi_kl_identity_check(mu, a, b, c))
+    assert tvd_chain_bound_check(mu, nu) == ref_tvd_chain_bound_check(mu, nu)
+    assert (ci_outcome(_verify_ci, mu, a, b, c)
+            == ci_outcome(ref_verify_ci, mu, a, b, c))
+    if pair is not None:
+        assert (overconditioning_check(*pair)
+                == ref_overconditioning_check(*pair))

@@ -97,6 +97,23 @@ def test_d_in_has_exact_type_counts():
         assert vec.count(1) == 6
 
 
+@pytest.mark.parametrize("n0", [1, 2, 3, 5])
+def test_level0_d_in_equals_g0_projection(n0):
+    # level 0 draws A1's vectors directly; they and the stream position must
+    # equal projecting A1 out of a whole sample_g0 instance
+    p = ParamSchedule(n=[n0])
+    a1 = VertexId(Layer.A, 1)
+    for seed in range(300):
+        rng = random.Random(seed)
+        g, _ = sample_g0(n0, rng)
+        expect = (g.neighborhood_vector(a1, Layer.B),
+                  g.neighborhood_vector(a1, Layer.C))
+        ref = rng.random()
+        rng = random.Random(seed)
+        assert sample_d_in(p, 0, rng) == expect
+        assert rng.random() == ref
+
+
 def test_d_in_conditioned_respects_slot():
     for t in (0, 1):
         kept, other = sample_d_in_conditioned(
