@@ -83,7 +83,7 @@ class StageOneState:
 
 @dataclass
 class StageThreeResult:
-    vecs: dict  # other layer -> length-n type vector
+    vecs: dict  # other layer -> TypeRow of x's completed input
     outgoing: dict  # outer VertexId -> bits
     incoming: dict  # outer VertexId -> bits (from outer partners only)
     fallback_used: bool
@@ -101,15 +101,9 @@ def _inner_vertices(n_prev: int):
             yield VertexId(layer, i)
 
 
-def _dense_input(identity: VertexId, vecs: dict, level: int) -> VertexInput:
-    """A vertex input over dense stage vectors, one per other layer."""
-    rows = {w: TypeRow.from_dense(vec, level + 1) for w, vec in vecs.items()}
-    return VertexInput(identity=identity, vectors=rows, r=level)
-
-
-def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, vecs: dict,
+def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, rows: dict,
                      level: int) -> dict:
-    inp = _dense_input(_outer_id(x, ids), vecs, level)
+    inp = VertexInput(identity=_outer_id(x, ids), vectors=rows, r=level)
     return pi.message_fn(1, inp, {}, None)
 
 
@@ -240,11 +234,12 @@ def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
     x_out = _outer_id(x, st1.ids)
     incoming = {}
-    for w_layer, vec in vecs.items():
-        for idx, t in enumerate(vec, start=1):
-            if t > level or idx in starred[w_layer]:
+    # stored slots are non-default, so each is a channel (type <= level)
+    for w_layer, row in vecs.items():
+        for j, t in row.slots.items():
+            if j + 1 in starred[w_layer]:
                 continue
-            w = VertexId(w_layer, idx)
+            w = VertexId(w_layer, j + 1)
             w_msgs = pi.message_fn(
                 1, _outer_partner_input(w, x_out, t, n, level), {}, None)
             bits = w_msgs.get(x_out)
@@ -288,15 +283,15 @@ def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
             inbox[(1, _outer_id(y, st1.ids))] = bits
     for w, bits in s3.incoming.items():
         inbox[(1, w)] = bits
-    inp = _dense_input(x_out, s3.vecs, level)
+    inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
     if pi.output_fn(inp, inbox, view):
         return True
     starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
-    for w_layer, vec in s3.vecs.items():
-        for idx, t in enumerate(vec, start=1):
-            if t > level or idx in starred[w_layer]:
+    for w_layer, row in s3.vecs.items():
+        for j, t in row.slots.items():
+            if j + 1 in starred[w_layer]:
                 continue
-            w = VertexId(w_layer, idx)
+            w = VertexId(w_layer, j + 1)
             w_inp = _outer_partner_input(w, x_out, t, n, level)
             w_inbox = {}
             bits = s3.outgoing.get(w)
@@ -510,16 +505,14 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
                 n_in=actual_n_in[x] if which in ("h1", "h2") else None)
     g = TypedTripartiteGraph(n, level)
     transcript = Transcript()
-    default = level + 1
     for x in _inner_vertices(n_prev):
         m_in_out = {y: m_in[(x, y)] for y in _inner_partners(x, n_prev)}
         s3 = sample_private_stage(pi, st1, x, actual_n_in[x], m_in_out, p,
                                   level, view.private_rng(x, "stage3"), cfg)
         x_out = _outer_id(x, st1.ids)
-        for w_layer, vec in s3.vecs.items():
-            for idx, t in enumerate(vec, start=1):
-                if t != default:
-                    g.set_type(x_out, VertexId(w_layer, idx), t)
+        for w_layer, row in s3.vecs.items():
+            for j, t in row.slots.items():
+                g.set_type(x_out, VertexId(w_layer, j + 1), t)
         for w, bits in s3.outgoing.items():
             transcript.record(1, x_out, w, bits)
         for w, bits in s3.incoming.items():

@@ -72,11 +72,6 @@ class TypeRow:
         self.default = default
         self.slots = {} if slots is None else slots
 
-    @classmethod
-    def from_dense(cls, vec, default: int) -> "TypeRow":
-        return cls(len(vec), default,
-                   {i: t for i, t in enumerate(vec) if t != default})
-
     def __len__(self) -> int:
         return self.n
 

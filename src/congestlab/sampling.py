@@ -16,12 +16,54 @@ All samplers are pure functions of (params, rng state).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyOrRareSupport, InfeasibleParams, ZeroProbabilityCondition
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, VertexId
-from .params import ParamSchedule, require_feasible
+from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
+from .params import ParamSchedule, aux_draws_per_vertex_layer, require_feasible
+
+
+class _Complement(Sequence):
+    """The ascending indices of ``[1, n]`` missing from the sorted list
+    ``taken``, as a read-only sequence that is never materialized.
+
+    ``random.sample`` reads a population only through ``len``, indexing and,
+    when it copies a small population, iteration, so ``rng.sample(view, k)``
+    draws exactly what it draws from the equivalent list; from a large
+    population it costs ``k`` indexed reads, not ``n``.
+    """
+
+    __slots__ = ("n", "taken")
+
+    def __init__(self, n: int, taken: list):
+        self.n = n
+        self.taken = taken
+
+    def __len__(self) -> int:
+        return self.n - len(self.taken)
+
+    def __getitem__(self, j: int) -> int:
+        size = len(self)
+        k = j + size if j < 0 else j
+        if not 0 <= k < size:
+            raise IndexError(f"index {j} outside a complement of length {size}")
+        v = k + 1
+        for t in self.taken:
+            if t > v:
+                break
+            v += 1
+        return v
+
+    def __iter__(self):
+        # walk the gaps: the inherited __iter__ would index every entry
+        # through the walk above when random.sample copies the population
+        prev = 0
+        for t in self.taken:
+            yield from range(prev + 1, t)
+            prev = t
+        yield from range(prev + 1, self.n + 1)
 
 
 # -- base family ----------------------------------------------------------
@@ -147,12 +189,12 @@ def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
     n, n_prev = lv["n"], lv["n_prev"]
     inner = sample_inner(p, level - 1, rng)
     ids = _sample_ids(n, n_prev, rng)
-    pools = {}
-    for layer in LAYERS:
-        starred = set(ids[layer])
-        pool = [i for i in range(1, n + 1) if i not in starred]
-        rng.shuffle(pool)
-        pools[layer] = pool
+    # assembly carves d indices per (inner vertex of another layer, type);
+    # require_feasible's room check, n_prev*(2*d*(level+1)+1) < n, leaves
+    # more non-starred indices than that
+    demand = 2 * n_prev * (level + 1) * lv["d"]
+    pools = {layer: rng.sample(_Complement(n, sorted(ids[layer])), demand)
+             for layer in LAYERS}
     return _assemble_gr(inner, ids, pools, p, level)
 
 
@@ -297,23 +339,28 @@ class Auxiliaries:
 
 def sample_aux(ids: dict, p: ParamSchedule, level: int,
                rng: random.Random) -> Auxiliaries:
-    """Step-2 reservation: disjoint subsets of each layer's non-starred pool."""
+    """Step-2 reservation: disjoint subsets of each layer's non-starred pool.
+
+    Each layer's pool is one uniform ordered draw of exactly the indices the
+    reservation uses, carved into sets in reservation order.
+    """
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
     alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
+    # every layer serves the 2 * n_prev inner vertices of the other layers
+    demand = 2 * n_prev * aux_draws_per_vertex_layer(
+        n_prev, lv["d"], alpha, beta, gamma, level)
     pools, pos = {}, {}
     for layer in LAYERS:
-        starred = set(ids[layer])
-        pool = [i for i in range(1, n + 1) if i not in starred]
-        rng.shuffle(pool)
-        pools[layer], pos[layer] = pool, 0
-
-    def take(layer, count):
-        p0 = pos[layer]
-        if p0 + count > len(pools[layer]):
+        free = _Complement(n, sorted(ids[layer]))
+        if demand > len(free):
             raise InfeasibleParams(
                 f"auxiliary reservation exhausted layer {layer.value}"
             )
+        pools[layer], pos[layer] = rng.sample(free, demand), 0
+
+    def take(layer, count):
+        p0 = pos[layer]
         pos[layer] = p0 + count
         return pools[layer][p0:p0 + count]
 
@@ -359,11 +406,11 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
     ``n_in`` maps each other layer to the length-n_prev inner type vector of
     x; when omitted a phantom inner input is drawn from the inner marginal
     (the conditional law given only identities and auxiliaries).
-    Returns {other layer: length-n type vector}.
+    Returns {other layer: ``TypeRow`` of length n}; only the starred,
+    reserved and completed slots are ever touched.
     """
     lv = p.level(level)
     n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
-    alpha, beta = lv["alpha"], lv["beta"]
     default = level + 1
     others = x.layer.others
 
@@ -371,18 +418,20 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
         v1, v2 = sample_d_in(p, level - 1, rng)
         n_in = {others[0]: v1, others[1]: v2}
 
-    vecs = {w: [default] * n for w in others}
+    # {0-based slot: type} per other layer; every type stored below is an
+    # inner, forced or completed type, at most level, so never the default
+    slots = {w: {} for w in others}
     # starred slots copy the inner input
     for w in others:
         for i in range(1, n_prev + 1):
-            vecs[w][ids[w][i - 1] - 1] = n_in[w][i - 1]
+            slots[w][ids[w][i - 1] - 1] = n_in[w][i - 1]
     # J sets carry independent draws of the full inner marginal
     for s in aux.J[x]:
         v1, v2 = sample_d_in(p, level - 1, rng)
         draws = {others[0]: v1, others[1]: v2}
         for w in others:
             for k, idx in enumerate(s.members[w]):
-                vecs[w][idx - 1] = draws[w][k]
+                slots[w][idx - 1] = draws[w][k]
     # K sets carry inner-marginal draws conditioned on one starred slot type
     for target in others:
         slot_position = 0 if target is others[0] else 1
@@ -396,23 +445,19 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                     kept.pop(i - 1)
                     rest = list(full[1 - slot_position])
                     for k, idx in enumerate(s.members[target]):
-                        vecs[target][idx - 1] = kept[k]
+                        slots[target][idx - 1] = kept[k]
                     for k, idx in enumerate(s.members[other]):
-                        vecs[other][idx - 1] = rest[k]
+                        slots[other][idx - 1] = rest[k]
     # L sets are forced to their bucket's type
     for target, forced in public_slot_types(x, aux, level, n_prev).items():
         for idx, t in forced.items():
-            vecs[target][idx - 1] = t
+            slots[target][idx - 1] = t
     # uniform completion to exact per-type degree d
     for w in others:
+        row = slots[w]
         counts = [0] * (level + 1)
-        free = []
-        for idx in range(1, n + 1):
-            t = vecs[w][idx - 1]
-            if t == default:
-                free.append(idx)
-            else:
-                counts[t] += 1
+        for t in row.values():
+            counts[t] += 1
         needs = [d - counts[t] for t in range(level + 1)]
         if any(need < 0 for need in needs):
             raise InfeasibleParams(
@@ -420,15 +465,17 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                 f"(counts {counts})"
             )
         total = sum(needs)
+        free = _Complement(n, [j + 1 for j in sorted(row)])
         if total > len(free):
             raise InfeasibleParams("not enough free slots for completion")
         chosen = rng.sample(free, total)
         pos = 0
         for t, need in enumerate(needs):
             for idx in chosen[pos:pos + need]:
-                vecs[w][idx - 1] = t
+                row[idx - 1] = t
             pos += need
-    return vecs
+    return {w: TypeRow(n, default, dict(sorted(row.items())))
+            for w, row in slots.items()}
 
 
 def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
@@ -446,7 +493,6 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     emb = InnerEmbedding(ids=ids, inner=inner)
 
     g = TypedTripartiteGraph(n, level)
-    default = level + 1
     incidence = {}
     starred = {layer: emb.starred(layer) for layer in LAYERS}
     for v in emb.inner_vertices():
@@ -454,15 +500,14 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
             w: [inner.pair_type(v, VertexId(w, j)) for j in range(1, n_prev + 1)]
             for w in v.layer.others
         }
-        vecs = sample_tilde_input(v, ids, aux, p, level, rng, n_in=n_in)
+        rows = sample_tilde_input(v, ids, aux, p, level, rng, n_in=n_in)
         u = emb.outer(v)
-        for w, vec in vecs.items():
-            for idx, t in enumerate(vec, start=1):
-                if t == default:
-                    continue
-                g.set_type(u, VertexId(w, idx), t)
-                if idx not in starred[w] and t <= level:
-                    key = (w, idx)
+        # stored slots are non-default, so each is a channel (type <= level)
+        for w, row in rows.items():
+            for j, t in row.slots.items():
+                g.set_type(u, VertexId(w, j + 1), t)
+                if j + 1 not in starred[w]:
+                    key = (w, j + 1)
                     incidence[key] = incidence.get(key, 0) + 1
     collision_flag = any(c >= 2 for c in incidence.values())
     return g, emb, aux, collision_flag

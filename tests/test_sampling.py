@@ -2,18 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congestlab.errors import InfeasibleParams
-from congestlab.graphs import LAYERS, Layer, VertexId
-from congestlab.params import ParamSchedule
+from congestlab.graphs import LAYERS, Layer, TypeRow, VertexId
+from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
+                               feasibility_check)
 from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
-                                 rebuild_from_inner_views, sample_aux,
-                                 sample_d_in, sample_d_in_conditioned,
-                                 sample_g0, sample_gr, sample_gr_tilde,
-                                 sample_tilde_input, _sample_ids)
+                                 public_slot_types, rebuild_from_inner_views,
+                                 sample_aux, sample_d_in,
+                                 sample_d_in_conditioned, sample_g0,
+                                 sample_gr, sample_gr_tilde, sample_inner,
+                                 sample_tilde_input, _Complement,
+                                 _sample_d_in_slot_conditioned, _sample_ids)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 SMALL2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
+LOOSE = ParamSchedule(n=[1, 5000], d=[6], alpha=[1], beta=[1], gamma=[1])
+# n_prev = 2 fills K sets on both sides; SMALL2's d = 8 is too small for
+# the restructured completion, whose fixed type-1 slots can reach 18
+WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
+SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
 
 
 def test_g0_starred_pairs_are_binary():
@@ -179,3 +189,202 @@ def test_gr_tilde_inner_marginal_preserved():
         u, v = VertexId(la, 1), VertexId(lb, 1)
         assert (g.pair_type(emb.outer(u), emb.outer(v))
                 == emb.inner.pair_type(u, v))
+
+
+# -- lazy complement ------------------------------------------------------
+
+
+def _check_complement(n, taken, seed, k):
+    gone = set(taken)
+    explicit = [i for i in range(1, n + 1) if i not in gone]
+    view = _Complement(n, taken)
+    size = len(explicit)
+    assert len(view) == size
+    assert list(view) == explicit
+    assert [view[j] for j in range(size)] == explicit
+    assert [view[-j] for j in range(1, size + 1)] == explicit[::-1]
+    for bad in (size, -size - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    rng_view, rng_list = random.Random(seed), random.Random(seed)
+    assert rng_view.sample(view, k) == rng_list.sample(explicit, k)
+    assert rng_view.random() == rng_list.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 21), data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_complement_matches_its_list_when_sample_copies_the_pool(n, data,
+                                                                  seed):
+    # n <= 21 always takes random.sample's pool-copy branch (list(view))
+    taken = sorted(data.draw(st.sets(st.integers(1, n))))
+    k = data.draw(st.integers(0, n - len(taken)))
+    _check_complement(n, taken, seed, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(taken=st.sets(st.integers(1, 5000), max_size=40),
+       seed=st.integers(0, 2 ** 32), k=st.integers(0, 60))
+def test_complement_matches_its_list_when_sample_indexes(taken, seed, k):
+    # n = 5000 with k <= 60 always takes the set-based branch (view[j])
+    _check_complement(5000, sorted(taken), seed, k)
+
+
+# -- reservation ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(SCHEDULES))
+def test_aux_reservation_is_disjoint_and_sized_on_every_schedule(name):
+    p = SCHEDULES[name]
+    lv = p.level(1)
+    n, n_prev = lv["n"], lv["n_prev"]
+    alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
+    demand = 2 * n_prev * aux_draws_per_vertex_layer(
+        n_prev, lv["d"], alpha, beta, gamma, 1)
+    for seed in range(5):
+        ids = _sample_ids(n, n_prev, random.Random(seed))
+        aux = sample_aux(ids, p, 1, random.Random(seed))
+        for layer in LAYERS:
+            elems = aux.elements_in_layer(layer)
+            assert len(elems) == demand
+            assert len(set(elems)) == demand
+            assert not set(elems) & set(ids[layer])
+            assert all(1 <= i <= n for i in elems)
+        for layer in LAYERS:
+            for i in range(1, n_prev + 1):
+                x = VertexId(layer, i)
+                others = layer.others
+                assert len(aux.J[x]) == alpha
+                for s in aux.J[x]:
+                    assert {w: len(m) for w, m in s.members.items()} == {
+                        others[0]: n_prev, others[1]: n_prev}
+                for target in others:
+                    other = others[0] if target is others[1] else others[1]
+                    for t in (0, 1):
+                        for j in range(1, n_prev + 1):
+                            sets = aux.K[(x, target, t, j)]
+                            assert len(sets) == beta
+                            for s in sets:
+                                assert len(s.members[target]) == n_prev - 1
+                                assert len(s.members[other]) == n_prev
+                            assert len(aux.L[(x, target, t, j)]) == gamma
+
+
+def test_aux_reservation_beyond_the_pool_is_infeasible():
+    # 2 * (20 + 2 + 2) = 48 reserved indices per layer, 28 non-starred
+    greedy = ParamSchedule(n=[1, 29], d=[6], alpha=[20], beta=[1], gamma=[1])
+    ids = _sample_ids(29, 1, random.Random(0))
+    with pytest.raises(InfeasibleParams,
+                       match="auxiliary reservation exhausted layer A"):
+        sample_aux(ids, greedy, 1, random.Random(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_prev=st.integers(1, 4), d=st.integers(1, 40),
+       alpha=st.integers(1, 3), beta=st.integers(1, 3),
+       gamma=st.integers(1, 3), slack=st.integers(-50, 3000))
+def test_feasible_schedules_leave_room_for_every_pool(n_prev, d, alpha, beta,
+                                                      gamma, slack):
+    # layer sizes around the room threshold n_prev*(4d+1), on both sides
+    n = max(2, n_prev * (4 * d + 1) + slack)
+    p = ParamSchedule(n=[n_prev, n], d=[d], alpha=[alpha], beta=[beta],
+                      gamma=[gamma])
+    assume(not feasibility_check(p))
+    free = n - n_prev
+    assert 2 * n_prev * 2 * d <= free  # sample_gr's pool at level 1
+    assert 2 * n_prev * aux_draws_per_vertex_layer(
+        n_prev, d, alpha, beta, gamma, 1) <= free  # sample_aux's pool
+
+
+# -- sparse tilde inputs against the dense construction --------------------
+
+
+def _dense_tilde_input_reference(x, ids, aux, p, level, rng, n_in=None):
+    """The dense construction: six length-n lists filled slot by slot and
+    scanned in full for the completion."""
+    lv = p.level(level)
+    n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
+    default = level + 1
+    others = x.layer.others
+    if n_in is None:
+        v1, v2 = sample_d_in(p, level - 1, rng)
+        n_in = {others[0]: v1, others[1]: v2}
+    vecs = {w: [default] * n for w in others}
+    for w in others:
+        for i in range(1, n_prev + 1):
+            vecs[w][ids[w][i - 1] - 1] = n_in[w][i - 1]
+    for s in aux.J[x]:
+        v1, v2 = sample_d_in(p, level - 1, rng)
+        draws = {others[0]: v1, others[1]: v2}
+        for w in others:
+            for k, idx in enumerate(s.members[w]):
+                vecs[w][idx - 1] = draws[w][k]
+    for target in others:
+        slot_position = 0 if target is others[0] else 1
+        other = others[0] if target is others[1] else others[1]
+        for t in range(level + 1):
+            for i in range(1, n_prev + 1):
+                for s in aux.K[(x, target, t, i)]:
+                    full = _sample_d_in_slot_conditioned(
+                        p, level - 1, t, slot_position, i, rng)
+                    kept = list(full[slot_position])
+                    kept.pop(i - 1)
+                    rest = list(full[1 - slot_position])
+                    for k, idx in enumerate(s.members[target]):
+                        vecs[target][idx - 1] = kept[k]
+                    for k, idx in enumerate(s.members[other]):
+                        vecs[other][idx - 1] = rest[k]
+    for target, forced in public_slot_types(x, aux, level, n_prev).items():
+        for idx, t in forced.items():
+            vecs[target][idx - 1] = t
+    for w in others:
+        counts = [0] * (level + 1)
+        free = []
+        for idx in range(1, n + 1):
+            t = vecs[w][idx - 1]
+            if t == default:
+                free.append(idx)
+            else:
+                counts[t] += 1
+        needs = [d - counts[t] for t in range(level + 1)]
+        assert all(need >= 0 for need in needs)
+        chosen = rng.sample(free, sum(needs))
+        pos = 0
+        for t, need in enumerate(needs):
+            for idx in chosen[pos:pos + need]:
+                vecs[w][idx - 1] = t
+            pos += need
+    return vecs
+
+
+@pytest.mark.parametrize("name", list(SCHEDULES))
+def test_sparse_tilde_input_equals_dense_reference(name):
+    p = SCHEDULES[name]
+    lv = p.level(1)
+    n, n_prev = lv["n"], lv["n_prev"]
+    for seed in range(12 if n < 1000 else 4):
+        rng = random.Random(seed)
+        inner = sample_inner(p, 0, rng)
+        ids = _sample_ids(n, n_prev, rng)
+        aux = sample_aux(ids, p, 1, rng)
+        for layer in LAYERS:
+            for i in range(1, n_prev + 1):
+                x = VertexId(layer, i)
+                actual = {w: [inner.pair_type(x, VertexId(w, j))
+                              for j in range(1, n_prev + 1)]
+                          for w in layer.others}
+                for n_in in (None, actual):
+                    state = rng.getstate()
+                    rows = sample_tilde_input(x, ids, aux, p, 1, rng,
+                                              n_in=n_in)
+                    after = rng.random()
+                    rng.setstate(state)
+                    dense = _dense_tilde_input_reference(x, ids, aux, p, 1,
+                                                         rng, n_in=n_in)
+                    assert rng.random() == after
+                    assert list(rows) == list(layer.others)
+                    for w, row in rows.items():
+                        assert isinstance(row, TypeRow)
+                        assert (len(row), row.default) == (n, 2)
+                        assert list(row) == dense[w]
+                        assert list(row.slots) == sorted(row.slots)
+                        assert 2 not in row.slots.values()
