@@ -26,7 +26,6 @@ from .sampling import sample_g0, sample_gr, sample_gr_tilde
 # canonical schedules grow as n0^(34^r) and would exhaust memory.
 MEMORY_CAP = 5_000_000
 
-FALLBACKS = {"fail": "fail", "drop": "drop"}
 
 # the options each `info` measure reads; any other option is refused, so a
 # wrong pairing fails instead of answering a different question
@@ -205,7 +204,7 @@ def estimate_success(proto_name, level, params_path, n0, bandwidth, trials,
 @click.option("--trials", type=int, default=30, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cap", type=int, default=100_000, show_default=True)
-@click.option("--fallback", type=click.Choice(sorted(FALLBACKS)),
+@click.option("--fallback", type=click.Choice(["drop", "fail"]),
               default="fail", show_default=True)
 @click.option("--hybrids", is_flag=True,
               help="Also write one sample transcript per hybrid law.")
@@ -222,7 +221,7 @@ def round_elim(proto_name, params_path, bandwidth, trials, seed, cap,
                 f"unknown protocol {proto_name!r}; have {sorted(reg)}")
         pi = reg[proto_name]
         cfg = elimination.EliminationConfig(params=p, level=1, cap=cap,
-                                            fallback=FALLBACKS[fallback])
+                                            fallback=fallback)
         report = elimination.run_elimination_trials(pi, cfg, trials, seed)
         payload = {
             "config": {"protocol": proto_name, "params": params_path,

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
+from .graphs import LAYERS, TypedTripartiteGraph, TypeRow, VertexId
 from .params import ParamSchedule
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
-from .randomness import RandomnessView, derive_rng
+from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
                        _sample_ids, sample_aux, sample_gr, sample_gr_tilde,
                        sample_inner, sample_tilde_input, public_slot_types)
@@ -64,7 +64,9 @@ class EliminationReport:
     inconsistency_count: int
     fallback_count: int
     failed_trials: int
-    rejection_attempts: int
+    rejection_attempts: int  # pair_attempts + private_attempts
+    pair_attempts: int
+    private_attempts: int
     predicted_degradation: float
 
     def to_dict(self) -> dict:
@@ -99,6 +101,18 @@ def _inner_vertices(n_prev: int):
     for layer in LAYERS:
         for i in range(1, n_prev + 1):
             yield VertexId(layer, i)
+
+
+def _inner_partners(x: VertexId, n_prev: int):
+    for layer in x.layer.others:
+        for j in range(1, n_prev + 1):
+            yield VertexId(layer, j)
+
+
+def _true_input(pair_type, x: VertexId, n_prev: int) -> dict:
+    """x's true inner input: per other layer, the types of its n_prev pairs."""
+    return {w: [pair_type(x, VertexId(w, j)) for j in range(1, n_prev + 1)]
+            for w in x.layer.others}
 
 
 def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, rows: dict,
@@ -140,13 +154,8 @@ def sample_public_stage(pi: ProtocolSpec, p: ParamSchedule, level: int,
     n_pub, m_pub = {}, {}
     for x in _inner_vertices(n_prev):
         n_pub[x] = public_slot_types(x, aux, level, n_prev)
-        n_in = None
-        if inner is not None:
-            n_in = {
-                w: [inner.pair_type(x, VertexId(w, j))
-                    for j in range(1, n_prev + 1)]
-                for w in x.layer.others
-            }
+        n_in = None if inner is None else _true_input(inner.pair_type, x,
+                                                      n_prev)
         vecs = sample_tilde_input(x, ids, aux, p, level, rng, n_in=n_in)
         msgs = _round1_messages(pi, x, ids, vecs, level)
         m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(x, ids, aux,
@@ -187,15 +196,22 @@ def sample_pair_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     )
 
 
-def _outer_partner_input(w: VertexId, x_out: VertexId, t: int, n: int,
-                         level: int) -> VertexInput:
-    """The full input of an outer vertex whose single channel goes to x."""
-    vectors = {
-        layer: TypeRow(n, level + 1,
-                       {x_out.index - 1: t} if layer is x_out.layer else None)
-        for layer in w.layer.others
-    }
-    return VertexInput(identity=w, vectors=vectors, r=level)
+def _outer_partners(st1: StageOneState, x: VertexId, vecs: dict, n: int,
+                    level: int):
+    """Each outer channel partner w of x, with the full input of w, whose
+    single channel goes to x.  Stored slots are non-default, so each
+    non-starred one is such a partner."""
+    x_out = _outer_id(x, st1.ids)
+    starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
+    for w_layer, row in vecs.items():
+        for j, t in row.slots.items():
+            if j + 1 in starred[w_layer]:
+                continue
+            w = VertexId(w_layer, j + 1)
+            vectors = {layer: TypeRow(n, level + 1, {x_out.index - 1: t}
+                                      if layer is x.layer else None)
+                       for layer in w_layer.others}
+            yield w, VertexInput(identity=w, vectors=vectors, r=level)
 
 
 def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
@@ -210,44 +226,28 @@ def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     policy either fails the trial or keeps a draw conditioned on the input
     alone.
     """
-    lv = p.level(level)
-    n, n_prev = lv["n"], lv["n_prev"]
     target_msgs = dict(st1.m_pub[x])
     for y, bits in m_in_out.items():
         target_msgs[_outer_id(y, st1.ids)] = bits
-    vecs = msgs = None
-    fallback_used = failed = False
-    attempts = 0
-    for attempt in range(1, cfg.cap + 1):
-        attempts = attempt
+    for attempts in range(1, cfg.cap + 1):
         vecs = sample_tilde_input(x, st1.ids, st1.aux, p, level, rng,
                                   n_in=n_in)
         msgs = _round1_messages(pi, x, st1.ids, vecs, level)
         if _matches(msgs, target_msgs):
+            fallback_used = False
             break
     else:
-        fallback_used = True
-        if cfg.fallback == "fail":
-            failed = True
-        # "drop": keep the final draw, conditioned on the input alone
-    outgoing = {w: bits for w, bits in msgs.items()}
-    starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
+        fallback_used = True  # "drop" keeps the final, unmatched draw
     x_out = _outer_id(x, st1.ids)
     incoming = {}
-    # stored slots are non-default, so each is a channel (type <= level)
-    for w_layer, row in vecs.items():
-        for j, t in row.slots.items():
-            if j + 1 in starred[w_layer]:
-                continue
-            w = VertexId(w_layer, j + 1)
-            w_msgs = pi.message_fn(
-                1, _outer_partner_input(w, x_out, t, n, level), {}, None)
-            bits = w_msgs.get(x_out)
-            if bits is not None:
-                incoming[w] = bits
-    return StageThreeResult(vecs=vecs, outgoing=outgoing, incoming=incoming,
-                            fallback_used=fallback_used, failed=failed,
-                            attempts=attempts)
+    for w, w_inp in _outer_partners(st1, x, vecs, p.level(level)["n"], level):
+        bits = pi.message_fn(1, w_inp, {}, None).get(x_out)
+        if bits is not None:
+            incoming[w] = bits
+    return StageThreeResult(
+        vecs=vecs, outgoing=dict(msgs), incoming=incoming,
+        fallback_used=fallback_used,
+        failed=fallback_used and cfg.fallback == "fail", attempts=attempts)
 
 
 def verify_consistency(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
@@ -262,13 +262,98 @@ def verify_consistency(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
                for y, bits in m_in_out.items())
 
 
-# -- the compiled protocol ------------------------------------------------
+# -- the staged pipeline --------------------------------------------------
 
 
-def _inner_partners(x: VertexId, n_prev: int):
-    for layer in x.layer.others:
-        for j in range(1, n_prev + 1):
-            yield VertexId(layer, j)
+# the stages that keep the true inner input, per rung of the hybrid ladder
+LADDER = {"dfake": (), "h2": ("pair",), "h1": ("public", "pair")}
+
+
+@dataclass
+class StagedRun:
+    """What one run of the three stages drew: ``m_in[(x, y)]`` is the
+    stage-2 message of x to y, ``s3`` the private stages in run order.  The
+    run stops at the first stage without a consistent draw (a private stage
+    has none only under ``fallback="fail"``) and keeps its error."""
+
+    st1: StageOneState
+    m_in: dict = field(default_factory=dict)
+    s3: dict = field(default_factory=dict)
+    pair_attempts: int = 0
+    private_attempts: int = 0
+    failure: EmptyOrRareSupport | None = None
+
+    def sent(self, x: VertexId) -> dict:
+        return {v: bits for (u, v), bits in self.m_in.items() if u == x}
+
+    def received(self, x: VertexId) -> dict:
+        return {u: bits for (u, v), bits in self.m_in.items() if v == x}
+
+
+def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, pair_type,
+               vertices, rung: str, view) -> StagedRun:
+    """Stage 1, then the pair stages, then the private stages.
+
+    ``pair_type(x, y)`` gives the true inner pair types.  The private stage
+    runs for each of ``vertices`` in order, the pair stage for every ordered
+    inner pair with an endpoint among them.  ``rung`` picks the stages that
+    keep the true inner input (``LADDER``; the private stage always does).
+    ``view`` hands out the tapes as a ``RandomnessView`` does.
+    """
+    p, level = cfg.params, cfg.level
+    n_prev = p.level(level)["n_prev"]
+    keep = LADDER[rung]
+    chosen = set(vertices)
+    run = StagedRun(sample_public_stage(
+        pi, p, level, view.public_rng("stage1"),
+        inner=SimpleNamespace(pair_type=pair_type)
+        if "public" in keep else None))
+    try:
+        for x in _inner_vertices(n_prev):
+            for y in _inner_partners(x, n_prev):
+                if x in chosen or y in chosen:
+                    run.m_in[(x, y)], attempts = sample_pair_stage(
+                        pi, run.st1, x, y, pair_type(x, y), p, level,
+                        view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"),
+                        cap=cfg.cap, n_in=_true_input(pair_type, x, n_prev)
+                        if "pair" in keep else None)
+                    run.pair_attempts += attempts
+    except EmptyOrRareSupport as exc:
+        run.failure = exc
+        return run
+    for x in vertices:
+        s3 = run.s3[x] = sample_private_stage(
+            pi, run.st1, x, _true_input(pair_type, x, n_prev), run.sent(x),
+            p, level, view.private_rng(x, "stage3"), cfg)
+        run.private_attempts += s3.attempts
+        if s3.failed:
+            run.failure = EmptyOrRareSupport(
+                f"no completed input of {x} reproduces its sampled messages "
+                f"within {cfg.cap} attempts")
+            break
+    return run
+
+
+class _OwnTapes:
+    """One vertex's ``RestrictedView`` as a ``RandomnessView``: it refuses
+    every tape the vertex cannot see."""
+
+    def __init__(self, view: RestrictedView):
+        self.view, self.owner = view, view.owner
+        self.public_rng = view.public_rng
+
+    def pair_rng(self, u: VertexId, v: VertexId, label: str):
+        if self.owner not in (u, v):
+            raise ValueError(f"{self.owner} cannot read the tape of {u}-{v}")
+        return self.view.pair_rng(v if u == self.owner else u, label)
+
+    def private_rng(self, v: VertexId, label: str):
+        if v != self.owner:
+            raise ValueError(f"{self.owner} cannot read {v}'s tape")
+        return self.view.private_rng(label)
+
+
+# -- the compiled protocol and the elimination trials ---------------------
 
 
 def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
@@ -286,49 +371,16 @@ def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
     if pi.output_fn(inp, inbox, view):
         return True
-    starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
-    for w_layer, row in s3.vecs.items():
-        for j, t in row.slots.items():
-            if j + 1 in starred[w_layer]:
-                continue
-            w = VertexId(w_layer, j + 1)
-            w_inp = _outer_partner_input(w, x_out, t, n, level)
-            w_inbox = {}
-            bits = s3.outgoing.get(w)
-            if bits is not None:
-                w_inbox[(1, x_out)] = bits
-            if pi.output_fn(w_inp, w_inbox, view):
-                return True
+    for w, w_inp in _outer_partners(st1, x, s3.vecs, n, level):
+        bits = s3.outgoing.get(w)
+        if pi.output_fn(w_inp, {} if bits is None else {(1, x_out): bits},
+                        view):
+            return True
     # one isolated outer vertex stands in for all channel-free vertices
     iso = VertexInput(
         identity=VertexId(x.layer, n),
         vectors={w: TypeRow(n, level + 1) for w in x.layer.others}, r=level)
     return bool(pi.output_fn(iso, {}, view))
-
-
-def _run_stages_for_vertex(pi, cfg, x, own_vectors, public_rng, pair_rng_of,
-                           private_rng):
-    """Stages 1-3 as one vertex of the compiled protocol executes them.
-
-    ``pair_rng_of(y, label)`` must return the tape shared with inner vertex
-    y.  Returns (st1, s3, m_in_in) or raises EmptyOrRareSupport.
-    """
-    p, level = cfg.params, cfg.level
-    n_prev = p.level(level)["n_prev"]
-    st1 = sample_public_stage(pi, p, level, public_rng)
-    m_in_out, m_in_in = {}, {}
-    for y in _inner_partners(x, n_prev):
-        t = own_vectors[y.layer][y.index - 1]
-        m_in_out[y], _ = sample_pair_stage(
-            pi, st1, x, y, t, p, level,
-            pair_rng_of(y, f"m_in:{x!r}->{y!r}"), cap=cfg.cap)
-        m_in_in[y], _ = sample_pair_stage(
-            pi, st1, y, x, t, p, level,
-            pair_rng_of(y, f"m_in:{y!r}->{x!r}"), cap=cfg.cap)
-    n_in = {w: list(own_vectors[w]) for w in x.layer.others}
-    s3 = sample_private_stage(pi, st1, x, n_in, m_in_out, p, level,
-                              private_rng, cfg)
-    return st1, s3, m_in_in
 
 
 def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec:
@@ -344,26 +396,23 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     if pi.rounds != 1 or cfg.level != 1:
         raise InfeasibleParams(
             "compilation is implemented for the 1-round regime only")
-    p = cfg.params
-    n = p.level(1)["n"]
+    n = cfg.params.level(1)["n"]
 
     def message_fn(i, inp, inbox, view):
         return {}
 
     def output_fn(inp, inbox, view):
         x = inp.identity
-        try:
-            st1, s3, m_in_in = _run_stages_for_vertex(
-                pi, cfg, x, inp.vectors,
-                public_rng=view.public_rng("stage1"),
-                pair_rng_of=lambda y, label: view.pair_rng(y, label),
-                private_rng=view.private_rng("stage3"),
-            )
-        except EmptyOrRareSupport:
+
+        def pair_type(u, v):
+            other = v if u == x else u
+            return inp.vectors[other.layer][other.index - 1]
+
+        run = run_stages(pi, cfg, pair_type, (x,), "dfake", _OwnTapes(view))
+        if run.failure is not None:
             return False
-        if s3.failed:
-            return False
-        return _pi_r_output(pi, st1, x, s3, m_in_in, cfg.level, n, view)
+        return _pi_r_output(pi, run.st1, x, run.s3[x], run.received(x),
+                            cfg.level, n, view)
 
     return ProtocolSpec(
         name=f"{pi.name}-eliminated",
@@ -379,65 +428,38 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
                            trials: int, seed: int) -> EliminationReport:
     """Full elimination trials with shared stage state per trial.
 
-    Each trial samples an inner instance, runs the three stages once with
-    the trial's randomness (public/pair/private tapes agree across vertices
-    by construction, so the shared run is identical to the per-vertex one),
-    checks transcript consistency, and judges the compiled protocol's
-    answers against the inner instance.
+    Each trial samples an inner instance, runs the three stages once for
+    every inner vertex with the trial's randomness (the tapes agree across
+    vertices, so each vertex's share equals the compiled protocol's run at
+    that vertex), checks transcript consistency, and judges the compiled
+    protocol's answers against the inner instance.
     """
     p, level = cfg.params, cfg.level
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
+    vertices = list(_inner_vertices(n_prev))
     successes = inconsistencies = fallbacks = failures = 0
-    attempts_total = 0
+    pair_attempts = private_attempts = 0
     max_bits = 0
     for trial in range(trials):
         view = RandomnessView(seed + trial)
         inner = sample_inner(p, level - 1, derive_rng(seed + trial, "inner"))
-        try:
-            st1 = sample_public_stage(pi, p, level, view.public_rng("stage1"))
-            m_in = {}
-            for x in _inner_vertices(n_prev):
-                for y in _inner_partners(x, n_prev):
-                    t = inner.pair_type(x, y)
-                    m_in[(x, y)], att = sample_pair_stage(
-                        pi, st1, x, y, t, p, level,
-                        view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"),
-                        cap=cfg.cap)
-                    attempts_total += att
-            outputs = {}
-            trial_failed = False
-            for x in _inner_vertices(n_prev):
-                n_in = {
-                    w: [inner.pair_type(x, VertexId(w, j))
-                        for j in range(1, n_prev + 1)]
-                    for w in x.layer.others
-                }
-                m_in_out = {y: m_in[(x, y)]
-                            for y in _inner_partners(x, n_prev)}
-                s3 = sample_private_stage(pi, st1, x, n_in, m_in_out, p,
-                                          level, view.private_rng(x, "stage3"),
-                                          cfg)
-                attempts_total += s3.attempts
-                fallbacks += s3.fallback_used
-                if s3.failed:
-                    trial_failed = True
-                    break
-                if not verify_consistency(pi, st1, x, s3, m_in_out, level):
-                    inconsistencies += 1
-                max_bits = max(max_bits,
-                               max((len(b) for b in s3.outgoing.values()),
-                                   default=0))
-                m_in_in = {y: m_in[(y, x)]
-                           for y in _inner_partners(x, n_prev)}
-                outputs[x] = _pi_r_output(pi, st1, x, s3, m_in_in, level, n,
-                                          view.restrict(x))
-        except EmptyOrRareSupport:
-            trial_failed = True
-        if trial_failed:
+        run = run_stages(pi, cfg, inner.pair_type, vertices, "dfake", view)
+        pair_attempts += run.pair_attempts
+        private_attempts += run.private_attempts
+        outputs = {}
+        for x, s3 in run.s3.items():
+            fallbacks += s3.fallback_used
+            if s3.failed:
+                break
+            if not verify_consistency(pi, run.st1, x, s3, run.sent(x), level):
+                inconsistencies += 1
+            max_bits = max([max_bits] + [len(b) for b in s3.outgoing.values()])
+            outputs[x] = _pi_r_output(pi, run.st1, x, s3, run.received(x),
+                                      level, n, view.restrict(x))
+        if run.failure is not None:
             failures += 1
-            continue
-        if judge(inner, outputs):
+        elif judge(inner, outputs):
             successes += 1
     return EliminationReport(
         rounds_used=pi.rounds - 1,
@@ -448,7 +470,9 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
         inconsistency_count=inconsistencies,
         fallback_count=fallbacks,
         failed_trials=failures,
-        rejection_attempts=attempts_total,
+        rejection_attempts=pair_attempts + private_attempts,
+        pair_attempts=pair_attempts,
+        private_attempts=private_attempts,
         predicted_degradation=degradation_bound(n_prev, pi.bandwidth),
     )
 
@@ -470,8 +494,9 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
 
     Returns (graph, embedding, auxiliaries-or-None, Transcript).  The
     ``dtilde_real`` route samples the restructured family jointly and reads
-    the transcript off the actual inputs; the staged routes assemble the
-    instance from each vertex's completed input.
+    the transcript off the actual inputs; the staged routes run the stages
+    on the ``which`` rung and assemble the instance from each vertex's
+    completed input, raising the error of a run that stops.
     """
     if which not in HYBRIDS:
         raise InfeasibleParams(f"unknown hybrid {which!r}")
@@ -486,30 +511,14 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
         return g, emb, aux, transcript
 
     inner = sample_inner(p, level - 1, derive_rng(seed, "inner"))
-    actual_n_in = {
-        x: {w: [inner.pair_type(x, VertexId(w, j))
-                for j in range(1, n_prev + 1)]
-            for w in x.layer.others}
-        for x in _inner_vertices(n_prev)
-    }
-    st1 = sample_public_stage(
-        pi, p, level, view.public_rng("stage1"),
-        inner=inner if which == "h1" else None)
-    m_in = {}
-    for x in _inner_vertices(n_prev):
-        for y in _inner_partners(x, n_prev):
-            t = inner.pair_type(x, y)
-            m_in[(x, y)], _ = sample_pair_stage(
-                pi, st1, x, y, t, p, level,
-                view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"), cap=cfg.cap,
-                n_in=actual_n_in[x] if which in ("h1", "h2") else None)
+    run = run_stages(pi, cfg, inner.pair_type, list(_inner_vertices(n_prev)),
+                     which, view)
+    if run.failure is not None:
+        raise run.failure
     g = TypedTripartiteGraph(n, level)
     transcript = Transcript()
-    for x in _inner_vertices(n_prev):
-        m_in_out = {y: m_in[(x, y)] for y in _inner_partners(x, n_prev)}
-        s3 = sample_private_stage(pi, st1, x, actual_n_in[x], m_in_out, p,
-                                  level, view.private_rng(x, "stage3"), cfg)
-        x_out = _outer_id(x, st1.ids)
+    for x, s3 in run.s3.items():
+        x_out = _outer_id(x, run.st1.ids)
         for w_layer, row in s3.vecs.items():
             for j, t in row.slots.items():
                 g.set_type(x_out, VertexId(w_layer, j + 1), t)
@@ -517,8 +526,8 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
             transcript.record(1, x_out, w, bits)
         for w, bits in s3.incoming.items():
             transcript.record(1, w, x_out, bits)
-    emb = InnerEmbedding(ids=st1.ids, inner=inner)
-    return g, emb, st1.aux, transcript
+    emb = InnerEmbedding(ids=run.st1.ids, inner=inner)
+    return g, emb, run.st1.aux, transcript
 
 
 # -- bound calculators ----------------------------------------------------

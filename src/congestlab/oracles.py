@@ -236,12 +236,3 @@ def exact_collision_probability(p: ParamSchedule, level: int) -> Fraction:
     p_disjoint = choose(bulk - k, k) / choose(bulk, k)
     p_layer = p_avoid * p_avoid * p_disjoint
     return 1 - p_layer ** 3
-
-
-def exact_projected_collision_tvd(p: ParamSchedule, level: int) -> Fraction:
-    """Exact TVD between the two families under the degree-excess projection.
-
-    The recursive family never produces a collision, so the projected
-    distance equals the restructured family's collision probability.
-    """
-    return exact_collision_probability(p, level)

@@ -118,7 +118,8 @@ def test_criterion_4_restructured_family_fidelity():
         ok &= rate <= bound + 3 * sigma + 1e-12
         parts.append(f"{name}: rate={rate:.3f} <= bound={bound:.3f}+3s")
     # (c) exact projected distance at the enumerable micro schedule
-    exact_tvd = oracles.exact_projected_collision_tvd(MICRO, 1)
+    # the recursive family never collides, so the projected TVD is this
+    exact_tvd = oracles.exact_collision_probability(MICRO, 1)
     n_prev = MICRO.n[0]
     ok &= exact_tvd <= Fraction(1, n_prev)
     parts.append(f"exact degree-excess TVD={float(exact_tvd):.6f} <= 1/{n_prev}")
@@ -237,7 +238,8 @@ def test_criterion_8_hybrid_decomposition():
     # inner-input and inner-transcript laws coincide (identical pushforward),
     # degree-excess TVD equals the collision probability
     n_prev = MICRO.n[0]
-    d_excess = oracles.exact_projected_collision_tvd(MICRO, 1)
+    # the recursive family never collides, so the projected TVD is this
+    d_excess = oracles.exact_collision_probability(MICRO, 1)
     close_ok = d_excess <= Fraction(1, n_prev) and \
         oracles.tvd_exact(law, law) == 0
     ok = triangle_ok and empirical_ok and close_ok

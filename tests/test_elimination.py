@@ -5,21 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+from congestlab import elimination
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     build_pi_r_minus_1, degradation_bound,
                                     dreal_sampler, hybrid_sampler,
                                     result1_chain, run_elimination_trials,
-                                    sample_pair_stage, sample_private_stage,
+                                    run_stages, sample_pair_stage,
+                                    sample_private_stage,
                                     sample_public_stage, theorem1_bound,
                                     theorem1_precondition,
                                     verify_consistency, _inner_partners,
-                                    _inner_vertices, _m_pub_targets)
-from congestlab.errors import InfeasibleParams
+                                    _inner_vertices, _m_pub_targets,
+                                    _OwnTapes)
+from congestlab.errors import EmptyOrRareSupport, InfeasibleParams
 from congestlab.graphs import Layer, VertexId
 from congestlab.params import ParamSchedule
-from congestlab.protocols import exact_success, registry
+from congestlab.protocols import exact_success, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import enumerate_g0, sample_g0
+from congestlab.sampling import enumerate_g0, sample_g0, sample_inner
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
@@ -139,6 +142,65 @@ def test_trials_report_counters():
     assert rep.predicted_degradation == degradation_bound(1, 1)
 
 
+def test_trials_report_attempts_per_stage():
+    rep = run_elimination_trials(REG["constant-message"], CFG, trials=8,
+                                 seed=11)
+    assert rep.rejection_attempts == rep.pair_attempts + rep.private_attempts
+    assert (rep.pair_attempts, rep.private_attempts) == (48, 24)
+    # rejection_attempts keeps its seeded value
+    assert rep.rejection_attempts == 72
+
+
+def _drawn(st1, s3, m_in_in):
+    rows = {w: dict(row.slots) for w, row in s3.vecs.items()}
+    return (st1, rows, s3.outgoing, s3.incoming, s3.fallback_used,
+            s3.failed, s3.attempts, m_in_in)
+
+
+def test_shared_run_equals_compiled_protocol(monkeypatch):
+    # one shared run of the stages gives every inner vertex the draws and
+    # the answer that vertex reaches alone in the compiled protocol
+    real = elimination._pi_r_output
+    seen = {}
+
+    def spy(pi, st1, x, s3, m_in_in, *rest):
+        seen[x] = _drawn(st1, s3, m_in_in)
+        return real(pi, st1, x, s3, m_in_in, *rest)
+
+    monkeypatch.setattr(elimination, "_pi_r_output", spy)
+    n = MICRO.level(1)["n"]
+    vertices = list(_inner_vertices(1))
+    for pi in REG.values():
+        built = build_pi_r_minus_1(pi, CFG)
+        for seed in range(15):
+            inner = sample_inner(MICRO, 0, derive_rng(seed, "inner"))
+            view = RandomnessView(seed)
+            run = run_stages(pi, CFG, inner.pair_type, vertices, "dfake",
+                             view)
+            assert run.failure is None
+            shared = {x: real(pi, run.st1, x, s3, run.received(x), 1, n,
+                              view.restrict(x))
+                      for x, s3 in run.s3.items()}
+            seen.clear()
+            _, outputs = simulate(built, inner, RandomnessView(seed))
+            assert outputs == shared
+            assert seen == {x: _drawn(run.st1, s3, run.received(x))
+                            for x, s3 in run.s3.items()}
+
+
+def test_own_tapes_refuse_other_vertices():
+    a, b, c = (VertexId(layer, 1) for layer in (Layer.A, Layer.B, Layer.C))
+    view = RandomnessView(3)
+    tapes = _OwnTapes(view.restrict(a))
+    # a pair tape is the same from either endpoint
+    assert (tapes.pair_rng(b, a, "t").random()
+            == view.pair_rng(a, b, "t").random())
+    with pytest.raises(ValueError):
+        tapes.pair_rng(b, c, "t")
+    with pytest.raises(ValueError):
+        tapes.private_rng(b, "t")
+
+
 def test_dreal_sampler_channel_legality():
     g, emb, transcript = dreal_sampler(REG["type-broadcast"], MICRO, 1, 12)
     available = g.channels_at_round(1)
@@ -151,6 +213,17 @@ def test_dreal_sampler_channel_legality():
 def test_hybrid_sampler_unknown_name():
     with pytest.raises(InfeasibleParams):
         hybrid_sampler("h3", REG["all-no"], CFG, 0)
+
+
+def test_hybrid_sampler_honours_fallback():
+    # at this seed and cap the private stage of A1 finds no consistent draw
+    pi = REG["probe-first-slot"]
+    fail = EliminationConfig(MICRO, cap=2, fallback="fail")
+    with pytest.raises(EmptyOrRareSupport, match="completed input of A1"):
+        hybrid_sampler("dfake", pi, fail, 0)
+    drop = EliminationConfig(MICRO, cap=2, fallback="drop")
+    g, _, _, transcript = hybrid_sampler("dfake", pi, drop, 0)
+    assert g.n == MICRO.level(1)["n"] and transcript.entries
 
 
 def test_hybrids_share_inner_instance_marginal():

@@ -9,7 +9,6 @@ from congestlab.oracles import (collision_bound, collision_rate,
                                 empirical_tvd, exact_collision_probability,
                                 exact_g0_triangle_prob,
                                 exact_inner_transcript_law,
-                                exact_projected_collision_tvd,
                                 project_degree_excess, project_inner_input,
                                 project_inner_transcript, tvd_exact,
                                 zero_round_optimum)
@@ -98,11 +97,6 @@ def test_exact_collision_matches_empirical():
 def test_collision_bound_dominates_exact():
     for p in (MICRO, LOOSE):
         assert float(exact_collision_probability(p, 1)) <= collision_bound(p, 1) + 1e-9
-
-
-def test_projected_collision_tvd_alias():
-    assert (exact_projected_collision_tvd(MICRO, 1)
-            == exact_collision_probability(MICRO, 1))
 
 
 def test_exact_collision_needs_single_inner_vertex():
