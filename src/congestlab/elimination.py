@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import LAYERS, TypedTripartiteGraph, TypeRow, VertexId
@@ -33,8 +32,9 @@ from .params import ParamSchedule
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
-                       _sample_ids, sample_aux, sample_gr, sample_gr_tilde,
-                       sample_inner, sample_tilde_input, public_slot_types)
+                       _sample_ids, public_slot_types,
+                       rebuild_from_inner_views, sample_aux, sample_gr,
+                       sample_gr_tilde, sample_inner, sample_tilde_input)
 
 HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
 
@@ -52,6 +52,8 @@ class EliminationConfig:
     def __post_init__(self):
         if self.fallback not in ("fail", "drop"):
             raise InfeasibleParams(f"unknown fallback policy {self.fallback}")
+        if self.cap < 1:
+            raise InfeasibleParams(f"cap must be at least 1, got {self.cap}")
 
 
 @dataclass
@@ -109,10 +111,9 @@ def _inner_partners(x: VertexId, n_prev: int):
             yield VertexId(layer, j)
 
 
-def _true_input(pair_type, x: VertexId, n_prev: int) -> dict:
-    """x's true inner input: per other layer, the types of its n_prev pairs."""
-    return {w: [pair_type(x, VertexId(w, j)) for j in range(1, n_prev + 1)]
-            for w in x.layer.others}
+def _inner_inputs(inner: TypedTripartiteGraph) -> dict:
+    """Every inner vertex's rows, the ``inputs`` of ``run_stages``."""
+    return {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
 
 
 def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, rows: dict,
@@ -140,12 +141,13 @@ def _matches(msgs: dict, record: dict) -> bool:
 
 
 def sample_public_stage(pi: ProtocolSpec, p: ParamSchedule, level: int,
-                        rng: random.Random, inner=None) -> StageOneState:
+                        rng: random.Random, inputs=None) -> StageOneState:
     """Stage 1: identities, auxiliaries, forced slots, public messages.
 
-    With ``inner`` given, the phantom inputs behind the public messages keep
-    the true inner input (the stronger conditioning of the ``h1`` law);
-    otherwise they draw a fresh inner input from its marginal.
+    With ``inputs`` given (inner vertex -> its rows), the phantom inputs
+    behind the public messages keep the true inner input (the stronger
+    conditioning of the ``h1`` law); otherwise they draw a fresh inner input
+    from its marginal.
     """
     lv = p.level(level)
     n_prev = lv["n_prev"]
@@ -154,9 +156,8 @@ def sample_public_stage(pi: ProtocolSpec, p: ParamSchedule, level: int,
     n_pub, m_pub = {}, {}
     for x in _inner_vertices(n_prev):
         n_pub[x] = public_slot_types(x, aux, level, n_prev)
-        n_in = None if inner is None else _true_input(inner.pair_type, x,
-                                                      n_prev)
-        vecs = sample_tilde_input(x, ids, aux, p, level, rng, n_in=n_in)
+        vecs = sample_tilde_input(x, ids, aux, p, level, rng,
+                                  n_in=None if inputs is None else inputs[x])
         msgs = _round1_messages(pi, x, ids, vecs, level)
         m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(x, ids, aux,
                                                            level, n_prev)}
@@ -180,9 +181,8 @@ def sample_pair_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     y_out = _outer_id(y, st1.ids)
     for attempt in range(1, cap + 1):
         if n_in is None:
-            full = _sample_d_in_slot_conditioned(
-                p, level - 1, pair_type, slot_position, y.index, rng)
-            phantom = {others[0]: list(full[0]), others[1]: list(full[1])}
+            phantom = dict(zip(others, _sample_d_in_slot_conditioned(
+                p, level - 1, pair_type, slot_position, y.index, rng)))
         else:
             phantom = n_in
         vecs = sample_tilde_input(x, st1.ids, st1.aux, p, level, rng,
@@ -290,41 +290,46 @@ class StagedRun:
         return {u: bits for (u, v), bits in self.m_in.items() if v == x}
 
 
-def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, pair_type,
-               vertices, rung: str, view) -> StagedRun:
+def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
+               rung: str, view) -> StagedRun:
     """Stage 1, then the pair stages, then the private stages.
 
-    ``pair_type(x, y)`` gives the true inner pair types.  The private stage
-    runs for each of ``vertices`` in order, the pair stage for every ordered
-    inner pair with an endpoint among them.  ``rung`` picks the stages that
-    keep the true inner input (``LADDER``; the private stage always does).
-    ``view`` hands out the tapes as a ``RandomnessView`` does.
+    ``inputs`` maps inner vertices to their true inner input, one
+    index-based row per other layer (slot ``j - 1`` is the type of the pair
+    with inner vertex ``j``).  The private stage runs for each of them in
+    order, the pair stage for every ordered inner pair with an endpoint
+    among them, reading the pair's type from that endpoint's row.  ``rung``
+    picks the stages that keep the true inner input (``LADDER``; the private
+    stage always does).  ``view`` hands out the tapes as a
+    ``RandomnessView`` does.
     """
     p, level = cfg.params, cfg.level
     n_prev = p.level(level)["n_prev"]
     keep = LADDER[rung]
-    chosen = set(vertices)
     run = StagedRun(sample_public_stage(
         pi, p, level, view.public_rng("stage1"),
-        inner=SimpleNamespace(pair_type=pair_type)
-        if "public" in keep else None))
+        inputs=inputs if "public" in keep else None))
     try:
         for x in _inner_vertices(n_prev):
             for y in _inner_partners(x, n_prev):
-                if x in chosen or y in chosen:
-                    run.m_in[(x, y)], attempts = sample_pair_stage(
-                        pi, run.st1, x, y, pair_type(x, y), p, level,
-                        view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"),
-                        cap=cfg.cap, n_in=_true_input(pair_type, x, n_prev)
-                        if "pair" in keep else None)
-                    run.pair_attempts += attempts
+                if x in inputs:
+                    t = inputs[x][y.layer][y.index - 1]
+                elif y in inputs:
+                    t = inputs[y][x.layer][x.index - 1]
+                else:
+                    continue
+                run.m_in[(x, y)], attempts = sample_pair_stage(
+                    pi, run.st1, x, y, t, p, level,
+                    view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"), cap=cfg.cap,
+                    n_in=inputs[x] if "pair" in keep else None)
+                run.pair_attempts += attempts
     except EmptyOrRareSupport as exc:
         run.failure = exc
         return run
-    for x in vertices:
+    for x, rows in inputs.items():
         s3 = run.s3[x] = sample_private_stage(
-            pi, run.st1, x, _true_input(pair_type, x, n_prev), run.sent(x),
-            p, level, view.private_rng(x, "stage3"), cfg)
+            pi, run.st1, x, rows, run.sent(x), p, level,
+            view.private_rng(x, "stage3"), cfg)
         run.private_attempts += s3.attempts
         if s3.failed:
             run.failure = EmptyOrRareSupport(
@@ -403,12 +408,7 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
 
     def output_fn(inp, inbox, view):
         x = inp.identity
-
-        def pair_type(u, v):
-            other = v if u == x else u
-            return inp.vectors[other.layer][other.index - 1]
-
-        run = run_stages(pi, cfg, pair_type, (x,), "dfake", _OwnTapes(view))
+        run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", _OwnTapes(view))
         if run.failure is not None:
             return False
         return _pi_r_output(pi, run.st1, x, run.s3[x], run.received(x),
@@ -437,14 +437,13 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     p, level = cfg.params, cfg.level
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
-    vertices = list(_inner_vertices(n_prev))
     successes = inconsistencies = fallbacks = failures = 0
     pair_attempts = private_attempts = 0
     max_bits = 0
     for trial in range(trials):
         view = RandomnessView(seed + trial)
         inner = sample_inner(p, level - 1, derive_rng(seed + trial, "inner"))
-        run = run_stages(pi, cfg, inner.pair_type, vertices, "dfake", view)
+        run = run_stages(pi, cfg, _inner_inputs(inner), "dfake", view)
         pair_attempts += run.pair_attempts
         private_attempts += run.private_attempts
         outputs = {}
@@ -501,8 +500,6 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
     if which not in HYBRIDS:
         raise InfeasibleParams(f"unknown hybrid {which!r}")
     p, level = cfg.params, cfg.level
-    lv = p.level(level)
-    n, n_prev = lv["n"], lv["n_prev"]
     view = RandomnessView(seed)
     if which == "dtilde_real":
         g, emb, aux, _ = sample_gr_tilde(p, level,
@@ -511,17 +508,15 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
         return g, emb, aux, transcript
 
     inner = sample_inner(p, level - 1, derive_rng(seed, "inner"))
-    run = run_stages(pi, cfg, inner.pair_type, list(_inner_vertices(n_prev)),
-                     which, view)
+    run = run_stages(pi, cfg, _inner_inputs(inner), which, view)
     if run.failure is not None:
         raise run.failure
-    g = TypedTripartiteGraph(n, level)
+    g = rebuild_from_inner_views(
+        p.level(level)["n"], level, run.st1.ids,
+        {x: s3.vecs for x, s3 in run.s3.items()})
     transcript = Transcript()
     for x, s3 in run.s3.items():
         x_out = _outer_id(x, run.st1.ids)
-        for w_layer, row in s3.vecs.items():
-            for j, t in row.slots.items():
-                g.set_type(x_out, VertexId(w_layer, j + 1), t)
         for w, bits in s3.outgoing.items():
             transcript.record(1, x_out, w, bits)
         for w, bits in s3.incoming.items():

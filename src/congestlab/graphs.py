@@ -8,8 +8,13 @@ pairs carry no type at all.
 Only non-default pairs are stored.  A vertex's view of one other layer is a
 ``TypeRow``: a read-only length-n row that holds its non-default slots
 explicitly and answers the default type ``r+1`` everywhere else, so building
-and scanning it costs the vertex's stored pairs, not ``n``.
-``neighborhood_vector`` gives the same row as a dense list.
+and scanning it costs the vertex's stored pairs, not ``n``.  Layers order
+``A < B < C`` by their string values, and so do ``VertexId``s by (layer,
+index), which puts the A endpoint first in every canonical pair key.
+
+``neighborhood_vector`` gives the same row as a dense list.  No library path
+calls it: it stays only as the dense reference that the tests and
+``perfbench/tracer.py`` bind by name.
 """
 
 from __future__ import annotations
@@ -25,11 +30,6 @@ class Layer(str, Enum):
     A = "A"
     B = "B"
     C = "C"
-
-    def __lt__(self, other):
-        if isinstance(other, Layer):
-            return self.value < other.value
-        return NotImplemented
 
     @property
     def others(self) -> tuple["Layer", "Layer"]:
@@ -165,13 +165,6 @@ class TypedTripartiteGraph:
             raise RoundOutOfRange(f"round {i} outside [1, {self.r}]")
         cutoff = self.r + 1 - i
         return {key for key, t in self._types.items() if t <= cutoff}
-
-    def channel_partners(self, u: VertexId, max_type: int):
-        """Iterate (v, type) over stored partners of ``u`` with type <= max_type."""
-        self._check_vertex(u)
-        for v, t in self._adj.get(u, {}).items():
-            if t <= max_type:
-                yield v, t
 
     def channel_degree(self, u: VertexId, t: int, target: Layer) -> int:
         """Number of vertices in ``target`` whose pair with ``u`` has type ``t``."""

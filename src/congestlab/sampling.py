@@ -218,28 +218,23 @@ def build_gr_frame(inner: TypedTripartiteGraph, p: ParamSchedule, level: int):
 
 
 def inner_views(g: TypedTripartiteGraph, emb: InnerEmbedding) -> dict:
-    """Neighborhood vectors of every inner vertex, keyed by inner identity."""
-    out = {}
-    for v in emb.inner_vertices():
-        u = emb.outer(v)
-        out[v] = {w: g.neighborhood_vector(u, w) for w in v.layer.others}
-    return out
+    """The type rows of every inner vertex, keyed by inner identity."""
+    return {v: g.type_rows(emb.outer(v)) for v in emb.inner_vertices()}
 
 
 def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
-    """Reconstruct the full instance from inner identities and inner views.
+    """Reconstruct the full instance from inner identities and inner views
+    (per inner vertex, one ``TypeRow`` per other layer).
 
     Every non-default pair touches at least one inner vertex, so the views
     fix the graph.
     """
     g = TypedTripartiteGraph(n, level)
-    default = level + 1
-    for v, vecs in views.items():
+    for v, rows in views.items():
         u = VertexId(v.layer, ids[v.layer][v.index - 1])
-        for target, vec in vecs.items():
-            for idx, t in enumerate(vec, start=1):
-                if t != default:
-                    g.set_type(u, VertexId(target, idx), t)
+        for target, row in rows.items():
+            for j, t in row.slots.items():
+                g.set_type(u, VertexId(target, j + 1), t)
     return g
 
 
@@ -247,14 +242,15 @@ def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
 
 
 def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
-    """The two neighborhood vectors of one vertex in a level instance.
+    """The two rows of one vertex in a level instance.
 
     Projects the first inner vertex of layer A; by the relabeling symmetry
-    of the construction this is the marginal of any inner vertex.  Vectors
-    are returned toward the two other layers in layer order.  Level 0 draws
-    the vectors of A1 in a ``sample_g0`` instance directly, consuming the
-    same stream (three starred indices, then the coins of (a,b), (b,c) and
-    (c,a)); higher levels materialize a full instance.
+    of the construction this is the marginal of any inner vertex.  Rows are
+    returned toward the two other layers in layer order.  Level 0 draws the
+    rows of A1 in a ``sample_g0`` instance directly, as two length-n0 lists,
+    consuming the same stream (three starred indices, then the coins of
+    (a,b), (b,c) and (c,a)); higher levels materialize a full instance and
+    return A1's ``TypeRow``s.
     """
     if level == 0:
         n0 = p.n[0]
@@ -268,8 +264,7 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
                 to_c[ic - 1] = 0
         return to_b, to_c
     g, emb = sample_gr(p, level, rng)
-    v = emb.outer(VertexId(Layer.A, 1))
-    return (g.neighborhood_vector(v, Layer.B), g.neighborhood_vector(v, Layer.C))
+    return tuple(g.type_rows(emb.outer(VertexId(Layer.A, 1))).values())
 
 
 def _sample_d_in_slot_conditioned(p: ParamSchedule, level: int, t: int,
@@ -403,9 +398,10 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                        n_in: dict | None = None):
     """Step-3 per-vertex input: auxiliary draws plus uniform completion.
 
-    ``n_in`` maps each other layer to the length-n_prev inner type vector of
-    x; when omitted a phantom inner input is drawn from the inner marginal
-    (the conditional law given only identities and auxiliaries).
+    ``n_in`` maps each other layer to x's length-n_prev inner row (a list or
+    a ``TypeRow``, read by index); when omitted a phantom inner input is
+    drawn from the inner marginal (the conditional law given only identities
+    and auxiliaries).
     Returns {other layer: ``TypeRow`` of length n}; only the starred,
     reserved and completed slots are ever touched.
     """
@@ -432,22 +428,17 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
         for w in others:
             for k, idx in enumerate(s.members[w]):
                 slots[w][idx - 1] = draws[w][k]
-    # K sets carry inner-marginal draws conditioned on one starred slot type
-    for target in others:
-        slot_position = 0 if target is others[0] else 1
-        other = others[0] if target is others[1] else others[1]
+    # K sets carry inner-marginal draws conditioned on one starred slot
+    # type, with that slot dropped
+    for slot_position, target in enumerate(others):
         for t in range(level + 1):
             for i in range(1, n_prev + 1):
                 for s in aux.K[(x, target, t, i)]:
-                    full = _sample_d_in_slot_conditioned(
-                        p, level - 1, t, slot_position, i, rng)
-                    kept = list(full[slot_position])
-                    kept.pop(i - 1)
-                    rest = list(full[1 - slot_position])
-                    for k, idx in enumerate(s.members[target]):
-                        slots[target][idx - 1] = kept[k]
-                    for k, idx in enumerate(s.members[other]):
-                        slots[other][idx - 1] = rest[k]
+                    draws = dict(zip(others, sample_d_in_conditioned(
+                        p, level - 1, t, slot_position, i, rng)))
+                    for w in others:
+                        for k, idx in enumerate(s.members[w]):
+                            slots[w][idx - 1] = draws[w][k]
     # L sets are forced to their bucket's type
     for target, forced in public_slot_types(x, aux, level, n_prev).items():
         for idx, t in forced.items():
@@ -496,11 +487,8 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     incidence = {}
     starred = {layer: emb.starred(layer) for layer in LAYERS}
     for v in emb.inner_vertices():
-        n_in = {
-            w: [inner.pair_type(v, VertexId(w, j)) for j in range(1, n_prev + 1)]
-            for w in v.layer.others
-        }
-        rows = sample_tilde_input(v, ids, aux, p, level, rng, n_in=n_in)
+        rows = sample_tilde_input(v, ids, aux, p, level, rng,
+                                  n_in=inner.type_rows(v))
         u = emb.outer(v)
         # stored slots are non-default, so each is a channel (type <= level)
         for w, row in rows.items():

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from congestlab.cli import main
@@ -118,6 +119,16 @@ def test_round_elim_report(tmp_path):
     payload = json.loads(open(out).read())
     assert payload["report"]["rounds_used"] == 0
     assert payload["report"]["trials"] == 5
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_round_elim_refuses_cap_below_one(tmp_path, cap):
+    params = write_micro_params(str(tmp_path / "p.json"))
+    result = CliRunner().invoke(main, ["round-elim", "--protocol",
+                                       "constant-message", "--params", params,
+                                       "--trials", "3", "--cap", cap])
+    assert result.exit_code == 2
+    assert "cap" in result.stderr
 
 
 def test_round_elim_hybrids(tmp_path):

@@ -25,6 +25,7 @@ from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import enumerate_g0, sample_g0, sample_inner
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
+WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
 REG = registry(rounds=1, bandwidth=1)
 
@@ -108,6 +109,12 @@ def test_private_stage_consistency_and_degrees():
             assert s3.vecs[w].count(1) == 6
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_config_refuses_cap_below_one(cap):
+    with pytest.raises(InfeasibleParams, match="cap"):
+        EliminationConfig(params=MICRO, cap=cap)
+
+
 def test_build_rounds_and_bandwidth():
     for name, pi in REG.items():
         built = build_pi_r_minus_1(pi, CFG)
@@ -157,9 +164,13 @@ def _drawn(st1, s3, m_in_in):
             s3.failed, s3.attempts, m_in_in)
 
 
-def test_shared_run_equals_compiled_protocol(monkeypatch):
+@pytest.mark.parametrize("p, seeds", [(MICRO, 15), (WIDE2, 3)],
+                         ids=["MICRO", "WIDE2"])
+def test_shared_run_equals_compiled_protocol(monkeypatch, p, seeds):
     # one shared run of the stages gives every inner vertex the draws and
-    # the answer that vertex reaches alone in the compiled protocol
+    # the answer that vertex reaches alone in the compiled protocol; at
+    # WIDE2 (n_prev = 2) the inner indices differ, so a pair type read from
+    # the wrong slot of a row shows
     real = elimination._pi_r_output
     seen = {}
 
@@ -168,15 +179,15 @@ def test_shared_run_equals_compiled_protocol(monkeypatch):
         return real(pi, st1, x, s3, m_in_in, *rest)
 
     monkeypatch.setattr(elimination, "_pi_r_output", spy)
-    n = MICRO.level(1)["n"]
-    vertices = list(_inner_vertices(1))
+    cfg = EliminationConfig(params=p, level=1, cap=3000)
+    n = p.level(1)["n"]
     for pi in REG.values():
-        built = build_pi_r_minus_1(pi, CFG)
-        for seed in range(15):
-            inner = sample_inner(MICRO, 0, derive_rng(seed, "inner"))
+        built = build_pi_r_minus_1(pi, cfg)
+        for seed in range(seeds):
+            inner = sample_inner(p, 0, derive_rng(seed, "inner"))
             view = RandomnessView(seed)
-            run = run_stages(pi, CFG, inner.pair_type, vertices, "dfake",
-                             view)
+            inputs = {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
+            run = run_stages(pi, cfg, inputs, "dfake", view)
             assert run.failure is None
             shared = {x: real(pi, run.st1, x, s3, run.received(x), 1, n,
                               view.restrict(x))

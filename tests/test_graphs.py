@@ -86,6 +86,22 @@ def test_pair_key_is_layer_ordered():
     assert pair_key(u, v) == (v, u)
 
 
+@pytest.mark.parametrize("la, lb", [(Layer.A, Layer.B), (Layer.A, Layer.C),
+                                    (Layer.B, Layer.C)])
+def test_vertex_order_is_layer_value_then_index(la, lb):
+    # has_triangle relies on canonical keys putting the A endpoint first
+    assert la < lb and sorted(LAYERS) == list(LAYERS)
+    vs = [VertexId(layer, i) for layer in (lb, la) for i in (3, 1, 2)]
+    want = sorted(vs, key=lambda v: (v.layer.value, v.index))
+    assert sorted(vs) == want
+    for u in vs:
+        for v in vs:
+            if u.layer is not v.layer:
+                key = pair_key(u, v)
+                assert key == tuple(sorted((u, v)))
+                assert key[0].layer is la
+
+
 def test_vertices_enumeration():
     g = TypedTripartiteGraph(2, 0)
     assert len(list(g.vertices())) == 6
