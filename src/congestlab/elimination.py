@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import LAYERS, TypedTripartiteGraph, TypeRow, VertexId
-from .params import ParamSchedule
+from .params import ParamSchedule, restructured_feasibility_check
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
-                       _sample_ids, public_slot_types,
-                       rebuild_from_inner_views, sample_aux, sample_gr,
-                       sample_gr_tilde, sample_inner, sample_tilde_input)
+                       _sample_ids, rebuild_from_inner_views, sample_aux,
+                       sample_gr, sample_gr_tilde, sample_inner,
+                       sample_tilde_input)
 
 HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
 
@@ -54,6 +54,9 @@ class EliminationConfig:
             raise InfeasibleParams(f"unknown fallback policy {self.fallback}")
         if self.cap < 1:
             raise InfeasibleParams(f"cap must be at least 1, got {self.cap}")
+        bad = restructured_feasibility_check(self.params, self.level)
+        if bad:
+            raise InfeasibleParams("; ".join(bad))
 
 
 @dataclass
@@ -81,8 +84,11 @@ class StageOneState:
 
     ids: dict
     aux: object
-    n_pub: dict  # inner vertex -> {layer: {index: forced type}}
     m_pub: dict  # inner vertex -> {outer VertexId: bits or None}
+
+    def outer(self, x: VertexId) -> VertexId:
+        """The outer identity of inner vertex ``x``."""
+        return VertexId(x.layer, self.ids[x.layer][x.index - 1])
 
 
 @dataclass
@@ -93,10 +99,6 @@ class StageThreeResult:
     fallback_used: bool
     failed: bool
     attempts: int
-
-
-def _outer_id(x: VertexId, ids: dict) -> VertexId:
-    return VertexId(x.layer, ids[x.layer][x.index - 1])
 
 
 def _inner_vertices(n_prev: int):
@@ -116,10 +118,20 @@ def _inner_inputs(inner: TypedTripartiteGraph) -> dict:
     return {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
 
 
-def _round1_messages(pi: ProtocolSpec, x: VertexId, ids: dict, rows: dict,
-                     level: int) -> dict:
-    inp = VertexInput(identity=_outer_id(x, ids), vectors=rows, r=level)
+def _round1_messages(pi: ProtocolSpec, cfg: EliminationConfig,
+                     st1: StageOneState, x: VertexId, rows: dict) -> dict:
+    inp = VertexInput(identity=st1.outer(x), vectors=rows, r=cfg.level)
     return pi.message_fn(1, inp, {}, None)
+
+
+def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
+          x: VertexId, n_in, rng: random.Random):
+    """One restructured input of x around the inner rows ``n_in`` (a phantom
+    inner input drawn from its marginal when None), with the round-1
+    messages x sends on it."""
+    vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, cfg.level,
+                              rng, n_in=n_in)
+    return vecs, _round1_messages(pi, cfg, st1, x, vecs)
 
 
 def _m_pub_targets(x: VertexId, st_ids: dict, aux, level: int,
@@ -140,34 +152,31 @@ def _matches(msgs: dict, record: dict) -> bool:
     return all(msgs.get(w) == bits for w, bits in record.items())
 
 
-def sample_public_stage(pi: ProtocolSpec, p: ParamSchedule, level: int,
+def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
                         rng: random.Random, inputs=None) -> StageOneState:
-    """Stage 1: identities, auxiliaries, forced slots, public messages.
+    """Stage 1: identities, auxiliaries and the public messages.
 
     With ``inputs`` given (inner vertex -> its rows), the phantom inputs
     behind the public messages keep the true inner input (the stronger
     conditioning of the ``h1`` law); otherwise they draw a fresh inner input
     from its marginal.
     """
+    p, level = cfg.params, cfg.level
     lv = p.level(level)
     n_prev = lv["n_prev"]
     ids = _sample_ids(lv["n"], n_prev, rng)
-    aux = sample_aux(ids, p, level, rng)
-    n_pub, m_pub = {}, {}
+    st1 = StageOneState(ids=ids, aux=sample_aux(ids, p, level, rng), m_pub={})
     for x in _inner_vertices(n_prev):
-        n_pub[x] = public_slot_types(x, aux, level, n_prev)
-        vecs = sample_tilde_input(x, ids, aux, p, level, rng,
-                                  n_in=None if inputs is None else inputs[x])
-        msgs = _round1_messages(pi, x, ids, vecs, level)
-        m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(x, ids, aux,
-                                                           level, n_prev)}
-    return StageOneState(ids=ids, aux=aux, n_pub=n_pub, m_pub=m_pub)
+        _, msgs = _draw(pi, cfg, st1, x,
+                        None if inputs is None else inputs[x], rng)
+        st1.m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(
+            x, ids, st1.aux, level, n_prev)}
+    return st1
 
 
-def sample_pair_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
-                      y: VertexId, pair_type: int, p: ParamSchedule,
-                      level: int, rng: random.Random, cap: int = 100_000,
-                      n_in=None):
+def sample_pair_stage(pi: ProtocolSpec, cfg: EliminationConfig,
+                      st1: StageOneState, x: VertexId, y: VertexId,
+                      pair_type: int, rng: random.Random, n_in=None):
     """Stage 2: the message of x to y, conditioned on the pair's type and the
     public stage.
 
@@ -178,30 +187,29 @@ def sample_pair_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     """
     others = x.layer.others
     slot_position = 0 if y.layer is others[0] else 1
-    y_out = _outer_id(y, st1.ids)
-    for attempt in range(1, cap + 1):
+    y_out = st1.outer(y)
+    for attempt in range(1, cfg.cap + 1):
+        phantom = n_in
         if n_in is None:
             phantom = dict(zip(others, _sample_d_in_slot_conditioned(
-                p, level - 1, pair_type, slot_position, y.index, rng)))
-        else:
-            phantom = n_in
-        vecs = sample_tilde_input(x, st1.ids, st1.aux, p, level, rng,
-                                  n_in=phantom)
-        msgs = _round1_messages(pi, x, st1.ids, vecs, level)
+                cfg.params, cfg.level - 1, pair_type, slot_position, y.index,
+                rng)))
+        _, msgs = _draw(pi, cfg, st1, x, phantom, rng)
         if _matches(msgs, st1.m_pub[x]):
             return msgs.get(y_out), attempt
     raise EmptyOrRareSupport(
         f"no phantom input of {x} reproduces the public messages within "
-        f"{cap} attempts", pair=(x, y),
+        f"{cfg.cap} attempts", pair=(x, y),
     )
 
 
-def _outer_partners(st1: StageOneState, x: VertexId, vecs: dict, n: int,
-                    level: int):
+def _outer_partners(cfg: EliminationConfig, st1: StageOneState, x: VertexId,
+                    vecs: dict):
     """Each outer channel partner w of x, with the full input of w, whose
     single channel goes to x.  Stored slots are non-default, so each
     non-starred one is such a partner."""
-    x_out = _outer_id(x, st1.ids)
+    n, level = cfg.params.level(cfg.level)["n"], cfg.level
+    x_out = st1.outer(x)
     starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
     for w_layer, row in vecs.items():
         for j, t in row.slots.items():
@@ -214,10 +222,10 @@ def _outer_partners(st1: StageOneState, x: VertexId, vecs: dict, n: int,
             yield w, VertexInput(identity=w, vectors=vectors, r=level)
 
 
-def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
-                         n_in: dict, m_in_out: dict, p: ParamSchedule,
-                         level: int, rng: random.Random,
-                         cfg: EliminationConfig) -> StageThreeResult:
+def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
+                         st1: StageOneState, x: VertexId, n_in: dict,
+                         m_in_out: dict,
+                         rng: random.Random) -> StageThreeResult:
     """Stage 3: complete x's input consistently with every sampled message,
     then derive all remaining round-1 traffic of x.
 
@@ -228,19 +236,17 @@ def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
     """
     target_msgs = dict(st1.m_pub[x])
     for y, bits in m_in_out.items():
-        target_msgs[_outer_id(y, st1.ids)] = bits
+        target_msgs[st1.outer(y)] = bits
     for attempts in range(1, cfg.cap + 1):
-        vecs = sample_tilde_input(x, st1.ids, st1.aux, p, level, rng,
-                                  n_in=n_in)
-        msgs = _round1_messages(pi, x, st1.ids, vecs, level)
+        vecs, msgs = _draw(pi, cfg, st1, x, n_in, rng)
         if _matches(msgs, target_msgs):
             fallback_used = False
             break
     else:
         fallback_used = True  # "drop" keeps the final, unmatched draw
-    x_out = _outer_id(x, st1.ids)
+    x_out = st1.outer(x)
     incoming = {}
-    for w, w_inp in _outer_partners(st1, x, vecs, p.level(level)["n"], level):
+    for w, w_inp in _outer_partners(cfg, st1, x, vecs):
         bits = pi.message_fn(1, w_inp, {}, None).get(x_out)
         if bits is not None:
             incoming[w] = bits
@@ -250,15 +256,15 @@ def sample_private_stage(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
         failed=fallback_used and cfg.fallback == "fail", attempts=attempts)
 
 
-def verify_consistency(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
-                       s3: StageThreeResult, m_in_out: dict,
-                       level: int) -> bool:
+def verify_consistency(pi: ProtocolSpec, cfg: EliminationConfig,
+                       st1: StageOneState, x: VertexId, s3: StageThreeResult,
+                       m_in_out: dict) -> bool:
     """Re-evaluate the round-1 messages on the completed input and compare
     them against every separately sampled message."""
-    msgs = _round1_messages(pi, x, st1.ids, s3.vecs, level)
+    msgs = _round1_messages(pi, cfg, st1, x, s3.vecs)
     if not _matches(msgs, st1.m_pub[x]):
         return False
-    return all(msgs.get(_outer_id(y, st1.ids)) == bits
+    return all(msgs.get(st1.outer(y)) == bits
                for y, bits in m_in_out.items())
 
 
@@ -303,12 +309,11 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     stage always does).  ``view`` hands out the tapes as a
     ``RandomnessView`` does.
     """
-    p, level = cfg.params, cfg.level
-    n_prev = p.level(level)["n_prev"]
+    n_prev = cfg.params.level(cfg.level)["n_prev"]
     keep = LADDER[rung]
     run = StagedRun(sample_public_stage(
-        pi, p, level, view.public_rng("stage1"),
-        inputs=inputs if "public" in keep else None))
+        pi, cfg, view.public_rng("stage1"),
+        inputs if "public" in keep else None))
     try:
         for x in _inner_vertices(n_prev):
             for y in _inner_partners(x, n_prev):
@@ -319,17 +324,17 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
                 else:
                     continue
                 run.m_in[(x, y)], attempts = sample_pair_stage(
-                    pi, run.st1, x, y, t, p, level,
-                    view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"), cap=cfg.cap,
-                    n_in=inputs[x] if "pair" in keep else None)
+                    pi, cfg, run.st1, x, y, t,
+                    view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"),
+                    inputs[x] if "pair" in keep else None)
                 run.pair_attempts += attempts
     except EmptyOrRareSupport as exc:
         run.failure = exc
         return run
     for x, rows in inputs.items():
         s3 = run.s3[x] = sample_private_stage(
-            pi, run.st1, x, rows, run.sent(x), p, level,
-            view.private_rng(x, "stage3"), cfg)
+            pi, cfg, run.st1, x, rows, run.sent(x),
+            view.private_rng(x, "stage3"))
         run.private_attempts += s3.attempts
         if s3.failed:
             run.failure = EmptyOrRareSupport(
@@ -362,21 +367,22 @@ class _OwnTapes:
 
 
 def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
-                 s3: StageThreeResult, m_in_in: dict, level: int, n: int,
+                 s3: StageThreeResult, m_in_in: dict, cfg: EliminationConfig,
                  view) -> bool:
     """The original protocol's answer at x plus the answers of every vertex
     x can simulate (its outer partners and one isolated outer vertex)."""
-    x_out = _outer_id(x, st1.ids)
+    n, level = cfg.params.level(cfg.level)["n"], cfg.level
+    x_out = st1.outer(x)
     inbox = {}
     for y, bits in m_in_in.items():
         if bits is not None:
-            inbox[(1, _outer_id(y, st1.ids))] = bits
+            inbox[(1, st1.outer(y))] = bits
     for w, bits in s3.incoming.items():
         inbox[(1, w)] = bits
     inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
     if pi.output_fn(inp, inbox, view):
         return True
-    for w, w_inp in _outer_partners(st1, x, s3.vecs, n, level):
+    for w, w_inp in _outer_partners(cfg, st1, x, s3.vecs):
         bits = s3.outgoing.get(w)
         if pi.output_fn(w_inp, {} if bits is None else {(1, x_out): bits},
                         view):
@@ -401,7 +407,6 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     if pi.rounds != 1 or cfg.level != 1:
         raise InfeasibleParams(
             "compilation is implemented for the 1-round regime only")
-    n = cfg.params.level(1)["n"]
 
     def message_fn(i, inp, inbox, view):
         return {}
@@ -411,8 +416,8 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
         run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", _OwnTapes(view))
         if run.failure is not None:
             return False
-        return _pi_r_output(pi, run.st1, x, run.s3[x], run.received(x),
-                            cfg.level, n, view)
+        return _pi_r_output(pi, run.st1, x, run.s3[x], run.received(x), cfg,
+                            view)
 
     return ProtocolSpec(
         name=f"{pi.name}-eliminated",
@@ -435,8 +440,7 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     protocol's answers against the inner instance.
     """
     p, level = cfg.params, cfg.level
-    lv = p.level(level)
-    n, n_prev = lv["n"], lv["n_prev"]
+    n_prev = p.level(level)["n_prev"]
     successes = inconsistencies = fallbacks = failures = 0
     pair_attempts = private_attempts = 0
     max_bits = 0
@@ -451,11 +455,11 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
             fallbacks += s3.fallback_used
             if s3.failed:
                 break
-            if not verify_consistency(pi, run.st1, x, s3, run.sent(x), level):
+            if not verify_consistency(pi, cfg, run.st1, x, s3, run.sent(x)):
                 inconsistencies += 1
             max_bits = max([max_bits] + [len(b) for b in s3.outgoing.values()])
             outputs[x] = _pi_r_output(pi, run.st1, x, s3, run.received(x),
-                                      level, n, view.restrict(x))
+                                      cfg, view.restrict(x))
         if run.failure is not None:
             failures += 1
         elif judge(inner, outputs):
@@ -516,7 +520,7 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
         {x: s3.vecs for x, s3 in run.s3.items()})
     transcript = Transcript()
     for x, s3 in run.s3.items():
-        x_out = _outer_id(x, run.st1.ids)
+        x_out = run.st1.outer(x)
         for w, bits in s3.outgoing.items():
             transcript.record(1, x_out, w, bits)
         for w, bits in s3.incoming.items():

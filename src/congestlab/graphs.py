@@ -5,8 +5,11 @@ A graph at round regime ``r`` assigns every cross-layer vertex pair a type in
 in rounds ``1 .. r+1-t``; type ``r+1`` pairs never communicate.  Same-layer
 pairs carry no type at all.
 
-Only non-default pairs are stored.  A vertex's view of one other layer is a
-``TypeRow``: a read-only length-n row that holds its non-default slots
+Only non-default pairs are stored, in one place: a per-vertex adjacency map
+that holds each pair at both endpoints, which is the view a player has of
+the pairs at its own vertex.  ``stored_pairs`` yields each pair once,
+oriented from its lower-layer endpoint.  A vertex's view of one other layer
+is a ``TypeRow``: a read-only length-n row that holds its non-default slots
 explicitly and answers the default type ``r+1`` everywhere else, so building
 and scanning it costs the vertex's stored pairs, not ``n``.  Layers order
 ``A < B < C`` by their string values, and so do ``VertexId``s by (layer,
@@ -99,38 +102,30 @@ class TypeRow:
 class TypedTripartiteGraph:
     """Sparse typed tripartite graph.
 
-    Only pairs with a non-default type are stored; every unlisted cross-layer
-    pair has the default type ``r + 1``.  Instances are treated as immutable
-    once built.
+    Only pairs with a non-default type are stored, in the adjacency map
+    ``_adj``; every unlisted cross-layer pair has the default type ``r + 1``.
+    Instances are treated as immutable once built.
     """
 
-    def __init__(self, n: int, r: int, pair_types: dict | None = None):
+    def __init__(self, n: int, r: int):
         if n < 1:
             raise OutOfRange(f"layer size must be positive, got {n}")
         if r < 0:
             raise OutOfRange(f"round regime must be non-negative, got {r}")
         self.n = n
         self.r = r
-        self._types: dict[tuple[VertexId, VertexId], int] = {}
-        # adjacency: vertex -> {other: type} over stored (non-default) pairs
+        # the one pair store: vertex -> {other: type} over non-default pairs,
+        # each pair held at both endpoints
         self._adj: dict[VertexId, dict[VertexId, int]] = {}
-        if pair_types:
-            for (u, v), t in pair_types.items():
-                self.set_type(u, v, t)
 
     # -- construction -----------------------------------------------------
 
     def set_type(self, u: VertexId, v: VertexId, t: int) -> None:
         self._check_pair(u, v)
-        key = pair_key(u, v)
         if t == self.default_type:
-            self._types.pop(key, None)
-            if u in self._adj:
-                self._adj[u].pop(v, None)
-            if v in self._adj:
-                self._adj[v].pop(u, None)
+            self._adj.get(u, {}).pop(v, None)
+            self._adj.get(v, {}).pop(u, None)
             return
-        self._types[key] = t
         self._adj.setdefault(u, {})[v] = t
         self._adj.setdefault(v, {})[u] = t
 
@@ -152,19 +147,22 @@ class TypedTripartiteGraph:
 
     def pair_type(self, u: VertexId, v: VertexId) -> int:
         self._check_pair(u, v)
-        return self._types.get(pair_key(u, v), self.default_type)
+        return self._adj.get(u, {}).get(v, self.default_type)
 
     def stored_pairs(self):
-        """Iterate (u, v, type) over pairs with a non-default type."""
-        for (u, v), t in self._types.items():
-            yield u, v, t
+        """Iterate (u, v, type) over pairs with a non-default type, each pair
+        once, from its lower-layer endpoint ``u`` (A before B before C)."""
+        for u, row in self._adj.items():
+            for v, t in row.items():
+                if u.layer < v.layer:
+                    yield u, v, t
 
     def channels_at_round(self, i: int) -> set[tuple[VertexId, VertexId]]:
         """Unordered pairs usable at round ``i``: exactly those of type <= r+1-i."""
         if not 1 <= i <= self.r:
             raise RoundOutOfRange(f"round {i} outside [1, {self.r}]")
         cutoff = self.r + 1 - i
-        return {key for key, t in self._types.items() if t <= cutoff}
+        return {(u, v) for u, v, t in self.stored_pairs() if t <= cutoff}
 
     def channel_degree(self, u: VertexId, t: int, target: Layer) -> int:
         """Number of vertices in ``target`` whose pair with ``u`` has type ``t``."""
@@ -183,19 +181,19 @@ class TypedTripartiteGraph:
         self._check_vertex(u)
         return sum(1 for t in self._adj.get(u, {}).values() if t <= self.r)
 
-    def edges(self) -> set[tuple[VertexId, VertexId]]:
-        return {key for key, t in self._types.items() if t == 0}
-
     def has_triangle(self) -> bool:
         """True iff some a in A, b in B, c in C are pairwise type 0."""
-        for (u, v), t in self._types.items():
-            # canonical keys put the A endpoint first, so AB edges are (a, b)
-            if t != 0 or u.layer is not Layer.A or v.layer is not Layer.B:
+        adj = self._adj
+        for a, row in adj.items():
+            if a.layer is not Layer.A:
                 continue
-            a, b = u, v
-            for c, tc in self._adj.get(a, {}).items():
-                if c.layer is Layer.C and tc == 0 and self._adj.get(b, {}).get(c) == 0:
-                    return True
+            for b, t in row.items():
+                if t != 0 or b.layer is not Layer.B:
+                    continue
+                b_row = adj[b]
+                for c, tc in row.items():
+                    if tc == 0 and c.layer is Layer.C and b_row.get(c) == 0:
+                        return True
         return False
 
     def vertices(self):
@@ -224,37 +222,27 @@ class TypedTripartiteGraph:
                 for w, s in slots.items()}
 
     def validate(self) -> list[str]:
-        """Return a list of invariant violations (empty when well-formed)."""
-        violations = []
-        for (u, v), t in self._types.items():
-            if u.layer is v.layer:
-                violations.append(f"SameLayerPair: ({u}, {v})")
-            if not (1 <= u.index <= self.n and 1 <= v.index <= self.n):
-                violations.append(f"IndexOutOfRange: ({u}, {v})")
-            if not 0 <= t <= self.r + 1:
-                violations.append(f"TypeRangeViolation: ({u}, {v}) has type {t}")
-            if (u, v) != pair_key(u, v):
-                violations.append(f"NonCanonicalKey: ({u}, {v})")
-            if self._adj.get(u, {}).get(v) != t or self._adj.get(v, {}).get(u) != t:
-                violations.append(f"SymmetryViolation: ({u}, {v})")
-        return violations
+        """Return a list of invariant violations (empty when well-formed).
+
+        ``set_type`` already refuses same-layer pairs and out-of-range
+        indices, but not a type outside ``[0, r+1]``, so that is the one
+        invariant left to check.
+        """
+        return [f"TypeRangeViolation: ({u}, {v}) has type {t}"
+                for u, v, t in self.stored_pairs() if not 0 <= t <= self.r + 1]
 
     # -- equality / hashing ------------------------------------------------
 
     def canonical_items(self):
-        return tuple(
-            sorted(
-                ((u.layer.value, u.index, v.layer.value, v.index, t)
-                 for (u, v), t in self._types.items())
-            )
-        )
+        return tuple(sorted((u.layer.value, u.index, v.layer.value, v.index, t)
+                            for u, v, t in self.stored_pairs()))
 
     def __eq__(self, other):
         return (
             isinstance(other, TypedTripartiteGraph)
             and self.n == other.n
             and self.r == other.r
-            and self._types == other._types
+            and self.canonical_items() == other.canonical_items()
         )
 
     def __hash__(self):
@@ -266,12 +254,7 @@ class TypedTripartiteGraph:
         return {
             "n": self.n,
             "r": self.r,
-            "pairs": [
-                [u.layer.value, u.index, v.layer.value, v.index, t]
-                for (u, v), t in sorted(
-                    self._types.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-            ],
+            "pairs": [list(item) for item in self.canonical_items()],
         }
 
     def to_json(self) -> str:

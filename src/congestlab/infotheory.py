@@ -66,10 +66,11 @@ class JointTable:
     def conditionals(self, target, given) -> dict:
         """Every conditional law of ``target`` given ``given``, in one pass.
 
-        Returns ``{given value: FiniteDistribution}`` with the given values
+        Returns ``{given value: (probability, law)}`` with the given values
         in first-occurrence order, which is the order of
-        ``marginal(given)``.  Each law sums its denominator and numerators
-        in table order.
+        ``marginal(given)``.  The probability is the group total, equal bit
+        for bit to the ``marginal(given)`` entry; it and the law's
+        numerators are summed in table order.
         """
         t_axes = self._axes(target)
         g_axes = self._axes(given)
@@ -84,15 +85,16 @@ class JointTable:
             sub = tuple(key[a] for a in t_axes)
             num[sub] = num.get(sub, 0.0) + p
         # every stored row has p > 0, so every group's denominator is positive
-        return {g: FiniteDistribution({k: v / den for k, v in num.items()})
+        return {g: (den, FiniteDistribution({k: v / den
+                                             for k, v in num.items()}))
                 for g, (den, num) in groups.items()}
 
     def conditional(self, target, given, given_value) -> FiniteDistribution:
         """The law of ``target`` given ``given`` == ``given_value``."""
-        law = self.conditionals(target, given).get(tuple(given_value))
-        if law is None:
+        group = self.conditionals(target, given).get(tuple(given_value))
+        if group is None:
             raise InvalidDistribution("conditioning event has probability 0")
-        return law
+        return group[1]
 
 
 def entropy(d: FiniteDistribution) -> float:
@@ -100,11 +102,9 @@ def entropy(d: FiniteDistribution) -> float:
 
 
 def cond_entropy(j: JointTable, target, given) -> float:
-    laws = j.conditionals(target, given)
     out = 0.0
-    for gval, gp in j.marginal(given).probs.items():
-        if gp > 0:
-            out += gp * entropy(laws[gval])
+    for gp, law in j.conditionals(target, given).values():
+        out += gp * entropy(law)
     return out
 
 
@@ -144,12 +144,9 @@ def mi_kl_identity_check(j: JointTable, a, b, c) -> float:
     lhs = cond_mutual_info(j, a, b, c)
     rhs = 0.0
     bc = list(b) + list(c)
-    a_bc = j.conditionals(a, bc)
     a_c = j.conditionals(a, c)
-    for val, p in j.marginal(bc).probs.items():
-        if p <= 0:
-            continue
-        rhs += p * kl(a_bc[val], a_c[val[len(b):]])
+    for val, (p, law) in j.conditionals(a, bc).items():
+        rhs += p * kl(law, a_c[val[len(b):]][1])
     return abs(lhs - rhs)
 
 
@@ -164,17 +161,14 @@ def tvd_chain_bound_check(mu: JointTable, nu: JointTable):
         if not prefix:
             rhs += tvd(mu.marginal([name]), nu.marginal([name]))
             continue
-        mu_laws = mu.conditionals([name], prefix)
         nu_laws = nu.conditionals([name], prefix)
-        for pval, pp in mu.marginal(prefix).probs.items():
-            if pp <= 0:
-                continue
+        for pval, (pp, law) in mu.conditionals([name], prefix).items():
             if pval not in nu_laws:
                 # nu gives the observed prefix probability 0: the slice
                 # contributes its full mass
                 rhs += pp
                 continue
-            rhs += pp * tvd(mu_laws[pval], nu_laws[pval])
+            rhs += pp * tvd(law, nu_laws[pval][1])
     return lhs, rhs, lhs <= rhs + PROPERTY_TOL
 
 
@@ -184,19 +178,18 @@ def overconditioning_check(xz: JointTable, yz: JointTable):
     joint = tvd(xz.marginal(xz.coords), yz.marginal(yz.coords))
     # the averaged form requires both tables to share the Z marginal
     zname = [xz.coords[1]]
-    zx, zy = xz.marginal(zname), yz.marginal(zname)
+    x_groups = xz.conditionals([xz.coords[0]], zname)
+    y_groups = yz.conditionals([yz.coords[0]], zname)
+    zx, zy = (FiniteDistribution({z: p for z, (p, _) in groups.items()})
+              for groups in (x_groups, y_groups))
     averaged = None
     if tvd(zx, zy) <= IDENTITY_TOL:
-        x_laws = xz.conditionals([xz.coords[0]], zname)
-        y_laws = yz.conditionals([yz.coords[0]], zname)
         averaged = 0.0
-        for zval, zp in zx.probs.items():
-            if zp <= 0:
-                continue
-            if zval not in y_laws:
+        for zval, (zp, law) in x_groups.items():
+            if zval not in y_groups:
                 raise InvalidDistribution(
                     "conditioning event has probability 0")
-            averaged += zp * tvd(x_laws[zval], y_laws[zval])
+            averaged += zp * tvd(law, y_groups[zval][1])
     holds = lhs <= joint + PROPERTY_TOL
     if averaged is not None:
         holds = holds and abs(joint - averaged) <= PROPERTY_TOL
@@ -268,8 +261,8 @@ def _verify_ci(j: JointTable, a, d, given):
     """Check A independent of D given the listed coordinates."""
     pd_laws = j.conditionals(d, given)
     pad_laws = j.conditionals(list(a) + list(d), given)
-    for gval, pa in j.conditionals(a, given).items():
-        pd, pad = pd_laws[gval], pad_laws[gval]
+    for gval, (_, pa) in j.conditionals(a, given).items():
+        pd, pad = pd_laws[gval][1], pad_laws[gval][1]
         for av in pa.probs:
             for dv in pd.probs:
                 expect = pa[av] * pd[dv]

@@ -14,9 +14,13 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import CapExceeded, InvalidDistribution
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, VertexId
+from .graphs import LAYERS
 from .params import ParamSchedule
-from .sampling import enumerate_g0, sample_gr, sample_gr_tilde
+from .sampling import (_inner_cross_pairs, enumerate_g0, sample_gr,
+                       sample_gr_tilde)
+
+# largest inner support ``exact_inner_transcript_law`` enumerates
+ENUMERATION_CAP = 10 ** 6
 
 
 # -- exact values for the 0-round family ----------------------------------
@@ -31,7 +35,7 @@ def exact_g0_triangle_prob(n0: int) -> Fraction:
     return total
 
 
-def zero_round_optimum(n0: int, cap: int = 10 ** 7) -> Fraction:
+def zero_round_optimum(n0: int) -> Fraction:
     """Best success probability of any deterministic 0-round protocol.
 
     A 0-round protocol is a per-vertex map from the vertex's own input to a
@@ -43,12 +47,10 @@ def zero_round_optimum(n0: int, cap: int = 10 ** 7) -> Fraction:
     """
     if n0 != 1:
         raise CapExceeded(
-            f"strategy space for n0={n0} exceeds enumeration cap {cap}"
+            f"exhaustive strategy search covers n0 = 1 only, got n0={n0}"
         )
     inputs = list(product((0, 1), repeat=2))  # (type toward X, type toward Y)
     strategies = list(product((False, True), repeat=len(inputs)))
-    if len(strategies) ** 3 > cap:
-        raise CapExceeded("strategy space exceeds enumeration cap")
 
     instances = []
     for mask in range(8):
@@ -133,14 +135,8 @@ def project_degree_excess(drawn) -> bool:
 def project_inner_input(drawn) -> tuple:
     """The inner instance as seen through the embedding (all inner pair types)."""
     g, emb = drawn[0], drawn[1]
-    n_prev = emb.inner.n
-    out = []
-    for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C), (Layer.B, Layer.C)):
-        for i in range(1, n_prev + 1):
-            for j in range(1, n_prev + 1):
-                out.append(g.pair_type(emb.outer(VertexId(la, i)),
-                                       emb.outer(VertexId(lb, j))))
-    return tuple(out)
+    return tuple(g.pair_type(emb.outer(u), emb.outer(v))
+                 for u, v, _ in _inner_cross_pairs(emb.inner))
 
 
 def project_inner_transcript(message_given_type):
@@ -153,8 +149,7 @@ def project_inner_transcript(message_given_type):
     return proj
 
 
-def exact_inner_transcript_law(p: ParamSchedule, message_given_type,
-                               cap: int = 10 ** 6) -> dict:
+def exact_inner_transcript_law(p: ParamSchedule, message_given_type) -> dict:
     """Exact law of the starred-pair round-1 transcript at level 1.
 
     Valid for protocols whose round-1 messages are fixed functions of the
@@ -162,18 +157,12 @@ def exact_inner_transcript_law(p: ParamSchedule, message_given_type,
     law, which is enumerated exactly.
     """
     n0 = p.n[0]
-    if n0 ** 3 * 8 > cap:
+    if n0 ** 3 * 8 > ENUMERATION_CAP:
         raise CapExceeded("inner support exceeds enumeration cap")
     law: dict = {}
     for inner, _, w in enumerate_g0(n0):
-        outcome = []
-        for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C),
-                       (Layer.B, Layer.C)):
-            for i in range(1, n0 + 1):
-                for j in range(1, n0 + 1):
-                    t = inner.pair_type(VertexId(la, i), VertexId(lb, j))
-                    outcome.append(message_given_type(t))
-        key = tuple(outcome)
+        key = tuple(message_given_type(t)
+                    for _, _, t in _inner_cross_pairs(inner))
         law[key] = law.get(key, Fraction(0)) + w
     return law
 

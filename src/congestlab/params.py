@@ -166,6 +166,27 @@ def feasibility_check(p: ParamSchedule) -> list[str]:
     return out
 
 
+def restructured_feasibility_check(p: ParamSchedule, level: int) -> list[str]:
+    """Check that every restructured input at ``level`` can be completed.
+
+    In an inner vertex's row toward another layer, the slots fixed before
+    completion (n_prev starred, alpha*n_prev J, beta*(l+1)*n_prev*(2n_prev-1)
+    K and gamma*n_prev L slots of one type) can all carry one type, so their
+    count must not exceed d.  The recursive family needs less, which is why
+    this check is not part of ``feasibility_check``.
+    """
+    lv = p.level(level)
+    n_prev, d = lv["n_prev"], lv["d"]
+    fixed = (n_prev * (1 + lv["alpha"])
+             + lv["beta"] * (level + 1) * n_prev * (2 * n_prev - 1)
+             + lv["gamma"] * n_prev)
+    if fixed > d:
+        return [f"RestructuredSlotViolation level {level}: "
+                f"n_prev*(1+alpha) + beta*(l+1)*n_prev*(2*n_prev-1) "
+                f"+ gamma*n_prev = {fixed} > d = {d}"]
+    return []
+
+
 def require_feasible(p: ParamSchedule) -> None:
     bad = feasibility_check(p)
     if bad:

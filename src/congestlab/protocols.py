@@ -23,6 +23,10 @@ from .errors import (BandwidthViolation, ChannelViolation, RegimeMismatch,
 from .graphs import LAYERS, Layer, TypedTripartiteGraph, VertexId
 from .randomness import RandomnessView
 
+WILSON_Z = 1.96  # two-sided 95% normal quantile
+PROBE_SEEDS = 20  # tapes a randomized protocol's outcome must agree over
+EXACT_SUPPORT_CAP = 10 ** 6  # largest support ``exact_success`` walks
+
 
 @dataclass
 class VertexInput:
@@ -165,9 +169,11 @@ def judge(g: TypedTripartiteGraph, outputs: dict) -> bool:
     return not any(outputs.values())
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
+def wilson_interval(successes: int, trials: int):
+    """The 95% Wilson score interval of a success frequency."""
     if trials == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -191,27 +197,25 @@ def estimate_success(p: ProtocolSpec, sampler, trials: int, seed: int):
     return successes / trials, wilson_interval(successes, trials)
 
 
-def exact_success(p: ProtocolSpec, support, probe_seeds=None,
-                  cap: int = 10 ** 6):
+def exact_success(p: ProtocolSpec, support):
     """Exact success probability over an explicit weighted support.
 
     ``support`` yields (graph, ..., weight) tuples with exact rational
-    weights.  For protocols that consume randomness, the judged outcome is
-    required to be identical across ``probe_seeds`` on every instance (the
-    default probes 20 seeds); a tape-dependent outcome raises, since no
-    exact value exists then.
+    weights.  A deterministic protocol runs on one seed.  For protocols that
+    consume randomness, the judged outcome is required to be identical
+    across ``PROBE_SEEDS`` seeds on every instance; a tape-dependent outcome
+    raises, since no exact value exists then.
     """
     from fractions import Fraction
 
-    seeds = probe_seeds if probe_seeds is not None else (
-        [0] if p.deterministic else list(range(20))
-    )
+    seeds = range(1 if p.deterministic else PROBE_SEEDS)
     total = Fraction(0)
     count = 0
     for entry in support:
         count += 1
-        if count > cap:
-            raise SupportTooLarge(f"support exceeds cap {cap}")
+        if count > EXACT_SUPPORT_CAP:
+            raise SupportTooLarge(
+                f"support exceeds cap {EXACT_SUPPORT_CAP}")
         g, weight = entry[0], entry[-1]
         verdicts = set()
         for s in seeds:
@@ -234,11 +238,18 @@ def _no_messages(i, inp, inbox, view):
     return {}
 
 
-def _broadcast(bits_of_type):
+def _edge_bit(t):
+    return "1" if t == 0 else "0"
+
+
+def _broadcast(name, rounds, bandwidth, bits_of_type, output_fn):
+    """A protocol that sends ``bits_of_type(t)`` over each channel of type t,
+    which is then also its ``message_given_type``."""
     def fn(i, inp, inbox, view):
         return {v: bits_of_type(inp.pair_type(v))
                 for v in inp.partners_at_round(i)}
-    return fn
+    return ProtocolSpec(name, rounds, bandwidth, fn, output_fn,
+                        message_given_type=bits_of_type)
 
 
 def _all_no(inp, inbox, view):
@@ -250,11 +261,8 @@ def _all_yes(inp, inbox, view):
 
 
 def _probe_first_slot(i, inp, inbox, view):
-    out = {}
-    for v in inp.partners_at_round(i):
-        first = inp.vectors[v.layer][0]
-        out[v] = "1" if first == 0 else "0"
-    return out
+    return {v: _edge_bit(inp.vectors[v.layer][0])
+            for v in inp.partners_at_round(i)}
 
 
 def _parity_messages(i, inp, inbox, view):
@@ -282,17 +290,11 @@ def registry(rounds: int = 1, bandwidth: int = 1) -> dict:
             "always-yes", rounds, bandwidth, _no_messages, _all_yes,
             message_given_type=lambda t: None,
         ),
-        "constant-message": ProtocolSpec(
-            "constant-message", rounds, bandwidth,
-            _broadcast(lambda t: "0"), _all_no,
-            message_given_type=lambda t: "0",
-        ),
-        "type-broadcast": ProtocolSpec(
-            "type-broadcast", rounds, bandwidth,
-            _broadcast(lambda t: "1" if t == 0 else "0"),
-            _edge_witness_output,
-            message_given_type=lambda t: "1" if t == 0 else "0",
-        ),
+        "constant-message": _broadcast(
+            "constant-message", rounds, bandwidth, lambda t: "0", _all_no),
+        "type-broadcast": _broadcast(
+            "type-broadcast", rounds, bandwidth, _edge_bit,
+            _edge_witness_output),
         "parity": ProtocolSpec(
             "parity", rounds, bandwidth, _parity_messages, _all_no,
         ),

@@ -16,13 +16,18 @@ All samplers are pure functions of (params, rng state).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyOrRareSupport, InfeasibleParams, ZeroProbabilityCondition
 from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
-from .params import ParamSchedule, aux_draws_per_vertex_layer, require_feasible
+from .params import (ParamSchedule, aux_draws_per_vertex_layer,
+                     require_feasible, restructured_feasibility_check)
+
+# attempts of the slot-conditioned rejection sampler of ``sample_d_in``
+D_IN_CONDITIONED_CAP = 10 ** 6
 
 
 class _Complement(Sequence):
@@ -173,6 +178,9 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
 
 
 def _inner_cross_pairs(inner: TypedTripartiteGraph):
+    """Every inner cross-layer pair (u, v, type): layer pairs (A,B), (A,C),
+    (B,C), then u's index, then v's.  The exact inner laws key their
+    outcomes in this order."""
     for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C), (Layer.B, Layer.C)):
         for i in range(1, inner.n + 1):
             for j in range(1, inner.n + 1):
@@ -269,27 +277,28 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
 
 def _sample_d_in_slot_conditioned(p: ParamSchedule, level: int, t: int,
                                   slot_position: int, slot_index: int,
-                                  rng: random.Random, cap: int = 10 ** 6):
+                                  rng: random.Random):
     """Rejection-sample the marginal until one slot carries a given type.
 
     ``slot_position`` is 0 for the first other layer and 1 for the second;
     ``slot_index`` is 1-based.  Returns the full vector pair.
     """
-    for _ in range(cap):
+    for _ in range(D_IN_CONDITIONED_CAP):
         vecs = sample_d_in(p, level, rng)
         if vecs[slot_position][slot_index - 1] == t:
             return vecs
     raise ZeroProbabilityCondition(
-        f"no acceptance for type {t} at slot {slot_index} within {cap} attempts"
+        f"no acceptance for type {t} at slot {slot_index} within "
+        f"{D_IN_CONDITIONED_CAP} attempts"
     )
 
 
 def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
                             slot_position: int, slot_index: int,
-                            rng: random.Random, cap: int = 10 ** 6):
+                            rng: random.Random):
     """Conditioned marginal with the conditioning slot removed."""
     vecs = _sample_d_in_slot_conditioned(p, level, t, slot_position,
-                                         slot_index, rng, cap)
+                                         slot_index, rng)
     kept = list(vecs[slot_position])
     kept.pop(slot_index - 1)
     if slot_position == 0:
@@ -476,26 +485,23 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     marks any outer vertex that received two or more channels.
     """
     require_feasible(p)
+    bad = restructured_feasibility_check(p, level)
+    if bad:
+        raise InfeasibleParams("; ".join(bad))
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
     inner = sample_inner(p, level - 1, rng)
     ids = _sample_ids(n, n_prev, rng)
     aux = sample_aux(ids, p, level, rng)
     emb = InnerEmbedding(ids=ids, inner=inner)
-
-    g = TypedTripartiteGraph(n, level)
-    incidence = {}
+    views = {v: sample_tilde_input(v, ids, aux, p, level, rng,
+                                   n_in=inner.type_rows(v))
+             for v in emb.inner_vertices()}
+    g = rebuild_from_inner_views(n, level, ids, views)
+    # stored slots are non-default, so each is a channel (type <= level)
     starred = {layer: emb.starred(layer) for layer in LAYERS}
-    for v in emb.inner_vertices():
-        rows = sample_tilde_input(v, ids, aux, p, level, rng,
-                                  n_in=inner.type_rows(v))
-        u = emb.outer(v)
-        # stored slots are non-default, so each is a channel (type <= level)
-        for w, row in rows.items():
-            for j, t in row.slots.items():
-                g.set_type(u, VertexId(w, j + 1), t)
-                if j + 1 not in starred[w]:
-                    key = (w, j + 1)
-                    incidence[key] = incidence.get(key, 0) + 1
+    incidence = Counter((w, j) for rows in views.values()
+                        for w, row in rows.items() for j in row.slots
+                        if j + 1 not in starred[w])
     collision_flag = any(c >= 2 for c in incidence.values())
     return g, emb, aux, collision_flag

@@ -131,6 +131,22 @@ def test_round_elim_refuses_cap_below_one(tmp_path, cap):
     assert "cap" in result.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--level", "1", "--family", "restructured", "--out", "out"],
+    ["round-elim", "--protocol", "constant-message", "--trials", "3"],
+])
+def test_restructured_commands_refuse_small2(tmp_path, command):
+    params = str(tmp_path / "small2.json")
+    with open(params, "w") as fh:
+        fh.write(ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1],
+                               gamma=[1]).to_json())
+    command = [str(tmp_path / a) if a == "out" else a for a in command]
+    result = CliRunner().invoke(main, command + ["--params", params])
+    assert result.exit_code == 2
+    assert "RestructuredSlotViolation" in result.stderr
+    assert not (tmp_path / "out" / "instance-0000.json").exists()
+
+
 def test_round_elim_hybrids(tmp_path):
     params = write_micro_params(str(tmp_path / "p.json"))
     out = str(tmp_path / "hyb")

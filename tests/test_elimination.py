@@ -22,7 +22,8 @@ from congestlab.graphs import Layer, VertexId
 from congestlab.params import ParamSchedule
 from congestlab.protocols import exact_success, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import enumerate_g0, sample_g0, sample_inner
+from congestlab.sampling import (enumerate_g0, public_slot_types, sample_g0,
+                                 sample_inner)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
@@ -32,9 +33,9 @@ REG = registry(rounds=1, bandwidth=1)
 
 def test_public_stage_shapes_and_forced_slots():
     pi = REG["type-broadcast"]
-    st1 = sample_public_stage(pi, MICRO, 1, random.Random(0))
+    st1 = sample_public_stage(pi, CFG, random.Random(0))
     for x in _inner_vertices(1):
-        for target, forced in st1.n_pub[x].items():
+        for target, forced in public_slot_types(x, st1.aux, 1, 1).items():
             for idx, t in forced.items():
                 assert t in (0, 1)
                 assert idx not in st1.ids[target]
@@ -47,7 +48,7 @@ def test_public_stage_shapes_and_forced_slots():
 def test_m_pub_size_bound():
     pi = REG["probe-first-slot"]
     for seed in range(10):
-        st1 = sample_public_stage(pi, MICRO, 1, random.Random(seed))
+        st1 = sample_public_stage(pi, CFG, random.Random(seed))
         for x in _inner_vertices(1):
             # at most 2 * gamma * (level+1) * n_prev public messages
             assert len(st1.m_pub[x]) <= 2 * 1 * 2 * 1
@@ -55,17 +56,17 @@ def test_m_pub_size_bound():
 
 def test_constant_message_m_pub_is_constant():
     pi = REG["constant-message"]
-    st1 = sample_public_stage(pi, MICRO, 1, random.Random(1))
+    st1 = sample_public_stage(pi, CFG, random.Random(1))
     for x in _inner_vertices(1):
         assert all(bits == "0" for bits in st1.m_pub[x].values())
 
 
 def test_pair_stage_type_broadcast_is_type_determined():
     pi = REG["type-broadcast"]
-    st1 = sample_public_stage(pi, MICRO, 1, random.Random(2))
+    st1 = sample_public_stage(pi, CFG, random.Random(2))
     x, y = VertexId(Layer.A, 1), VertexId(Layer.B, 1)
     for t, expect in ((0, "1"), (1, "0")):
-        bits, attempts = sample_pair_stage(pi, st1, x, y, t, MICRO, 1,
+        bits, attempts = sample_pair_stage(pi, CFG, st1, x, y, t,
                                            random.Random(3))
         assert bits == expect
         assert attempts >= 1
@@ -75,11 +76,11 @@ def test_pair_stage_empirical_law_probe_first_slot():
     # the sampled message law must track the conditional of the protocol's
     # actual message under phantom inputs
     pi = REG["probe-first-slot"]
-    st1 = sample_public_stage(pi, MICRO, 1, random.Random(4))
+    st1 = sample_public_stage(pi, CFG, random.Random(4))
     x, y = VertexId(Layer.A, 1), VertexId(Layer.C, 1)
     rng = random.Random(5)
     ones = sum(
-        sample_pair_stage(pi, st1, x, y, 0, MICRO, 1, rng)[0] == "1"
+        sample_pair_stage(pi, CFG, st1, x, y, 0, rng)[0] == "1"
         for _ in range(200)
     )
     # the message probes slot 1 of the target layer; it is "1" with the
@@ -90,7 +91,7 @@ def test_pair_stage_empirical_law_probe_first_slot():
 
 def test_private_stage_consistency_and_degrees():
     pi = REG["type-broadcast"]
-    st1 = sample_public_stage(pi, MICRO, 1, random.Random(6))
+    st1 = sample_public_stage(pi, CFG, random.Random(6))
     inner, _ = sample_g0(1, random.Random(6))
     for x in _inner_vertices(1):
         n_in = {w: [inner.pair_type(x, VertexId(w, 1))]
@@ -98,12 +99,12 @@ def test_private_stage_consistency_and_degrees():
         m_in_out = {}
         for y in _inner_partners(x, 1):
             t = inner.pair_type(x, y)
-            m_in_out[y], _ = sample_pair_stage(pi, st1, x, y, t, MICRO, 1,
+            m_in_out[y], _ = sample_pair_stage(pi, CFG, st1, x, y, t,
                                                derive_rng(7, repr(x), repr(y)))
-        s3 = sample_private_stage(pi, st1, x, n_in, m_in_out, MICRO, 1,
-                                  random.Random(8), CFG)
+        s3 = sample_private_stage(pi, CFG, st1, x, n_in, m_in_out,
+                                  random.Random(8))
         assert not s3.failed
-        assert verify_consistency(pi, st1, x, s3, m_in_out, 1)
+        assert verify_consistency(pi, CFG, st1, x, s3, m_in_out)
         for w in x.layer.others:
             assert s3.vecs[w].count(0) == 6
             assert s3.vecs[w].count(1) == 6
@@ -113,6 +114,12 @@ def test_private_stage_consistency_and_degrees():
 def test_config_refuses_cap_below_one(cap):
     with pytest.raises(InfeasibleParams, match="cap"):
         EliminationConfig(params=MICRO, cap=cap)
+
+
+def test_config_refuses_a_schedule_restructured_inputs_cannot_complete():
+    small2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
+    with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
+        EliminationConfig(params=small2)
 
 
 def test_build_rounds_and_bandwidth():
@@ -180,7 +187,6 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, seeds):
 
     monkeypatch.setattr(elimination, "_pi_r_output", spy)
     cfg = EliminationConfig(params=p, level=1, cap=3000)
-    n = p.level(1)["n"]
     for pi in REG.values():
         built = build_pi_r_minus_1(pi, cfg)
         for seed in range(seeds):
@@ -189,7 +195,7 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, seeds):
             inputs = {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
             run = run_stages(pi, cfg, inputs, "dfake", view)
             assert run.failure is None
-            shared = {x: real(pi, run.st1, x, s3, run.received(x), 1, n,
+            shared = {x: real(pi, run.st1, x, s3, run.received(x), cfg,
                               view.restrict(x))
                       for x, s3 in run.s3.items()}
             seen.clear()

@@ -81,6 +81,18 @@ def test_from_dict_rejects_bad_type():
             {"n": 2, "r": 1, "pairs": [["A", 1, "B", 1, 9]]})
 
 
+@pytest.mark.parametrize("pair, error", [
+    (["A", 1, "A", 2, 0], SameLayerPair),
+    (["A", 3, "B", 1, 0], OutOfRange),
+    (["A", 1, "C", 0, 0], OutOfRange),
+])
+def test_from_dict_refuses_pairs_set_type_refuses(pair, error):
+    # the instance file goes through set_type, which raises before
+    # validate() could see such a pair
+    with pytest.raises(error):
+        TypedTripartiteGraph.from_dict({"n": 2, "r": 1, "pairs": [pair]})
+
+
 def test_pair_key_is_layer_ordered():
     u, v = VertexId(Layer.C, 1), VertexId(Layer.A, 2)
     assert pair_key(u, v) == (v, u)
@@ -89,7 +101,7 @@ def test_pair_key_is_layer_ordered():
 @pytest.mark.parametrize("la, lb", [(Layer.A, Layer.B), (Layer.A, Layer.C),
                                     (Layer.B, Layer.C)])
 def test_vertex_order_is_layer_value_then_index(la, lb):
-    # has_triangle relies on canonical keys putting the A endpoint first
+    # stored_pairs and pair_key rely on this to put the A endpoint first
     assert la < lb and sorted(LAYERS) == list(LAYERS)
     vs = [VertexId(layer, i) for layer in (lb, la) for i in (3, 1, 2)]
     want = sorted(vs, key=lambda v: (v.layer.value, v.index))
@@ -157,3 +169,50 @@ def test_type_rows_match_dense_vectors_slot_by_slot(g):
     assert len(a1_row.slots) == n
     c_rows = vertex_input(g, VertexId(Layer.C, n)).vectors
     assert all(not row.slots for row in c_rows.values())
+
+
+CROSS_PAIRS = [(VertexId(la, i), VertexId(lb, j))
+               for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C),
+                              (Layer.B, Layer.C))
+               for i in range(1, 4) for j in range(1, 4)]
+
+
+@st.composite
+def pair_writes(draw):
+    """A regime r and a sequence of set_type writes on a 3-per-layer graph,
+    in either endpoint order, some of them back to the default type."""
+    r = draw(st.integers(0, 2))
+    writes = draw(st.lists(st.tuples(st.sampled_from(CROSS_PAIRS),
+                                     st.booleans(), st.integers(0, r + 1)),
+                           max_size=40))
+    return r, writes
+
+
+def _written(r, writes):
+    g = TypedTripartiteGraph(3, r)
+    for (u, v), flip, t in writes:
+        g.set_type(*((v, u) if flip else (u, v)), t)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_writes(), st.randoms(use_true_random=False))
+def test_stored_pairs_are_each_non_default_pair_once(drawn, rnd):
+    r, writes = drawn
+    g = _written(r, writes)
+    stored = list(g.stored_pairs())
+    keys = [(u, v) for u, v, _ in stored]
+    assert len(keys) == len(set(keys))
+    assert all(u.layer < v.layer for u, v in keys)
+    scan = {(u, v): g.pair_type(v, u) for u, v in CROSS_PAIRS
+            if g.pair_type(u, v) != g.default_type}
+    assert {(u, v): t for u, v, t in stored} == scan
+    # the same pairs written in another order give an equal graph
+    final = {}
+    for (u, v), _, t in writes:
+        final[(u, v)] = t
+    items = list(final.items())
+    rnd.shuffle(items)
+    other = _written(r, [(key, False, t) for key, t in items])
+    assert other == g and hash(other) == hash(g)
+    assert TypedTripartiteGraph.from_dict(g.to_dict()) == g

@@ -2,7 +2,8 @@ import pytest
 
 from congestlab.errors import InfeasibleParams
 from congestlab.params import (ParamSchedule, canonical_params,
-                               feasibility_check, require_feasible)
+                               feasibility_check, require_feasible,
+                               restructured_feasibility_check)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 
@@ -47,6 +48,26 @@ def test_public_slot_violation():
     p = ParamSchedule(n=[1, 2000], d=[3], alpha=[1], beta=[1], gamma=[3])
     bad = feasibility_check(p)
     assert any("PublicSlotViolation" in v for v in bad)
+
+
+@pytest.mark.parametrize("n, d, want", [
+    ([1, 29], 6, None),  # MICRO: 1*2 + 1*2*1*1 + 1 = 5 <= 6
+    ([1, 29], 5, None),  # 5 <= 5: all fixed slots may carry one type
+    ([1, 5000], 6, None),  # LOOSE: 5 <= 6
+    ([2, 600], 20, None),  # WIDE2: 2*2 + 1*2*2*3 + 2 = 18 <= 20
+    ([2, 2000], 8, "= 18 > d = 8"),  # SMALL2
+])
+def test_restructured_feasibility(n, d, want):
+    p = ParamSchedule(n=n, d=[d], alpha=[1], beta=[1], gamma=[1])
+    bad = restructured_feasibility_check(p, 1)
+    if want is None:
+        assert bad == []
+    else:
+        assert len(bad) == 1
+        assert bad[0].startswith("RestructuredSlotViolation level 1")
+        assert want in bad[0]
+        # the shared check keeps accepting it: the recursive family fits
+        assert feasibility_check(p) == []
 
 
 def test_length_mismatch():

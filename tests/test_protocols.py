@@ -12,9 +12,11 @@ from congestlab.protocols import (ProtocolSpec, VertexInput, exact_success,
                                   estimate_success, judge, registry, simulate,
                                   vertex_input, wilson_interval)
 from congestlab.randomness import RandomnessView
-from congestlab.sampling import enumerate_g0, sample_g0, sample_gr
+from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
+                                 sample_gr_tilde)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
+WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
 
 
 def triangle_instance():
@@ -203,6 +205,32 @@ def test_compiled_protocol_matches_reference():
     for seed in range(2):
         g, _ = sample_g0(1, random.Random(seed))
         assert_matches_reference(pi, g, seed)
+
+
+@pytest.mark.parametrize("family", [sample_gr, sample_gr_tilde])
+@pytest.mark.parametrize("p", [MICRO, WIDE2], ids=["MICRO", "WIDE2"])
+def test_declared_message_given_type_is_what_round_one_sends(p, family):
+    # the exact inner transcript law trusts this declaration in place of
+    # message_fn, on inner (starred) and outer vertices alike
+    declared = {name: pi for name, pi in registry(rounds=1).items()
+                if pi.message_given_type is not None}
+    assert set(declared) == {"all-no", "always-yes", "constant-message",
+                             "type-broadcast"}
+    for seed in range(2):
+        g, emb = family(p, 1, random.Random(seed))[:2]
+        starred = [emb.outer(x) for x in emb.inner_vertices()]
+        touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
+        isolated = next(v for v in g.vertices() if v not in touched)
+        outer = sorted(touched - set(starred))
+        assert starred and outer
+        for v in starred + outer + [isolated]:
+            inp = vertex_input(g, v)
+            for pi in declared.values():
+                want = {w: pi.message_given_type(inp.pair_type(w))
+                        for w in inp.partners_at_round(1)}
+                want = {w: bits for w, bits in want.items()
+                        if bits is not None}
+                assert pi.message_fn(1, inp, {}, None) == want, (pi.name, v)
 
 
 def _echo_messages(i, inp, inbox, view):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from congestlab.errors import InfeasibleParams
 from congestlab.graphs import LAYERS, Layer, TypeRow, VertexId
 from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
-                               feasibility_check)
+                               feasibility_check,
+                               restructured_feasibility_check)
 from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
                                  public_slot_types, rebuild_from_inner_views,
                                  sample_aux, sample_d_in,
@@ -293,6 +294,37 @@ def test_feasible_schedules_leave_room_for_every_pool(n_prev, d, alpha, beta,
     assert 2 * n_prev * 2 * d <= free  # sample_gr's pool at level 1
     assert 2 * n_prev * aux_draws_per_vertex_layer(
         n_prev, d, alpha, beta, gamma, 1) <= free  # sample_aux's pool
+
+
+def test_gr_tilde_refuses_small2_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
+        sample_gr_tilde(SMALL2, 1, rng)
+    assert rng.getstate() == state
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_prev=st.integers(1, 2), d=st.integers(2, 23),
+       alpha=st.integers(1, 2), beta=st.integers(1, 2),
+       gamma=st.integers(1, 2))
+def test_restructured_check_accepts_only_completable_schedules(
+        n_prev, d, alpha, beta, gamma):
+    # the smallest layer size the shared check accepts, plus some room
+    def schedule(n):
+        return ParamSchedule(n=[n_prev, n], d=[d], alpha=[alpha],
+                             beta=[beta], gamma=[gamma])
+    n = next((n for n in range(2, 2000) if not feasibility_check(schedule(n))),
+             None)
+    assume(n is not None)
+    p = schedule(n + 50)
+    if restructured_feasibility_check(p, 1):
+        with pytest.raises(InfeasibleParams,
+                           match="RestructuredSlotViolation"):
+            sample_gr_tilde(p, 1, random.Random(0))
+        return
+    for seed in range(8):
+        sample_gr_tilde(p, 1, random.Random(seed))
 
 
 # -- sparse tilde inputs against the dense construction --------------------
