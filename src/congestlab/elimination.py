@@ -33,7 +33,7 @@ from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
                        _sample_ids, rebuild_from_inner_views, sample_aux,
-                       sample_gr, sample_gr_tilde, sample_inner,
+                       sample_d_in, sample_gr, sample_gr_tilde, sample_inner,
                        sample_tilde_input)
 
 HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
@@ -126,11 +126,10 @@ def _round1_messages(pi: ProtocolSpec, cfg: EliminationConfig,
 
 def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
           x: VertexId, n_in, rng: random.Random):
-    """One restructured input of x around the inner rows ``n_in`` (a phantom
-    inner input drawn from its marginal when None), with the round-1
-    messages x sends on it."""
+    """One restructured input of x around the inner rows ``n_in`` (true or
+    phantom), with the round-1 messages x sends on it."""
     vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, cfg.level,
-                              rng, n_in=n_in)
+                              rng, n_in)
     return vecs, _round1_messages(pi, cfg, st1, x, vecs)
 
 
@@ -167,8 +166,11 @@ def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     ids = _sample_ids(lv["n"], n_prev, rng)
     st1 = StageOneState(ids=ids, aux=sample_aux(ids, p, level, rng), m_pub={})
     for x in _inner_vertices(n_prev):
-        _, msgs = _draw(pi, cfg, st1, x,
-                        None if inputs is None else inputs[x], rng)
+        if inputs is None:
+            n_in = dict(zip(x.layer.others, sample_d_in(p, level - 1, rng)))
+        else:
+            n_in = inputs[x]
+        _, msgs = _draw(pi, cfg, st1, x, n_in, rng)
         st1.m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(
             x, ids, st1.aux, level, n_prev)}
     return st1

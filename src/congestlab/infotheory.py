@@ -31,9 +31,6 @@ class FiniteDistribution:
             raise InvalidDistribution(f"probabilities sum to {total}")
         self.probs = {x: max(0.0, float(p)) for x, p in probs.items()}
 
-    def support(self):
-        return [x for x, p in self.probs.items() if p > 0]
-
     def __getitem__(self, x):
         return self.probs.get(x, 0.0)
 

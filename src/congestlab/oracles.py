@@ -14,10 +14,9 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import CapExceeded, InvalidDistribution
-from .graphs import LAYERS
 from .params import ParamSchedule
-from .sampling import (_inner_cross_pairs, enumerate_g0, sample_gr,
-                       sample_gr_tilde)
+from .sampling import (_inner_cross_pairs, enumerate_g0, has_collision,
+                       inner_views, sample_gr, sample_gr_tilde)
 
 # largest inner support ``exact_inner_transcript_law`` enumerates
 ENUMERATION_CAP = 10 ** 6
@@ -115,21 +114,11 @@ def empirical_tvd(sampler1, sampler2, projection, trials: int, seed: int):
 def project_degree_excess(drawn) -> bool:
     """True when some non-starred vertex carries two or more channels.
 
-    Accepts any tuple starting with (graph, embedding); for draws from the
-    restructured sampler the recorded collision flag is used directly.
+    Accepts any tuple starting with (graph, embedding) and recounts from the
+    graph, by the rule ``sampling.has_collision`` states.
     """
-    if len(drawn) == 4:
-        return bool(drawn[3])
     g, emb = drawn[0], drawn[1]
-    starred = {layer: emb.starred(layer) for layer in LAYERS}
-    counts = {}
-    for u, v, t in g.stored_pairs():
-        if t > g.r:
-            continue
-        for a, b in ((u, v), (v, u)):
-            if a.index in starred[a.layer] and b.index not in starred[b.layer]:
-                counts[b] = counts.get(b, 0) + 1
-    return any(c >= 2 for c in counts.values())
+    return has_collision(inner_views(g, emb), emb.ids)
 
 
 def project_inner_input(drawn) -> tuple:

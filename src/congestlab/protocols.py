@@ -184,13 +184,11 @@ def wilson_interval(successes: int, trials: int):
 def estimate_success(p: ProtocolSpec, sampler, trials: int, seed: int):
     """Monte Carlo success frequency with a 95% Wilson interval.
 
-    ``sampler(seed)`` must return an instance (or a tuple whose first item
-    is the instance).
+    ``sampler(seed)`` returns an instance.
     """
     successes = 0
     for i in range(trials):
-        drawn = sampler(seed + i)
-        g = drawn[0] if isinstance(drawn, tuple) else drawn
+        g = sampler(seed + i)
         _, outputs = simulate(p, g, RandomnessView(seed + i))
         if judge(g, outputs):
             successes += 1

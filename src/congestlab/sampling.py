@@ -246,6 +246,21 @@ def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
     return g
 
 
+def has_collision(views: dict, ids: dict) -> bool:
+    """Whether some non-starred outer vertex carries two or more channels.
+
+    ``views`` holds the rows of every inner vertex and ``ids`` their outer
+    indices.  A stored slot is non-default, so each is a channel; the rule
+    counts, per outer vertex, the stored slots that reach it from the
+    inner vertices and flags any count of two or more.
+    """
+    starred = {layer: set(ids[layer]) for layer in LAYERS}
+    incidence = Counter((w, j) for rows in views.values()
+                        for w, row in rows.items() for j in row.slots
+                        if j + 1 not in starred[w])
+    return any(c >= 2 for c in incidence.values())
+
+
 # -- the inner-input marginal ---------------------------------------------
 
 
@@ -404,13 +419,12 @@ def public_slot_types(x: VertexId, aux: Auxiliaries, level: int,
 
 def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                        p: ParamSchedule, level: int, rng: random.Random,
-                       n_in: dict | None = None):
+                       n_in: dict):
     """Step-3 per-vertex input: auxiliary draws plus uniform completion.
 
     ``n_in`` maps each other layer to x's length-n_prev inner row (a list or
-    a ``TypeRow``, read by index); when omitted a phantom inner input is
-    drawn from the inner marginal (the conditional law given only identities
-    and auxiliaries).
+    a ``TypeRow``, read by index): the true inner input, or a phantom one
+    the caller drew from the inner marginal.
     Returns {other layer: ``TypeRow`` of length n}; only the starred,
     reserved and completed slots are ever touched.
     """
@@ -418,10 +432,6 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
     n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
     default = level + 1
     others = x.layer.others
-
-    if n_in is None:
-        v1, v2 = sample_d_in(p, level - 1, rng)
-        n_in = {others[0]: v1, others[1]: v2}
 
     # {0-based slot: type} per other layer; every type stored below is an
     # inner, forced or completed type, at most level, so never the default
@@ -482,7 +492,7 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     """One instance of the restructured family.
 
     Returns (graph, embedding, auxiliaries, collision_flag) where the flag
-    marks any outer vertex that received two or more channels.
+    is ``has_collision`` of the sampled inner views.
     """
     require_feasible(p)
     bad = restructured_feasibility_check(p, level)
@@ -498,10 +508,4 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
                                    n_in=inner.type_rows(v))
              for v in emb.inner_vertices()}
     g = rebuild_from_inner_views(n, level, ids, views)
-    # stored slots are non-default, so each is a channel (type <= level)
-    starred = {layer: emb.starred(layer) for layer in LAYERS}
-    incidence = Counter((w, j) for rows in views.values()
-                        for w, row in rows.items() for j in row.slots
-                        if j + 1 not in starred[w])
-    collision_flag = any(c >= 2 for c in incidence.values())
-    return g, emb, aux, collision_flag
+    return g, emb, aux, has_collision(views, ids)

@@ -144,7 +144,78 @@ def test_restructured_commands_refuse_small2(tmp_path, command):
     result = CliRunner().invoke(main, command + ["--params", params])
     assert result.exit_code == 2
     assert "RestructuredSlotViolation" in result.stderr
-    assert not (tmp_path / "out" / "instance-0000.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("options", [
+    ["--family", "base", "--level", "1", "--params", "micro.json"],
+    ["--family", "restructured", "--level", "0", "--n0", "2"],
+    ["--level", "1", "--n0", "2", "--params", "micro.json"],
+    ["--level", "0", "--n0", "2", "--params", "micro.json"],
+    ["--level", "0"],
+])
+def test_gen_refuses_option_pairings_before_writing(tmp_path, monkeypatch,
+                                                    options):
+    monkeypatch.chdir(tmp_path)
+    write_micro_params("micro.json")
+    result = CliRunner().invoke(main, ["gen"] + options + ["--out", "out"])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_family_defaults_to_the_level(tmp_path):
+    params = write_micro_params(str(tmp_path / "p.json"))
+    runner = CliRunner()
+    for argv, family in ((["--level", "0", "--n0", "1"], "base"),
+                         (["--level", "1", "--params", params], "recursive")):
+        result = runner.invoke(main, ["gen"] + argv + [
+            "--out", str(tmp_path / family)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["config"]["family"] == family
+
+
+def test_estimate_success_level0_from_params(tmp_path):
+    params = write_micro_params(str(tmp_path / "p.json"))
+    result = CliRunner().invoke(main, [
+        "estimate-success", "--protocol", "all-no", "--level", "0",
+        "--params", params, "--trials", "50"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"]["params"] == params
+
+
+# one malformed input per command, with its documented exit code
+MALFORMED = {
+    "gen": (["gen", "--level", "1", "--params", "{file}", "--out", "out"],
+            '{"d": [6], "alpha": [1], "beta": [1], "gamma": [1]}', 1),
+    "simulate": (["simulate", "--instance", "{file}", "--protocol", "all-no"],
+                 '{"n": 2, "r": 1}', 1),
+    "estimate-success": (["estimate-success", "--protocol", "all-no",
+                          "--level", "1", "--params", "{file}"],
+                         '{"n": [1, 29], "d": [6], ', 1),
+    "round-elim": (["round-elim", "--protocol", "all-no", "--params",
+                    "{file}"], '{"n": [1, 29], "d": [6]}', 2),
+    "verify": (["verify", "--suite", "g0", "--out", "missing/x.json"],
+               "", 1),
+    "info": (["info", "--table", "{file}", "--measure", "entropy"],
+             '{"coords": ["A"]}', 1),
+}
+
+
+@pytest.mark.parametrize("command", list(MALFORMED))
+def test_every_command_fails_through_the_error_boundary(tmp_path,
+                                                        monkeypatch, command):
+    # a command added without a case here fails every case
+    assert set(MALFORMED) == set(main.commands)
+    monkeypatch.chdir(tmp_path)
+    argv, text, code = MALFORMED[command]
+    Path("input.json").write_text(text)
+    result = CliRunner().invoke(main, [a.format(file="input.json")
+                                       for a in argv])
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert isinstance(result.exception, SystemExit), result.exception
 
 
 def test_round_elim_hybrids(tmp_path):

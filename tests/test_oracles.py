@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from congestlab.elimination import (HYBRIDS, EliminationConfig,
+                                    hybrid_sampler)
 from congestlab.errors import CapExceeded, InvalidDistribution
+from congestlab.graphs import LAYERS
 from congestlab.oracles import (collision_bound, collision_rate,
                                 empirical_tvd, exact_collision_probability,
                                 exact_g0_triangle_prob,
@@ -13,6 +16,7 @@ from congestlab.oracles import (collision_bound, collision_rate,
                                 project_inner_transcript, tvd_exact,
                                 zero_round_optimum)
 from congestlab.params import ParamSchedule
+from congestlab.protocols import registry
 from congestlab.sampling import sample_g0, sample_gr, sample_gr_tilde
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
@@ -57,6 +61,35 @@ def test_degree_excess_projection():
     assert project_degree_excess((g, emb, aux, flag)) == flag
     # recompute from the graph itself, dropping the recorded flag
     assert project_degree_excess((g, emb)) == flag
+
+
+def _recount_degree_excess(g, emb) -> bool:
+    """The collision rule from the graph's stored pairs: channels from a
+    starred vertex to each non-starred one, flagged at two or more."""
+    starred = {layer: emb.starred(layer) for layer in LAYERS}
+    counts = {}
+    for u, v, _ in g.stored_pairs():
+        for a, b in ((u, v), (v, u)):
+            if a.index in starred[a.layer] and b.index not in starred[b.layer]:
+                counts[b] = counts.get(b, 0) + 1
+    return any(c >= 2 for c in counts.values())
+
+
+def test_degree_excess_projection_recounts_hybrid_draws():
+    # a hybrid draw is (graph, embedding, auxiliaries, transcript): its
+    # fourth item is no collision flag.  MICRO draws collide, LOOSE ones
+    # do not, so both answers are checked
+    pi = registry(rounds=1, bandwidth=1)["constant-message"]
+    seen = set()
+    for p in (MICRO, LOOSE):
+        cfg = EliminationConfig(params=p, level=1, cap=3000)
+        for which in HYBRIDS:
+            for seed in range(5):
+                drawn = hybrid_sampler(which, pi, cfg, seed)
+                expect = _recount_degree_excess(drawn[0], drawn[1])
+                assert project_degree_excess(drawn) == expect, (which, seed)
+                seen.add(expect)
+    assert seen == {False, True}
 
 
 def test_inner_input_projection_matches_inner_types():

@@ -155,7 +155,9 @@ def test_tilde_input_per_type_degree_exact():
     ids = _sample_ids(29, 1, random.Random(13))
     aux = sample_aux(ids, MICRO, 1, random.Random(13))
     x = VertexId(Layer.B, 1)
-    vecs = sample_tilde_input(x, ids, aux, MICRO, 1, random.Random(13))
+    rng = random.Random(13)
+    phantom = dict(zip(x.layer.others, sample_d_in(MICRO, 0, rng)))
+    vecs = sample_tilde_input(x, ids, aux, MICRO, 1, rng, phantom)
     for w in (Layer.A, Layer.C):
         assert vecs[w].count(0) == 6
         assert vecs[w].count(1) == 6
@@ -404,10 +406,13 @@ def test_sparse_tilde_input_equals_dense_reference(name):
                 actual = {w: [inner.pair_type(x, VertexId(w, j))
                               for j in range(1, n_prev + 1)]
                           for w in layer.others}
+                # with n_in None the dense reference draws the phantom inner
+                # input itself, where the sparse call's phantom is drawn
                 for n_in in (None, actual):
                     state = rng.getstate()
-                    rows = sample_tilde_input(x, ids, aux, p, 1, rng,
-                                              n_in=n_in)
+                    given = n_in or dict(zip(layer.others,
+                                             sample_d_in(p, 0, rng)))
+                    rows = sample_tilde_input(x, ids, aux, p, 1, rng, given)
                     after = rng.random()
                     rng.setstate(state)
                     dense = _dense_tilde_input_reference(x, ids, aux, p, 1,
