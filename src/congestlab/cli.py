@@ -145,6 +145,8 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def gen(level, params_path, family, n0, seed, count, out_dir):
     """Sample instances to JSON files, with a sidecar per instance."""
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
     family, draw = _family_sampler(family, level, params_path, n0)
     config = {"level": level, "family": family, "seed": seed,
               "count": count, "params": params_path, "n0": n0}
@@ -302,6 +304,9 @@ def info(table_path, measure, of, given, a_coords, b_coords, other):
     def load(path):
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"table {path} must be a JSON object, got "
+                             f"{type(obj).__name__}")
         table = {tuple(row[:-1]): float(row[-1]) for row in obj["entries"]}
         return infotheory.JointTable(obj["coords"], table)
 

@@ -441,6 +441,8 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     that vertex), checks transcript consistency, and judges the compiled
     protocol's answers against the inner instance.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     p, level = cfg.params, cfg.level
     n_prev = p.level(level)["n_prev"]
     successes = inconsistencies = fallbacks = failures = 0
@@ -471,7 +473,7 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
         bandwidth_used=max_bits,
         trials=trials,
         successes=successes,
-        success_frequency=successes / trials if trials else 0.0,
+        success_frequency=successes / trials,
         inconsistency_count=inconsistencies,
         fallback_count=fallbacks,
         failed_trials=failures,

@@ -23,8 +23,9 @@ calls it: it stays only as the dense reference that the tests and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import OutOfRange, RoundOutOfRange, SameLayerPair
 
@@ -37,14 +38,21 @@ class Layer(str, Enum):
     @property
     def others(self) -> tuple["Layer", "Layer"]:
         """The two other layers, in layer order."""
-        return tuple(l for l in LAYERS if l is not self)  # type: ignore[return-value]
+        return _OTHERS[self]
 
 
 LAYERS = (Layer.A, Layer.B, Layer.C)
+_OTHERS = {l: tuple(w for w in LAYERS if w is not l) for l in LAYERS}
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class VertexId(NamedTuple):
+    """A vertex, named like ``A1``.
+
+    A tuple, so hashing, equality and ordering by (layer, index) run in C;
+    its hash is ``hash((layer, index))``.  It also equals the bare tuple
+    ``(layer, index)``, so a dict or set must not hold both kinds of key.
+    """
+
     layer: Layer
     index: int  # 1-based
 
@@ -54,7 +62,7 @@ class VertexId:
 
 def pair_key(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
     """Canonical (layer-order, index) key for an unordered cross-layer pair."""
-    return (u, v) if (u.layer, u.index) < (v.layer, v.index) else (v, u)
+    return (u, v) if u < v else (v, u)
 
 
 class TypeRow:
@@ -117,6 +125,9 @@ class TypedTripartiteGraph:
         # the one pair store: vertex -> {other: type} over non-default pairs,
         # each pair held at both endpoints
         self._adj: dict[VertexId, dict[VertexId, int]] = {}
+        # the row of a vertex with no stored pair toward a layer, shared by
+        # every such vertex and read-only
+        self._empty_row = TypeRow(n, r + 1, MappingProxyType({}))
 
     # -- construction -----------------------------------------------------
 
@@ -213,10 +224,17 @@ class TypedTripartiteGraph:
         return vec
 
     def type_rows(self, u: VertexId) -> dict:
-        """The sparse rows of ``u`` toward both other layers, in layer order."""
+        """The sparse rows of ``u`` toward both other layers, in layer order.
+
+        A vertex with no stored pair gets the graph's shared read-only
+        empty row toward each layer.
+        """
         self._check_vertex(u)
+        adj = self._adj.get(u)
+        if not adj:
+            return dict.fromkeys(u.layer.others, self._empty_row)
         slots = {w: {} for w in u.layer.others}
-        for v, t in self._adj.get(u, {}).items():
+        for v, t in adj.items():
             slots[v.layer][v.index - 1] = t
         return {w: TypeRow(self.n, self.default_type, dict(sorted(s.items())))
                 for w, s in slots.items()}
@@ -262,6 +280,9 @@ class TypedTripartiteGraph:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TypedTripartiteGraph":
+        if not isinstance(obj, dict):
+            raise ValueError("an instance must be a JSON object, got "
+                             f"{type(obj).__name__}")
         g = cls(int(obj["n"]), int(obj["r"]))
         for lu, iu, lv, iv, t in obj["pairs"]:
             u = VertexId(Layer(lu), int(iu))

@@ -63,6 +63,9 @@ class ParamSchedule:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ParamSchedule":
+        if not isinstance(obj, dict):
+            raise ValueError("a schedule must be a JSON object, got "
+                             f"{type(obj).__name__}")
         if "canonical" in obj and isinstance(obj["canonical"], dict):
             spec = obj["canonical"]
             return canonical_params(int(spec["n0"]), int(spec["r"]))

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 from .errors import (BandwidthViolation, ChannelViolation, RegimeMismatch,
                      SupportTooLarge)
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, VertexId
+from .graphs import TypedTripartiteGraph, VertexId, pair_key
 from .randomness import RandomnessView
 
 WILSON_Z = 1.96  # two-sided 95% normal quantile
@@ -99,10 +98,11 @@ class Transcript:
         self._inboxes.setdefault(receiver, {})[(rnd, sender)] = bits
 
     def inbox_of(self, v: VertexId, upto_round: int) -> dict:
-        return {
-            key: bits for key, bits in self._inboxes.get(v, {}).items()
-            if key[0] <= upto_round
-        }
+        inbox = self._inboxes.get(v)
+        if not inbox:
+            return {}
+        return {key: bits for key, bits in inbox.items()
+                if key[0] <= upto_round}
 
     def max_length(self) -> int:
         return max((len(b) for b in self.entries.values()), default=0)
@@ -134,17 +134,17 @@ def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
     """Synchronous execution; returns (Transcript, {vertex: Yes boolean})."""
     if p.rounds != g.r:
         raise RegimeMismatch(f"protocol rounds {p.rounds} != graph regime {g.r}")
-    inputs = {v: vertex_input(g, v) for v in g.vertices()}
+    # every vertex is a player, with or without channels: one input and one
+    # randomness view each, kept for every round and the output step
+    players = [(v, vertex_input(g, v), rnd.restrict(v)) for v in g.vertices()]
     transcript = Transcript()
     for i in range(1, p.rounds + 1):
         available = g.channels_at_round(i)
         round_msgs = []
-        for v, inp in inputs.items():
-            inbox = transcript.inbox_of(v, i - 1)
-            msgs = p.message_fn(i, inp, inbox, rnd.restrict(v))
+        for v, inp, view in players:
+            msgs = p.message_fn(i, inp, transcript.inbox_of(v, i - 1), view)
             for target, bits in msgs.items():
-                key = (min(v, target), max(v, target))
-                if key not in available:
+                if pair_key(v, target) not in available:
                     raise ChannelViolation(
                         f"round {i}: no channel for {v}->{target}"
                     )
@@ -154,9 +154,8 @@ def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
         for v, target, bits in round_msgs:
             transcript.record(i, v, target, bits)
     outputs = {
-        v: bool(p.output_fn(inp, transcript.inbox_of(v, p.rounds),
-                            rnd.restrict(v)))
-        for v, inp in inputs.items()
+        v: bool(p.output_fn(inp, transcript.inbox_of(v, p.rounds), view))
+        for v, inp, view in players
     }
     return transcript, outputs
 
@@ -186,6 +185,8 @@ def estimate_success(p: ProtocolSpec, sampler, trials: int, seed: int):
 
     ``sampler(seed)`` returns an instance.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     successes = 0
     for i in range(trials):
         g = sampler(seed + i)

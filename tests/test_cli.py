@@ -218,6 +218,57 @@ def test_every_command_fails_through_the_error_boundary(tmp_path,
     assert isinstance(result.exception, SystemExit), result.exception
 
 
+def assert_one_error_line(result, code=1):
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--level", "1", "--params", "{file}", "--out", "out"],
+    ["simulate", "--instance", "{file}", "--protocol", "all-no"],
+    ["info", "--table", "{file}", "--measure", "entropy"],
+], ids=["gen", "simulate", "info"])
+def test_json_that_is_not_an_object_is_refused(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("input.json").write_text("[1, 2]")
+    result = CliRunner().invoke(main, [a.format(file="input.json")
+                                       for a in argv])
+    assert_one_error_line(result)
+    assert "JSON object" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def refuse_draws(*args, **kwargs):
+    raise AssertionError("an instance was drawn")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-success", "--protocol", "all-no", "--level", "0", "--n0", "1",
+     "--trials", "0"],
+    ["estimate-success", "--protocol", "all-no", "--level", "1",
+     "--params", "micro.json", "--trials", "-3"],
+    ["round-elim", "--protocol", "all-no", "--params", "micro.json",
+     "--trials", "0"],
+    ["round-elim", "--protocol", "all-no", "--params", "micro.json",
+     "--trials", "0", "--hybrids", "--out", "out"],
+    ["gen", "--level", "0", "--n0", "1", "--count", "0", "--out", "out"],
+    ["gen", "--level", "1", "--params", "micro.json", "--count", "-1",
+     "--out", "out"],
+])
+def test_counts_below_one_are_refused_before_any_draw(tmp_path, monkeypatch,
+                                                     argv):
+    monkeypatch.chdir(tmp_path)
+    write_micro_params("micro.json")
+    for name in ("sample_g0", "sample_gr", "sample_gr_tilde"):
+        monkeypatch.setattr(f"congestlab.cli.{name}", refuse_draws)
+    monkeypatch.setattr("congestlab.elimination.sample_inner", refuse_draws)
+    result = CliRunner().invoke(main, argv)
+    assert_one_error_line(result)
+    assert "at least 1" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_round_elim_hybrids(tmp_path):
     params = write_micro_params(str(tmp_path / "p.json"))
     out = str(tmp_path / "hyb")

@@ -114,6 +114,36 @@ def test_vertex_order_is_layer_value_then_index(la, lb):
                 assert key[0].layer is la
 
 
+def test_vertex_id_contract():
+    # the hash is that of the bare (layer, index) tuple, which is what keeps
+    # every hash-ordered set, and so every seeded draw, in the same order
+    for layer in LAYERS:
+        for i in (1, 2, 29, 5000):
+            assert hash(VertexId(layer, i)) == hash((layer, i))
+    vs = [VertexId(Layer.C, 1), VertexId(Layer.A, 10), VertexId(Layer.B, 2),
+          VertexId(Layer.A, 9)]
+    assert sorted(vs) == sorted(vs, key=lambda v: (v.layer.value, v.index))
+    assert [repr(v) for v in sorted(vs)] == ["A9", "A10", "B2", "C1"]
+    assert f"{VertexId(Layer.B, 7)}" == "B7"
+    v = VertexId(Layer.A, 1)
+    for field, value in (("layer", Layer.B), ("index", 2)):
+        with pytest.raises(AttributeError):
+            setattr(v, field, value)
+    assert v == VertexId(Layer.A, 1)
+
+
+def test_channel_free_vertices_share_one_read_only_empty_row():
+    g = make_triangle_graph()
+    free = VertexId(Layer.C, 1)
+    rows = g.type_rows(free)
+    assert list(rows) == [Layer.A, Layer.B]
+    for w, row in rows.items():
+        assert list(row) == g.neighborhood_vector(free, w)
+    assert rows[Layer.A] is g.type_rows(VertexId(Layer.B, 3))[Layer.A]
+    with pytest.raises(TypeError):
+        rows[Layer.A].slots[0] = 0
+
+
 def test_vertices_enumeration():
     g = TypedTripartiteGraph(2, 0)
     assert len(list(g.vertices())) == 6

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
+SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "schedules"
 
 
 def triangle_instance():
@@ -129,6 +132,51 @@ def test_estimate_success_matches_exact():
         pi, lambda s: sample_g0(1, random.Random(s))[0], 2000, 0)
     assert lo <= 7 / 8 <= hi
     assert abs(freq - 7 / 8) < 0.03
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_estimate_success_refuses_trials_below_one(trials):
+    def sampler(seed):
+        raise AssertionError("an instance was drawn")
+
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_success(registry(rounds=0)["all-no"], sampler, trials, 0)
+
+
+def test_simulate_runs_every_vertex_with_its_own_view():
+    # every vertex is a player: the channel-free ones too run message_fn in
+    # every round and output_fn once, each call with a view of its own
+    p = ParamSchedule.from_json((SCHEDULES / "level1-n200.json").read_text())
+    g, _ = sample_gr(p, 1, random.Random(0))
+    inner = registry(rounds=1)["type-broadcast"]
+    calls = Counter()
+    rows = {}
+
+    def message_fn(i, inp, inbox, view):
+        calls["message", i, inp.identity] += 1
+        assert view.owner == inp.identity
+        rows[inp.identity] = inp.vectors
+        return inner.message_fn(i, inp, inbox, view)
+
+    def output_fn(inp, inbox, view):
+        calls["output", inp.identity] += 1
+        assert view.owner == inp.identity
+        return inner.output_fn(inp, inbox, view)
+
+    pi = ProtocolSpec("counting", 1, 1, message_fn, output_fn)
+    transcript, outputs = simulate(pi, g, RandomnessView(0))
+    vertices = list(g.vertices())
+    assert list(outputs) == vertices
+    assert calls == Counter([("message", 1, v) for v in vertices]
+                            + [("output", v) for v in vertices])
+    touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
+    free = [v for v in vertices if v not in touched]
+    assert len(free) == 426
+    for v in free:
+        assert list(rows[v]) == list(v.layer.others)
+        for w, row in rows[v].items():
+            assert list(row) == g.neighborhood_vector(v, w)
+    assert len(transcript.entries) == 360
 
 
 def test_wilson_interval_bounds():
