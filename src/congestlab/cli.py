@@ -18,8 +18,8 @@ import click
 from . import elimination, infotheory, oracles, protocols
 from .errors import CongestLabError, InfeasibleParams
 from .graphs import TypedTripartiteGraph
-from .params import (ParamSchedule, feasibility_check,
-                     restructured_feasibility_check)
+from .params import (ParamSchedule, require_feasible,
+                     require_restructured_feasible)
 from .randomness import RandomnessView, derive_rng
 from .sampling import sample_g0, sample_gr, sample_gr_tilde
 
@@ -43,12 +43,12 @@ INFO_OPTIONS = {
 def _load_params(path: str) -> ParamSchedule:
     with open(path) as fh:
         p = ParamSchedule.from_json(fh.read())
-    bad = feasibility_check(p)
-    if bad:
-        raise InfeasibleParams("; ".join(bad))
+    require_feasible(p)
     if max(p.n) > MEMORY_CAP:
+        # by bit length: a canonical size can pass Python's digit limit
         raise InfeasibleParams(
-            f"largest layer size {max(p.n)} exceeds memory cap {MEMORY_CAP}")
+            f"largest layer size ({max(p.n).bit_length()} bits) exceeds "
+            f"memory cap {MEMORY_CAP}")
     return p
 
 
@@ -98,9 +98,7 @@ def _family_sampler(family: str | None, level: int, params_path: str | None,
     p = _load_params(params_path)
     p.level(level)  # refuses a level outside the schedule
     if family == "restructured":
-        bad = restructured_feasibility_check(p, level)
-        if bad:
-            raise InfeasibleParams("; ".join(bad))
+        require_restructured_feasible(p, level)
 
     def draw(rng):
         if family == "recursive":

@@ -27,14 +27,14 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
-from .graphs import LAYERS, TypedTripartiteGraph, TypeRow, VertexId
-from .params import ParamSchedule, restructured_feasibility_check
+from .graphs import LAYERS, TypeRow, VertexId
+from .params import ParamSchedule, require_restructured_feasible
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
-                       _sample_ids, rebuild_from_inner_views, sample_aux,
-                       sample_d_in, sample_gr, sample_gr_tilde, sample_inner,
-                       sample_tilde_input)
+                       _sample_ids, public_slots, rebuild_from_inner_views,
+                       sample_aux, sample_d_in, sample_gr, sample_gr_tilde,
+                       sample_inner, sample_tilde_input)
 
 HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
 
@@ -54,9 +54,7 @@ class EliminationConfig:
             raise InfeasibleParams(f"unknown fallback policy {self.fallback}")
         if self.cap < 1:
             raise InfeasibleParams(f"cap must be at least 1, got {self.cap}")
-        bad = restructured_feasibility_check(self.params, self.level)
-        if bad:
-            raise InfeasibleParams("; ".join(bad))
+        require_restructured_feasible(self.params, self.level)
 
 
 @dataclass
@@ -113,11 +111,6 @@ def _inner_partners(x: VertexId, n_prev: int):
             yield VertexId(layer, j)
 
 
-def _inner_inputs(inner: TypedTripartiteGraph) -> dict:
-    """Every inner vertex's rows, the ``inputs`` of ``run_stages``."""
-    return {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
-
-
 def _round1_messages(pi: ProtocolSpec, cfg: EliminationConfig,
                      st1: StageOneState, x: VertexId, rows: dict) -> dict:
     inp = VertexInput(identity=st1.outer(x), vectors=rows, r=cfg.level)
@@ -137,18 +130,21 @@ def _m_pub_targets(x: VertexId, st_ids: dict, aux, level: int,
                    n_prev: int) -> list:
     """The predecessor slots of the public singleton sets: members of
     L_{t,i}^{x->Y} whose index precedes the i-th starred identity of Y."""
-    out = []
-    for target in x.layer.others:
-        for t in range(level + 1):
-            for i in range(1, n_prev + 1):
-                for idx in aux.L[(x, target, t, i)]:
-                    if idx < st_ids[target][i - 1]:
-                        out.append(VertexId(target, idx))
-    return out
+    return [VertexId(target, idx)
+            for target, _, i, idx in public_slots(x, aux, level, n_prev)
+            if idx < st_ids[target][i - 1]]
 
 
 def _matches(msgs: dict, record: dict) -> bool:
     return all(msgs.get(w) == bits for w, bits in record.items())
+
+
+def _messages_to_reproduce(st1: StageOneState, x: VertexId,
+                           m_in_out: dict) -> dict:
+    """The messages x's completed input must send: the public ones, and
+    each stage-2 message keyed by the partner's outer identity."""
+    return {**st1.m_pub[x],
+            **{st1.outer(y): bits for y, bits in m_in_out.items()}}
 
 
 def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
@@ -236,9 +232,7 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     policy either fails the trial or keeps a draw conditioned on the input
     alone.
     """
-    target_msgs = dict(st1.m_pub[x])
-    for y, bits in m_in_out.items():
-        target_msgs[st1.outer(y)] = bits
+    target_msgs = _messages_to_reproduce(st1, x, m_in_out)
     for attempts in range(1, cfg.cap + 1):
         vecs, msgs = _draw(pi, cfg, st1, x, n_in, rng)
         if _matches(msgs, target_msgs):
@@ -263,11 +257,8 @@ def verify_consistency(pi: ProtocolSpec, cfg: EliminationConfig,
                        m_in_out: dict) -> bool:
     """Re-evaluate the round-1 messages on the completed input and compare
     them against every separately sampled message."""
-    msgs = _round1_messages(pi, cfg, st1, x, s3.vecs)
-    if not _matches(msgs, st1.m_pub[x]):
-        return False
-    return all(msgs.get(st1.outer(y)) == bits
-               for y, bits in m_in_out.items())
+    return _matches(_round1_messages(pi, cfg, st1, x, s3.vecs),
+                    _messages_to_reproduce(st1, x, m_in_out))
 
 
 # -- the staged pipeline --------------------------------------------------
@@ -309,9 +300,16 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     among them, reading the pair's type from that endpoint's row.  ``rung``
     picks the stages that keep the true inner input (``LADDER``; the private
     stage always does).  ``view`` hands out the tapes as a
-    ``RandomnessView`` does.
+    ``RandomnessView`` does.  A vertex past ``n_prev``, or a row whose
+    length is not ``n_prev``, is refused before any draw.
     """
     n_prev = cfg.params.level(cfg.level)["n_prev"]
+    for x, rows in inputs.items():
+        lengths = sorted({len(row) for row in rows.values()})
+        if x.index > n_prev or lengths != [n_prev]:
+            raise InfeasibleParams(
+                f"input of {x!r} (rows of length {lengths}) does not fit "
+                f"inner layers of size n_prev = {n_prev}")
     keep = LADDER[rung]
     run = StagedRun(sample_public_stage(
         pi, cfg, view.public_rng("stage1"),
@@ -344,6 +342,15 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
                 f"within {cfg.cap} attempts")
             break
     return run
+
+
+def _staged_draw(pi: ProtocolSpec, cfg: EliminationConfig,
+                 view: RandomnessView, rung: str):
+    """The inner instance of ``view``'s seed, and the stages run on it."""
+    inner = sample_inner(cfg.params, cfg.level - 1,
+                         derive_rng(view.seed, "inner"))
+    inputs = {x: inner.type_rows(x) for x in inner.vertices()}
+    return inner, run_stages(pi, cfg, inputs, rung, view)
 
 
 class _OwnTapes:
@@ -443,15 +450,13 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    p, level = cfg.params, cfg.level
-    n_prev = p.level(level)["n_prev"]
+    n_prev = cfg.params.level(cfg.level)["n_prev"]
     successes = inconsistencies = fallbacks = failures = 0
     pair_attempts = private_attempts = 0
     max_bits = 0
     for trial in range(trials):
         view = RandomnessView(seed + trial)
-        inner = sample_inner(p, level - 1, derive_rng(seed + trial, "inner"))
-        run = run_stages(pi, cfg, _inner_inputs(inner), "dfake", view)
+        inner, run = _staged_draw(pi, cfg, view, "dfake")
         pair_attempts += run.pair_attempts
         private_attempts += run.private_attempts
         outputs = {}
@@ -515,8 +520,7 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
         transcript, _ = simulate(pi, g, view)
         return g, emb, aux, transcript
 
-    inner = sample_inner(p, level - 1, derive_rng(seed, "inner"))
-    run = run_stages(pi, cfg, _inner_inputs(inner), which, view)
+    inner, run = _staged_draw(pi, cfg, view, which)
     if run.failure is not None:
         raise run.failure
     g = rebuild_from_inner_views(

@@ -21,10 +21,6 @@ class InfeasibleParams(CongestLabError):
     """A parameter schedule cannot support the requested sampling step."""
 
 
-class ZeroProbabilityCondition(CongestLabError):
-    """Rejection sampling exhausted its attempt cap without an acceptance."""
-
-
 class EmptyOrRareSupport(CongestLabError):
     """A conditional sampler found no consistent completion within its cap."""
 

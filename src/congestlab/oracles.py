@@ -16,7 +16,7 @@ from itertools import product
 from .errors import CapExceeded, InvalidDistribution
 from .params import ParamSchedule
 from .sampling import (_inner_cross_pairs, enumerate_g0, has_collision,
-                       inner_views, sample_gr, sample_gr_tilde)
+                       inner_views, sample_gr_tilde)
 
 # largest inner support ``exact_inner_transcript_law`` enumerates
 ENUMERATION_CAP = 10 ** 6

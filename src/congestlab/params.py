@@ -194,3 +194,10 @@ def require_feasible(p: ParamSchedule) -> None:
     bad = feasibility_check(p)
     if bad:
         raise InfeasibleParams("; ".join(bad))
+
+
+def require_restructured_feasible(p: ParamSchedule, level: int) -> None:
+    """The shared check, then, if it passes, the restructured one."""
+    bad = feasibility_check(p) or restructured_feasibility_check(p, level)
+    if bad:
+        raise InfeasibleParams("; ".join(bad))

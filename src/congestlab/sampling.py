@@ -21,10 +21,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyOrRareSupport, InfeasibleParams, ZeroProbabilityCondition
+from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
 from .params import (ParamSchedule, aux_draws_per_vertex_layer,
-                     require_feasible, restructured_feasibility_check)
+                     require_feasible, require_restructured_feasible)
 
 # attempts of the slot-conditioned rejection sampler of ``sample_d_in``
 D_IN_CONDITIONED_CAP = 10 ** 6
@@ -125,9 +125,7 @@ class InnerEmbedding:
         return set(self.ids[layer])
 
     def inner_vertices(self):
-        for layer in LAYERS:
-            for i in range(1, self.inner.n + 1):
-                yield VertexId(layer, i)
+        return self.inner.vertices()
 
 
 def sample_inner(p: ParamSchedule, level: int, rng: random.Random):
@@ -218,8 +216,9 @@ def build_gr_frame(inner: TypedTripartiteGraph, p: ParamSchedule, level: int):
     require_feasible(p)
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
-    if inner.n != n_prev:
-        raise InfeasibleParams("inner instance size does not match schedule")
+    if inner.n != n_prev or inner.r != level - 1:
+        raise InfeasibleParams(f"inner instance (n={inner.n}, r={inner.r}) "
+                               f"does not fit level {level}")
     ids = {layer: list(range(1, n_prev + 1)) for layer in LAYERS}
     pools = {layer: list(range(n_prev + 1, n + 1)) for layer in LAYERS}
     return _assemble_gr(inner, ids, pools, p, level)
@@ -302,7 +301,7 @@ def _sample_d_in_slot_conditioned(p: ParamSchedule, level: int, t: int,
         vecs = sample_d_in(p, level, rng)
         if vecs[slot_position][slot_index - 1] == t:
             return vecs
-    raise ZeroProbabilityCondition(
+    raise EmptyOrRareSupport(
         f"no acceptance for type {t} at slot {slot_index} within "
         f"{D_IN_CONDITIONED_CAP} attempts"
     )
@@ -405,16 +404,15 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
     return aux
 
 
-def public_slot_types(x: VertexId, aux: Auxiliaries, level: int,
-                      n_prev: int) -> dict:
-    """The publicly forced input slots of one inner vertex (the L types)."""
-    out = {w: {} for w in x.layer.others}
+def public_slots(x: VertexId, aux: Auxiliaries, level: int, n_prev: int):
+    """The publicly forced input slots of one inner vertex, the members of
+    its L sets, as (target layer, forced type, starred position i, outer
+    index) in reservation order."""
     for target in x.layer.others:
         for t in range(level + 1):
             for i in range(1, n_prev + 1):
                 for idx in aux.L[(x, target, t, i)]:
-                    out[target][idx] = t
-    return out
+                    yield target, t, i, idx
 
 
 def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
@@ -459,9 +457,8 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                         for k, idx in enumerate(s.members[w]):
                             slots[w][idx - 1] = draws[w][k]
     # L sets are forced to their bucket's type
-    for target, forced in public_slot_types(x, aux, level, n_prev).items():
-        for idx, t in forced.items():
-            slots[target][idx - 1] = t
+    for target, t, _, idx in public_slots(x, aux, level, n_prev):
+        slots[target][idx - 1] = t
     # uniform completion to exact per-type degree d
     for w in others:
         row = slots[w]
@@ -494,10 +491,7 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     Returns (graph, embedding, auxiliaries, collision_flag) where the flag
     is ``has_collision`` of the sampled inner views.
     """
-    require_feasible(p)
-    bad = restructured_feasibility_check(p, level)
-    if bad:
-        raise InfeasibleParams("; ".join(bad))
+    require_restructured_feasible(p, level)
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
     inner = sample_inner(p, level - 1, rng)

@@ -44,14 +44,21 @@ def test_gen_restructured_sidecar(tmp_path):
     assert "collision_flag" in meta and "ids" in meta
 
 
-def test_gen_canonical_params_exit_2(tmp_path):
+@pytest.mark.parametrize("r", [1, 3])
+def test_gen_canonical_params_exit_2(tmp_path, r):
+    # at r = 3 the largest layer size, 2 ** (34 ** 3), has 11832 decimal
+    # digits, more than Python converts to a string
     params = str(tmp_path / "p.json")
     with open(params, "w") as fh:
-        fh.write('{"canonical": {"n0": 2, "r": 1}}')
+        fh.write(json.dumps({"canonical": {"n0": 2, "r": r}}))
     runner = CliRunner()
     result = runner.invoke(main, ["gen", "--level", "1", "--params", params,
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "memory cap" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_and_transcript(tmp_path):

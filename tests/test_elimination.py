@@ -22,8 +22,8 @@ from congestlab.graphs import Layer, VertexId
 from congestlab.params import ParamSchedule
 from congestlab.protocols import exact_success, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import (enumerate_g0, public_slot_types, sample_g0,
-                                 sample_inner)
+from congestlab.sampling import (enumerate_g0, public_slots, sample_g0,
+                                 sample_gr_tilde, sample_inner)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
@@ -35,10 +35,9 @@ def test_public_stage_shapes_and_forced_slots():
     pi = REG["type-broadcast"]
     st1 = sample_public_stage(pi, CFG, random.Random(0))
     for x in _inner_vertices(1):
-        for target, forced in public_slot_types(x, st1.aux, 1, 1).items():
-            for idx, t in forced.items():
-                assert t in (0, 1)
-                assert idx not in st1.ids[target]
+        for target, t, _, idx in public_slots(x, st1.aux, 1, 1):
+            assert t in (0, 1)
+            assert idx not in st1.ids[target]
         # public messages live on predecessor slots only
         for w in st1.m_pub[x]:
             i_star = st1.ids[w.layer][0]
@@ -120,6 +119,37 @@ def test_config_refuses_a_schedule_restructured_inputs_cannot_complete():
     small2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
     with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
         EliminationConfig(params=small2)
+
+
+def test_config_and_sampler_refuse_what_the_shared_check_refuses():
+    # room for the level-1 frame needs n > 1 * (2*6*2 + 1) = 25; the
+    # completion room alone (5 <= 6) would accept it
+    tight = ParamSchedule(n=[1, 12], d=[6], alpha=[1], beta=[1], gamma=[1])
+    with pytest.raises(InfeasibleParams, match="SamplingRoomViolation"):
+        EliminationConfig(params=tight)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleParams, match="SamplingRoomViolation"):
+        sample_gr_tilde(tight, 1, rng)
+    assert rng.getstate() == state
+
+
+def test_run_stages_refuses_inputs_larger_than_the_inner_layers(monkeypatch):
+    pi = REG["type-broadcast"]
+    g, _ = sample_g0(2, random.Random(0))
+    # the compiled protocol at n_prev = 1 on a 2-vertex-per-layer instance
+    with pytest.raises(InfeasibleParams, match=r"\[2\].*n_prev = 1"):
+        simulate(build_pi_r_minus_1(pi, CFG), g, RandomnessView(0))
+
+    def no_draw(*args):
+        raise AssertionError("the public stage drew")
+
+    monkeypatch.setattr(elimination, "sample_public_stage", no_draw)
+    a1, a2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
+    short = {w: [1] for w in Layer.A.others}
+    for inputs in ({a1: g.type_rows(a1)}, {a2: short}):
+        with pytest.raises(InfeasibleParams, match="n_prev = 1"):
+            run_stages(pi, CFG, inputs, "dfake", RandomnessView(0))
 
 
 def test_build_rounds_and_bandwidth():

@@ -3,6 +3,7 @@ import pytest
 from congestlab.errors import InfeasibleParams
 from congestlab.params import (ParamSchedule, canonical_params,
                                feasibility_check, require_feasible,
+                               require_restructured_feasible,
                                restructured_feasibility_check)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
@@ -89,3 +90,17 @@ def test_json_roundtrip_and_canonical_shortcut():
     assert p2.to_dict() == MICRO.to_dict()
     p3 = ParamSchedule.from_json('{"canonical": {"n0": 2, "r": 1}}')
     assert p3.n == [2, 2 ** 34]
+
+
+def test_restructured_gate_runs_the_shared_check_first():
+    require_restructured_feasible(MICRO, 1)
+    small2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
+    with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
+        require_restructured_feasible(small2, 1)
+    # both checks fail here (18 > 6 fixed slots); the shared one answers,
+    # and the restructured one is not reached
+    both = ParamSchedule(n=[2, 50], d=[6], alpha=[1], beta=[1], gamma=[1])
+    with pytest.raises(InfeasibleParams) as exc:
+        require_restructured_feasible(both, 1)
+    assert "SamplingRoomViolation" in str(exc.value)
+    assert "RestructuredSlotViolation" not in str(exc.value)

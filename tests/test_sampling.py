@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congestlab.errors import InfeasibleParams
-from congestlab.graphs import LAYERS, Layer, TypeRow, VertexId
+from congestlab import sampling
+from congestlab.errors import EmptyOrRareSupport, InfeasibleParams
+from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow,
+                               VertexId)
 from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
                                feasibility_check,
                                restructured_feasibility_check)
 from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
-                                 public_slot_types, rebuild_from_inner_views,
+                                 public_slots, rebuild_from_inner_views,
                                  sample_aux, sample_d_in,
                                  sample_d_in_conditioned, sample_g0,
                                  sample_gr, sample_gr_tilde, sample_inner,
@@ -100,6 +102,15 @@ def test_frame_rejects_size_mismatch():
         build_gr_frame(inner, MICRO, 1)
 
 
+def test_frame_rejects_an_inner_instance_of_the_wrong_regime():
+    # a regime-1 inner pair defaults to type 2, the level-1 outer default:
+    # no channel, where a regime-0 inner pair is a non-edge channel
+    with pytest.raises(InfeasibleParams, match="r=1"):
+        build_gr_frame(TypedTripartiteGraph(1, 1), MICRO, 1)
+    g, _ = build_gr_frame(TypedTripartiteGraph(1, 0), MICRO, 1)
+    assert g.pair_type(VertexId(Layer.A, 1), VertexId(Layer.B, 1)) == 1
+
+
 def test_d_in_has_exact_type_counts():
     v1, v2 = sample_d_in(MICRO, 1, random.Random(10))
     for vec in (v1, v2):
@@ -132,6 +143,14 @@ def test_d_in_conditioned_respects_slot():
         # level 0 at n0=1: the conditioning slot is removed, leaving nothing
         assert kept == []
         assert len(other) == 1
+
+
+def test_conditioned_sampler_cap_raises_empty_or_rare_support(monkeypatch):
+    # a level-0 row carries types 0 and 1 only, never 2
+    monkeypatch.setattr(sampling, "D_IN_CONDITIONED_CAP", 7)
+    rng = random.Random(0)
+    with pytest.raises(EmptyOrRareSupport, match="within 7 attempts"):
+        sample_d_in_conditioned(MICRO, 0, 2, 0, 1, rng)
 
 
 def test_aux_sets_disjoint_and_sized():
@@ -367,9 +386,8 @@ def _dense_tilde_input_reference(x, ids, aux, p, level, rng, n_in=None):
                         vecs[target][idx - 1] = kept[k]
                     for k, idx in enumerate(s.members[other]):
                         vecs[other][idx - 1] = rest[k]
-    for target, forced in public_slot_types(x, aux, level, n_prev).items():
-        for idx, t in forced.items():
-            vecs[target][idx - 1] = t
+    for target, t, _, idx in public_slots(x, aux, level, n_prev):
+        vecs[target][idx - 1] = t
     for w in others:
         counts = [0] * (level + 1)
         free = []
