@@ -279,7 +279,15 @@ def _edge_witness_output(inp, inbox, view):
 
 
 def registry(rounds: int = 1, bandwidth: int = 1) -> dict:
-    """Built-in protocols at a given (rounds, bandwidth)."""
+    """Built-in protocols at a given (rounds, bandwidth).
+
+    On level-1 instances of ``sample_gr`` and ``sample_gr_tilde``, ``parity``
+    sends ``"0"`` from every starred vertex: a starred vertex has exactly
+    ``d`` type-0 pairs toward each other layer, and ``2d`` is even.  At
+    MICRO (``n = [1, 29]``, ``d = [6]``) no answer depends on any message:
+    only ``type-broadcast`` reads its inbox, and each starred vertex, with
+    type-0 partners in both other layers, hears their ``"1"`` and says Yes.
+    """
     return {
         "all-no": ProtocolSpec(
             "all-no", rounds, bandwidth, _no_messages, _all_no,

@@ -19,10 +19,12 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     theorem1_precondition)
 from congestlab.graphs import LAYERS, Layer, VertexId
 from congestlab.params import ParamSchedule, feasibility_check
-from congestlab.protocols import exact_success, registry, wilson_interval
-from congestlab.randomness import derive_rng
-from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_g0,
-                                 sample_gr, sample_gr_tilde)
+from congestlab.protocols import (exact_success, registry, simulate,
+                                  wilson_interval)
+from congestlab.randomness import RandomnessView, derive_rng
+from congestlab.sampling import (_inner_cross_pairs, build_gr_frame,
+                                 enumerate_g0, sample_g0, sample_gr,
+                                 sample_gr_tilde)
 
 MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
 LOOSE = ParamSchedule(n=[1, 5000], d=[6], alpha=[1], beta=[1], gamma=[1])
@@ -185,8 +187,24 @@ def test_criterion_6_elimination_structural_contract():
     report(6, ok, "; ".join(parts))
 
 
+def _framed_inner_transcript_law(pi):
+    """The real law of the starred-pair round-1 transcript at MICRO: pi
+    simulated on the framed level-1 instance of every base instance, each
+    inner pair's messages read in both directions."""
+    law = {}
+    for inner, _, w in enumerate_g0(1):
+        g, emb = build_gr_frame(inner, MICRO, 1)
+        sent = simulate(pi, g, RandomnessView(0))[0].entries
+        key = tuple((sent.get((1, emb.outer(u), emb.outer(v))),
+                     sent.get((1, emb.outer(v), emb.outer(u))))
+                    for u, v, _ in _inner_cross_pairs(inner))
+        law[key] = law.get(key, Fraction(0)) + w
+    return law
+
+
 def test_criterion_7_oblivious_losslessness():
-    pi1 = registry(rounds=1, bandwidth=1)["constant-message"]
+    reg = registry(rounds=1, bandwidth=1)
+    pi1 = reg["constant-message"]
     cfg = EliminationConfig(params=MICRO, level=1, cap=3000)
 
     def g1_support():
@@ -197,17 +215,26 @@ def test_criterion_7_oblivious_losslessness():
     rhs = exact_success(pi1, g1_support())
     pi0 = build_pi_r_minus_1(pi1, cfg)
     lhs = exact_success(pi0, enumerate_g0(1))
-    # transcript laws under the inner-transcript projection, exactly
-    law_real = oracles.exact_inner_transcript_law(MICRO,
-                                                  pi1.message_given_type)
-    law_fake = oracles.exact_inner_transcript_law(MICRO,
-                                                  pi1.message_given_type)
-    d = oracles.tvd_exact(law_real, law_fake)
-    ok = lhs == rhs == Fraction(7, 8) and d == 0
+    # the exact law computed from the declared message map, against the
+    # real law simulated on every framed instance, for every declaring
+    # protocol; a message read both ways must be the declared one
+    tvds = {}
+    for name, pi in reg.items():
+        if pi.message_given_type is None:
+            continue
+        declared = oracles.exact_inner_transcript_law(
+            MICRO, pi.message_given_type)
+        declared = {tuple((bits, bits) for bits in key): w
+                    for key, w in declared.items()}
+        tvds[name] = oracles.tvd_exact(_framed_inner_transcript_law(pi),
+                                       declared)
+    ok = (lhs == rhs == Fraction(7, 8) and len(tvds) == 4
+          and all(d == 0 for d in tvds.values()))
     report(7, ok,
            f"exact_success(built pi0, base micro)={lhs} == "
            f"exact_success(pi1, level-1 micro)={rhs}; projected "
-           f"transcript TVD={d}")
+           f"transcript TVD, simulated vs declared: "
+           + ", ".join(f"{name}={d}" for name, d in tvds.items()))
 
 
 def test_criterion_8_hybrid_decomposition():

@@ -1,6 +1,8 @@
 """Every name a ``congestlab`` module imports at module level is read in
 that module; the package's re-exports count as read through ``__all__``.
-No linter is a dependency, so the check walks the source with ``ast``."""
+Every module-level private helper is read somewhere in the package outside
+its own definition.  No linter is a dependency, so the checks walk the
+source with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,48 @@ def test_the_check_flags_an_import_that_is_never_read():
                          ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_helpers(sources: dict) -> list:
+    """``module._name`` for each module-level ``def _name`` in ``sources``
+    (module name -> source) that no statement of any module reads, by name
+    or as an attribute, outside the helper's own definition."""
+    helpers, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)}
+            own = None
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                own = (module, node.name)
+                helpers.append(own)
+            reads.append((own, names))
+    return sorted(f"{module}.{name}" for module, name in helpers
+                  if not any(name in names for own, names in reads
+                             if own != (module, name)))
+
+
+def test_the_check_flags_a_helper_that_is_never_read():
+    sources = {
+        "a": ("def _solo(n):\n"
+              "    return _solo(n - 1) if n else 0\n"
+              "def _local():\n"
+              "    return 1\n"
+              "def _remote():\n"
+              "    return 2\n"
+              "def f():\n"
+              "    return _local()\n"),
+        "b": ("from . import a\n"
+              "def g():\n"
+              "    return a._remote()\n"),
+    }
+    # a recursive call is no reader
+    assert unread_helpers(sources) == ["a._solo"]
+
+
+def test_every_private_helper_has_a_reader():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_helpers(sources) == []

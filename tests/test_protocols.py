@@ -281,6 +281,22 @@ def test_declared_message_given_type_is_what_round_one_sends(p, family):
                 assert pi.message_fn(1, inp, {}, None) == want, (pi.name, v)
 
 
+@pytest.mark.parametrize("family", [sample_gr, sample_gr_tilde])
+@pytest.mark.parametrize("p", [MICRO, WIDE2], ids=["MICRO", "WIDE2"])
+def test_parity_sends_zero_from_every_starred_vertex(p, family):
+    # a starred vertex has exactly d type-0 pairs toward each other layer,
+    # so its type-0 count 2d is even on every draw of both families
+    pi = registry(rounds=1)["parity"]
+    d = p.level(1)["d"]
+    for seed in range(5):
+        g, emb = family(p, 1, random.Random(seed))[:2]
+        for x in emb.inner_vertices():
+            msgs = pi.message_fn(1, vertex_input(g, emb.outer(x)), {}, None)
+            # one message per round-1 channel: types 0 and 1, both layers
+            assert len(msgs) == 4 * d
+            assert set(msgs.values()) == {"0"}
+
+
 def _echo_messages(i, inp, inbox, view):
     # round 1 sends edge bits; round 2 reports the parity of the ones heard
     # and of the inbox size, so a message seen too early changes the bits
