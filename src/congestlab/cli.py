@@ -28,18 +28,6 @@ from .sampling import sample_g0, sample_gr, sample_gr_tilde
 MEMORY_CAP = 5_000_000
 
 
-# the options each `info` measure reads; any other option is refused, so a
-# wrong pairing fails instead of answering a different question
-INFO_OPTIONS = {
-    "entropy": {"of"},
-    "cond-entropy": {"of", "given"},
-    "mi": {"a", "b"},
-    "cmi": {"a", "b", "given"},
-    "kl": {"other"},
-    "tvd": {"other"},
-}
-
-
 def _load_params(path: str) -> ParamSchedule:
     with open(path) as fh:
         p = ParamSchedule.from_json(fh.read())
@@ -50,6 +38,44 @@ def _load_params(path: str) -> ParamSchedule:
             f"largest layer size ({max(p.n).bit_length()} bits) exceeds "
             f"memory cap {MEMORY_CAP}")
     return p
+
+
+def _coords(arg: str | None) -> list:
+    return [x for x in (arg or "").split(",") if x]
+
+
+def _load_table(path: str) -> infotheory.JointTable:
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"table {path} must be a JSON object, got "
+                         f"{type(obj).__name__}")
+    table = {tuple(row[:-1]): float(row[-1]) for row in obj["entries"]}
+    return infotheory.JointTable(obj["coords"], table)
+
+
+def _laws(j: infotheory.JointTable, other: str) -> tuple:
+    """The full laws of ``j`` and of the table at ``other``."""
+    k = _load_table(other)
+    return j.marginal(j.coords), k.marginal(k.coords)
+
+
+# each `info` measure: the options it reads, in order, and its value on the
+# table and those options.  Any other option is refused, so a wrong pairing
+# fails instead of answering a different question.
+INFO_MEASURES = {
+    "entropy": (("of",), lambda j, of: infotheory.entropy(
+        j.marginal(_coords(of) or j.coords))),
+    "cond-entropy": (("of", "given"), lambda j, of, given:
+                     infotheory.cond_entropy(j, _coords(of), _coords(given))),
+    "mi": (("a", "b"), lambda j, a, b: infotheory.mutual_info(
+        j, _coords(a), _coords(b))),
+    "cmi": (("a", "b", "given"), lambda j, a, b, given:
+            infotheory.cond_mutual_info(j, _coords(a), _coords(b),
+                                        _coords(given))),
+    "kl": (("other",), lambda j, other: infotheory.kl(*_laws(j, other))),
+    "tvd": (("other",), lambda j, other: infotheory.tvd(*_laws(j, other))),
+}
 
 
 def _emit(payload: dict, out: str | None):
@@ -285,8 +311,8 @@ def verify(suite, seed, out):
 @main.command()
 @click.option("--table", "table_path", type=click.Path(exists=True),
               required=True)
-@click.option("--measure", type=click.Choice(
-    ["entropy", "cond-entropy", "mi", "cmi", "kl", "tvd"]), required=True)
+@click.option("--measure", type=click.Choice(list(INFO_MEASURES)),
+              required=True)
 @click.option("--of", default=None, help="Comma-separated coordinates.")
 @click.option("--given", default=None, help="Comma-separated coordinates.")
 @click.option("--a", "a_coords", default=None)
@@ -295,45 +321,19 @@ def verify(suite, seed, out):
               help="Second table for kl/tvd.")
 def info(table_path, measure, of, given, a_coords, b_coords, other):
     """Compute a Shannon measure from a joint-table JSON file."""
-
-    def split(arg):
-        return [x for x in (arg or "").split(",") if x]
-
-    def load(path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError(f"table {path} must be a JSON object, got "
-                             f"{type(obj).__name__}")
-        table = {tuple(row[:-1]): float(row[-1]) for row in obj["entries"]}
-        return infotheory.JointTable(obj["coords"], table)
-
     options = {"of": of, "given": given, "a": a_coords, "b": b_coords,
                "other": other}
+    takes, fn = INFO_MEASURES[measure]
     unused = [f"--{name}" for name, value in options.items()
-              if value is not None and name not in INFO_OPTIONS[measure]]
+              if value is not None and name not in takes]
     if unused:
         raise ValueError(f"--measure {measure} does not take "
                          f"{', '.join(unused)}")
-    j = load(table_path)
-    if measure == "entropy":
-        value = infotheory.entropy(j.marginal(split(of) or j.coords))
-    elif measure == "cond-entropy":
-        value = infotheory.cond_entropy(j, split(of), split(given))
-    elif measure == "mi":
-        value = infotheory.mutual_info(j, split(a_coords), split(b_coords))
-    elif measure == "cmi":
-        value = infotheory.cond_mutual_info(j, split(a_coords),
-                                            split(b_coords), split(given))
-    else:
-        if other is None:
-            raise ValueError(f"--other is required for {measure}")
-        k = load(other)
-        fn = infotheory.kl if measure == "kl" else infotheory.tvd
-        value = fn(j.marginal(j.coords), k.marginal(k.coords))
-    _emit({"config": {"table": table_path, "measure": measure, "of": of,
-                      "given": given, "a": a_coords, "b": b_coords,
-                      "other": other},
+    j = _load_table(table_path)
+    if "other" in takes and other is None:
+        raise ValueError(f"--other is required for {measure}")
+    value = fn(j, *(options[name] for name in takes))
+    _emit({"config": {"table": table_path, "measure": measure, **options},
            "value": value}, None)
 
 

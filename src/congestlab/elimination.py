@@ -50,6 +50,8 @@ class EliminationConfig:
     # last unconditioned-on-messages draw
 
     def __post_init__(self):
+        if self.level != 1:
+            raise InfeasibleParams(f"level 1 only, got level {self.level}")
         if self.fallback not in ("fail", "drop"):
             raise InfeasibleParams(f"unknown fallback policy {self.fallback}")
         if self.cap < 1:
@@ -61,11 +63,10 @@ class EliminationConfig:
 class EliminationReport:
     """What ``run_elimination_trials`` counted.
 
-    ``inconsistency_count`` counts the private stages whose kept draw does
-    not reproduce the vertex's sampled messages: the fallbacks that
-    ``fallback="drop"`` keeps.  Under ``"fail"`` such a stage ends its trial
-    instead, so the count is 0 there, while ``fallback_count`` counts every
-    private stage without a consistent draw under either policy.
+    ``fallback_count`` counts every private stage without a consistent
+    draw.  ``inconsistency_count`` counts those whose unmatched draw was
+    kept: it equals ``fallback_count`` under ``fallback="drop"`` and is 0
+    under ``"fail"``, where such a stage ends its trial instead.
     """
 
     rounds_used: int
@@ -102,10 +103,19 @@ class StageOneState:
 class StageThreeResult:
     vecs: dict  # other layer -> TypeRow of x's completed input
     outgoing: dict  # outer VertexId -> bits
+    partners: dict  # outer partner VertexId -> its one-channel VertexInput
     incoming: dict  # outer VertexId -> bits (from outer partners only)
     fallback_used: bool
     failed: bool
     attempts: int
+
+
+def _require_one_round_regime(pi: ProtocolSpec):
+    """The one regime eliminated here; every entry point checks it first."""
+    if pi.rounds != 1 or not pi.deterministic:
+        raise InfeasibleParams(
+            f"deterministic 1-round protocols only; {pi.name} has "
+            f"rounds={pi.rounds}, deterministic={pi.deterministic}")
 
 
 def _inner_vertices(n_prev: int):
@@ -240,13 +250,12 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     else:
         fallback_used = True  # "drop" keeps the final, unmatched draw
     x_out = st1.outer(x)
-    incoming = {}
-    for w, w_inp in _outer_partners(cfg, st1, x, vecs):
-        bits = pi.message_fn(1, w_inp, {}, None).get(x_out)
-        if bits is not None:
-            incoming[w] = bits
+    partners = dict(_outer_partners(cfg, st1, x, vecs))
+    incoming = {w: bits for w, w_inp in partners.items()
+                if (bits := pi.message_fn(1, w_inp, {}, None).get(x_out))
+                is not None}
     return StageThreeResult(
-        vecs=vecs, outgoing=dict(msgs), incoming=incoming,
+        vecs=vecs, outgoing=dict(msgs), partners=partners, incoming=incoming,
         fallback_used=fallback_used,
         failed=fallback_used and cfg.fallback == "fail", attempts=attempts)
 
@@ -290,9 +299,10 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     among them, reading the pair's type from that endpoint's row.  ``rung``
     picks the stages that keep the true inner input (``LADDER``; the private
     stage always does).  ``view`` hands out the tapes as a
-    ``RandomnessView`` does.  A vertex past ``n_prev``, or a row whose
-    length is not ``n_prev``, is refused before any draw.
+    ``RandomnessView`` does.  A protocol outside the regime, a vertex past
+    ``n_prev`` or a row whose length is not ``n_prev`` is refused first.
     """
+    _require_one_round_regime(pi)
     n_prev = cfg.params.level(cfg.level)["n_prev"]
     for x, rows in inputs.items():
         lengths = sorted({len(row) for row in rows.values()})
@@ -365,23 +375,22 @@ class _OwnTapes:
 # -- the compiled protocol and the elimination trials ---------------------
 
 
-def _pi_r_output(pi: ProtocolSpec, st1: StageOneState, x: VertexId,
-                 s3: StageThreeResult, m_in_in: dict, cfg: EliminationConfig,
-                 view) -> bool:
+def _pi_r_output(pi: ProtocolSpec, cfg: EliminationConfig, run: StagedRun,
+                 x: VertexId, view) -> bool:
     """The original protocol's answer at x plus the answers of every vertex
     x can simulate (its outer partners and one isolated outer vertex)."""
     n, level = cfg.params.level(cfg.level)["n"], cfg.level
-    x_out = st1.outer(x)
+    s3, x_out = run.s3[x], run.st1.outer(x)
     inbox = {}
-    for y, bits in m_in_in.items():
+    for y, bits in run.received(x).items():
         if bits is not None:
-            inbox[(1, st1.outer(y))] = bits
+            inbox[(1, run.st1.outer(y))] = bits
     for w, bits in s3.incoming.items():
         inbox[(1, w)] = bits
     inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
     if pi.output_fn(inp, inbox, view):
         return True
-    for w, w_inp in _outer_partners(cfg, st1, x, s3.vecs):
+    for w, w_inp in s3.partners.items():
         bits = s3.outgoing.get(w)
         if pi.output_fn(w_inp, {} if bits is None else {(1, x_out): bits},
                         view):
@@ -401,11 +410,7 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     regimes would additionally relay the original protocol's rounds 2..r
     over the input instance's own channels.
     """
-    if not pi.deterministic:
-        raise InfeasibleParams("only deterministic protocols can be compiled")
-    if pi.rounds != 1 or cfg.level != 1:
-        raise InfeasibleParams(
-            "compilation is implemented for the 1-round regime only")
+    _require_one_round_regime(pi)
 
     def message_fn(i, inp, inbox, view):
         return {}
@@ -413,10 +418,7 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     def output_fn(inp, inbox, view):
         x = inp.identity
         run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", _OwnTapes(view))
-        if run.failure is not None:
-            return False
-        return _pi_r_output(pi, run.st1, x, run.s3[x], run.received(x), cfg,
-                            view)
+        return run.failure is None and _pi_r_output(pi, cfg, run, x, view)
 
     return ProtocolSpec(
         name=f"{pi.name}-eliminated",
@@ -436,31 +438,28 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     every inner vertex with the trial's randomness (the tapes agree across
     vertices, so each vertex's share equals the compiled protocol's run at
     that vertex), and judges the compiled protocol's answers against the
-    inner instance.
+    inner instance.  A run that stops is a failed trial and is not judged;
+    ``bandwidth_used`` still counts the private stages it completed.
     """
+    _require_one_round_regime(pi)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n_prev = cfg.params.level(cfg.level)["n_prev"]
-    successes = inconsistencies = fallbacks = failures = 0
-    pair_attempts = private_attempts = 0
-    max_bits = 0
+    successes = fallbacks = failures = 0
+    pair_attempts = private_attempts = max_bits = 0
     for trial in range(trials):
         view = RandomnessView(seed + trial)
         inner, run = _staged_draw(pi, cfg, view, "dfake")
         pair_attempts += run.pair_attempts
         private_attempts += run.private_attempts
-        outputs = {}
-        for x, s3 in run.s3.items():
+        for s3 in run.s3.values():
             fallbacks += s3.fallback_used
-            if s3.failed:
-                break
-            inconsistencies += s3.fallback_used
-            max_bits = max([max_bits] + [len(b) for b in s3.outgoing.values()])
-            outputs[x] = _pi_r_output(pi, run.st1, x, s3, run.received(x),
-                                      cfg, view.restrict(x))
+            if not s3.failed:
+                max_bits = max([max_bits, *map(len, s3.outgoing.values())])
         if run.failure is not None:
             failures += 1
-        elif judge(inner, outputs):
+        elif judge(inner, {x: _pi_r_output(pi, cfg, run, x, view.restrict(x))
+                           for x in run.s3}):
             successes += 1
     return EliminationReport(
         rounds_used=pi.rounds - 1,
@@ -468,7 +467,7 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
         trials=trials,
         successes=successes,
         success_frequency=successes / trials,
-        inconsistency_count=inconsistencies,
+        inconsistency_count=fallbacks if cfg.fallback == "drop" else 0,
         fallback_count=fallbacks,
         failed_trials=failures,
         rejection_attempts=pair_attempts + private_attempts,
@@ -499,6 +498,7 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
     on the ``which`` rung and assemble the instance from each vertex's
     completed input, raising the error of a run that stops.
     """
+    _require_one_round_regime(pi)
     if which not in HYBRIDS:
         raise InfeasibleParams(f"unknown hybrid {which!r}")
     p, level = cfg.params, cfg.level

@@ -8,9 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from congestlab.cli import main
-from congestlab.params import ParamSchedule
-
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
+from schedules import MICRO, SMALL2
 
 
 def write_micro_params(path):
@@ -145,8 +143,7 @@ def test_round_elim_refuses_cap_below_one(tmp_path, cap):
 def test_restructured_commands_refuse_small2(tmp_path, command):
     params = str(tmp_path / "small2.json")
     with open(params, "w") as fh:
-        fh.write(ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1],
-                               gamma=[1]).to_json())
+        fh.write(SMALL2.to_json())
     command = [str(tmp_path / a) if a == "out" else a for a in command]
     result = CliRunner().invoke(main, command + ["--params", params])
     assert result.exit_code == 2

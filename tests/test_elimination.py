@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from decimal import Decimal, getcontext
@@ -23,10 +24,8 @@ from congestlab.protocols import exact_success, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import (enumerate_g0, public_slots, sample_g0,
                                  sample_gr_tilde, sample_inner)
+from schedules import LOOSE, MICRO, SMALL2, SPARSE3, WIDE2
 
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
-WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
-LOOSE = ParamSchedule(n=[1, 5000], d=[6], alpha=[1], beta=[1], gamma=[1])
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
 REG = registry(rounds=1, bandwidth=1)
 
@@ -115,9 +114,8 @@ def test_config_refuses_cap_below_one(cap):
 
 
 def test_config_refuses_a_schedule_restructured_inputs_cannot_complete():
-    small2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
     with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
-        EliminationConfig(params=small2)
+        EliminationConfig(params=SMALL2)
 
 
 def test_config_and_sampler_refuse_what_the_shared_check_refuses():
@@ -156,6 +154,50 @@ def test_build_rounds_and_bandwidth():
         built = build_pi_r_minus_1(pi, CFG)
         assert built.rounds == 0
         assert built.bandwidth <= pi.bandwidth
+
+
+OUTSIDE_THE_REGIME = {
+    "two-round": registry(rounds=2)["type-broadcast"],
+    "randomized": dataclasses.replace(REG["type-broadcast"],
+                                      deterministic=False),
+}
+
+
+@pytest.mark.parametrize("kind", list(OUTSIDE_THE_REGIME))
+def test_every_entry_point_refuses_a_protocol_outside_the_regime(
+        monkeypatch, kind):
+    pi = OUTSIDE_THE_REGIME[kind]
+    g, _ = sample_g0(1, random.Random(0))
+    inputs = {x: g.type_rows(x) for x in g.vertices()}
+
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    for name in ("derive_rng", "sample_inner", "sample_public_stage",
+                 "sample_gr_tilde"):
+        monkeypatch.setattr(elimination, name, no_draw)
+    calls = {
+        "build": lambda: build_pi_r_minus_1(pi, CFG),
+        "trials": lambda: run_elimination_trials(pi, CFG, 3, 0),
+        "stages": lambda: run_stages(pi, CFG, inputs, "dfake",
+                                     RandomnessView(0)),
+        **{which: lambda which=which: hybrid_sampler(which, pi, CFG, 0)
+           for which in HYBRIDS},
+    }
+    messages = {}
+    for name, call in calls.items():
+        with pytest.raises(InfeasibleParams) as exc:
+            call()
+        messages[name] = str(exc.value)
+    assert len(set(messages.values())) == 1, messages
+    assert "deterministic 1-round protocols only" in messages["build"]
+
+
+def test_config_refuses_a_level_other_than_one():
+    two_levels = ParamSchedule(n=[1, 29, 10 ** 6], d=[6, 5046],
+                               alpha=[1, 1], beta=[1, 1], gamma=[1, 1])
+    with pytest.raises(InfeasibleParams, match="level 1 only, got level 2"):
+        EliminationConfig(two_levels, level=2)
 
 
 def test_build_rejects_deeper_regimes():
@@ -249,29 +291,40 @@ def test_staged_transcript_equals_a_replay_on_the_assembled_instance(
     assert any(collided) if collides else not any(collided)
 
 
-def _drawn(st1, s3, m_in_in):
-    rows = {w: dict(row.slots) for w, row in s3.vecs.items()}
-    return (st1, rows, s3.outgoing, s3.incoming, s3.fallback_used,
-            s3.failed, s3.attempts, m_in_in)
+def _row(row):
+    return row.n, row.default, dict(row.slots)
 
 
-@pytest.mark.parametrize("p, seeds", [(MICRO, 15), (WIDE2, 3)],
-                         ids=["MICRO", "WIDE2"])
-def test_shared_run_equals_compiled_protocol(monkeypatch, p, seeds):
+def _drawn(run, x):
+    s3 = run.s3[x]
+    rows = {w: _row(row) for w, row in s3.vecs.items()}
+    partners = {w: (inp.identity, inp.r,
+                    {layer: _row(row) for layer, row in inp.vectors.items()})
+                for w, inp in s3.partners.items()}
+    return (run.st1, rows, s3.outgoing, partners, s3.incoming,
+            s3.fallback_used, s3.failed, s3.attempts, run.received(x))
+
+
+@pytest.mark.parametrize("p, names, seeds", [
+    (MICRO, list(REG), 15),
+    (WIDE2, list(REG), 3),
+    (SPARSE3, ["type-broadcast", "parity", "probe-first-slot"], 1),
+], ids=["MICRO", "WIDE2", "SPARSE3"])
+def test_shared_run_equals_compiled_protocol(monkeypatch, p, names, seeds):
     # one shared run of the stages gives every inner vertex the draws and
     # the answer that vertex reaches alone in the compiled protocol; at
-    # WIDE2 (n_prev = 2) the inner indices differ, so a pair type read from
-    # the wrong slot of a row shows
+    # WIDE2 and SPARSE3 (n_prev = 2 and 3) the inner indices differ, so a
+    # pair type read from the wrong slot of a row shows
     real = elimination._pi_r_output
     seen = {}
 
-    def spy(pi, st1, x, s3, m_in_in, *rest):
-        seen[x] = _drawn(st1, s3, m_in_in)
-        return real(pi, st1, x, s3, m_in_in, *rest)
+    def spy(pi, cfg, run, x, view):
+        seen[x] = _drawn(run, x)
+        return real(pi, cfg, run, x, view)
 
     monkeypatch.setattr(elimination, "_pi_r_output", spy)
     cfg = EliminationConfig(params=p, level=1, cap=3000)
-    for pi in REG.values():
+    for pi in (REG[name] for name in names):
         built = build_pi_r_minus_1(pi, cfg)
         for seed in range(seeds):
             inner = sample_inner(p, 0, derive_rng(seed, "inner"))
@@ -279,14 +332,12 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, seeds):
             inputs = {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
             run = run_stages(pi, cfg, inputs, "dfake", view)
             assert run.failure is None
-            shared = {x: real(pi, run.st1, x, s3, run.received(x), cfg,
-                              view.restrict(x))
-                      for x, s3 in run.s3.items()}
+            shared = {x: real(pi, cfg, run, x, view.restrict(x))
+                      for x in run.s3}
             seen.clear()
             _, outputs = simulate(built, inner, RandomnessView(seed))
             assert outputs == shared
-            assert seen == {x: _drawn(run.st1, s3, run.received(x))
-                            for x, s3 in run.s3.items()}
+            assert seen == {x: _drawn(run, x) for x in run.s3}
 
 
 def test_own_tapes_refuse_other_vertices():

@@ -15,12 +15,9 @@ from congestlab.oracles import (collision_bound, collision_rate,
                                 project_degree_excess, project_inner_input,
                                 project_inner_transcript, tvd_exact,
                                 zero_round_optimum)
-from congestlab.params import ParamSchedule
 from congestlab.protocols import registry
 from congestlab.sampling import sample_g0, sample_gr, sample_gr_tilde
-
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
-LOOSE = ParamSchedule(n=[1, 5000], d=[6], alpha=[1], beta=[1], gamma=[1])
+from schedules import LOOSE, MICRO, SMALL2
 
 
 def test_triangle_prob_is_one_eighth_any_n0():
@@ -133,6 +130,5 @@ def test_collision_bound_dominates_exact():
 
 
 def test_exact_collision_needs_single_inner_vertex():
-    p = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
     with pytest.raises(CapExceeded):
-        exact_collision_probability(p, 1)
+        exact_collision_probability(SMALL2, 1)

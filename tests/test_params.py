@@ -5,8 +5,7 @@ from congestlab.params import (ParamSchedule, canonical_params,
                                feasibility_check, require_feasible,
                                require_restructured_feasible,
                                restructured_feasibility_check)
-
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
+from schedules import MICRO, SMALL2
 
 
 def test_canonical_exact_integers():
@@ -94,9 +93,8 @@ def test_json_roundtrip_and_canonical_shortcut():
 
 def test_restructured_gate_runs_the_shared_check_first():
     require_restructured_feasible(MICRO, 1)
-    small2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
     with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
-        require_restructured_feasible(small2, 1)
+        require_restructured_feasible(SMALL2, 1)
     # both checks fail here (18 > 6 fixed slots); the shared one answers,
     # and the restructured one is not reached
     both = ParamSchedule(n=[2, 50], d=[6], alpha=[1], beta=[1], gamma=[1])

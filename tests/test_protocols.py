@@ -16,9 +16,8 @@ from congestlab.protocols import (ProtocolSpec, VertexInput, exact_success,
 from congestlab.randomness import RandomnessView
 from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
                                  sample_gr_tilde)
+from schedules import MICRO, WIDE2
 
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
-WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
 SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "schedules"
 
 

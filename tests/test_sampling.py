@@ -19,13 +19,8 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
                                  sample_gr, sample_gr_tilde, sample_inner,
                                  sample_tilde_input, _Complement,
                                  _sample_d_in_slot_conditioned, _sample_ids)
+from schedules import LOOSE, MICRO, SMALL2, WIDE2
 
-MICRO = ParamSchedule(n=[1, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
-SMALL2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
-LOOSE = ParamSchedule(n=[1, 5000], d=[6], alpha=[1], beta=[1], gamma=[1])
-# n_prev = 2 fills K sets on both sides; SMALL2's d = 8 is too small for
-# the restructured completion, whose fixed type-1 slots can reach 18
-WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
 
 
