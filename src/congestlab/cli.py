@@ -257,8 +257,7 @@ def round_elim(proto_name, params_path, bandwidth, trials, seed, cap,
     """Compile away the first round and report the trial statistics."""
     p = _load_params(params_path)
     pi = _protocol(proto_name, 1, bandwidth)
-    cfg = elimination.EliminationConfig(params=p, level=1, cap=cap,
-                                        fallback=fallback)
+    cfg = elimination.EliminationConfig(params=p, cap=cap, fallback=fallback)
     report = elimination.run_elimination_trials(pi, cfg, trials, seed)
     payload = {
         "config": {"protocol": proto_name, "params": params_path,

@@ -24,39 +24,42 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import LAYERS, TypeRow, VertexId
 from .params import ParamSchedule, require_restructured_feasible
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
-from .sampling import (InnerEmbedding, _sample_d_in_slot_conditioned,
-                       _sample_ids, public_slots, rebuild_from_inner_views,
-                       sample_aux, sample_d_in, sample_gr, sample_gr_tilde,
-                       sample_inner, sample_tilde_input)
+from .sampling import (InnerEmbedding, outer_channels, public_slots,
+                       rebuild_from_inner_views, sample_d_in,
+                       sample_d_in_conditioned, sample_frame, sample_gr,
+                       sample_gr_tilde, sample_inner, sample_tilde_input)
 
 HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
+
+# the one level eliminated here: level 1 around a level-0 inner instance
+LEVEL = 1
 
 
 @dataclass
 class EliminationConfig:
-    """Knobs of one elimination experiment."""
+    """Knobs of one elimination experiment; ``level`` is checked, not kept."""
 
     params: ParamSchedule
-    level: int = 1
+    level: InitVar[int] = LEVEL
     cap: int = 100_000
     fallback: str = "fail"  # "fail" marks the trial failed; "drop" keeps the
     # last unconditioned-on-messages draw
 
-    def __post_init__(self):
-        if self.level != 1:
-            raise InfeasibleParams(f"level 1 only, got level {self.level}")
+    def __post_init__(self, level: int):
+        if level != LEVEL:
+            raise InfeasibleParams(f"level {LEVEL} only, got level {level}")
         if self.fallback not in ("fail", "drop"):
             raise InfeasibleParams(f"unknown fallback policy {self.fallback}")
         if self.cap < 1:
             raise InfeasibleParams(f"cap must be at least 1, got {self.cap}")
-        require_restructured_feasible(self.params, self.level)
+        require_restructured_feasible(self.params, LEVEL)
 
 
 @dataclass
@@ -134,23 +137,31 @@ def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
           x: VertexId, n_in, rng: random.Random):
     """One restructured input of x around the inner rows ``n_in`` (true or
     phantom), with the round-1 messages x sends on it."""
-    vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, cfg.level,
-                              rng, n_in)
-    inp = VertexInput(identity=st1.outer(x), vectors=vecs, r=cfg.level)
+    vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, LEVEL, rng,
+                              n_in)
+    inp = VertexInput(identity=st1.outer(x), vectors=vecs, r=LEVEL)
     return vecs, pi.message_fn(1, inp, {}, None)
 
 
-def _m_pub_targets(x: VertexId, st_ids: dict, aux, level: int,
-                   n_prev: int) -> list:
+def _reproduce(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
+               x: VertexId, record: dict, inner, rng: random.Random):
+    """Draw x's restructured input around the inner rows ``inner()`` until
+    its round-1 messages reproduce ``record``, at most ``cfg.cap`` times.
+    Returns the last draw's rows and messages, the attempts made and
+    whether the messages match."""
+    for attempts in range(1, cfg.cap + 1):
+        vecs, msgs = _draw(pi, cfg, st1, x, inner(), rng)
+        if all(msgs.get(w) == bits for w, bits in record.items()):
+            return vecs, msgs, attempts, True
+    return vecs, msgs, attempts, False
+
+
+def _m_pub_targets(x: VertexId, st_ids: dict, aux, n_prev: int) -> list:
     """The predecessor slots of the public singleton sets: members of
     L_{t,i}^{x->Y} whose index precedes the i-th starred identity of Y."""
     return [VertexId(target, idx)
-            for target, _, i, idx in public_slots(x, aux, level, n_prev)
+            for target, _, i, idx in public_slots(x, aux, LEVEL, n_prev)
             if idx < st_ids[target][i - 1]]
-
-
-def _matches(msgs: dict, record: dict) -> bool:
-    return all(msgs.get(w) == bits for w, bits in record.items())
 
 
 def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
@@ -162,19 +173,17 @@ def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     conditioning of the ``h1`` law); otherwise they draw a fresh inner input
     from its marginal.
     """
-    p, level = cfg.params, cfg.level
-    lv = p.level(level)
-    n_prev = lv["n_prev"]
-    ids = _sample_ids(lv["n"], n_prev, rng)
-    st1 = StageOneState(ids=ids, aux=sample_aux(ids, p, level, rng), m_pub={})
+    p = cfg.params
+    n_prev = p.level(LEVEL)["n_prev"]
+    st1 = StageOneState(*sample_frame(p, LEVEL, rng), m_pub={})
     for x in _inner_vertices(n_prev):
         if inputs is None:
-            n_in = dict(zip(x.layer.others, sample_d_in(p, level - 1, rng)))
+            n_in = dict(zip(x.layer.others, sample_d_in(p, LEVEL - 1, rng)))
         else:
             n_in = inputs[x]
         _, msgs = _draw(pi, cfg, st1, x, n_in, rng)
         st1.m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(
-            x, ids, st1.aux, level, n_prev)}
+            x, st1.ids, st1.aux, n_prev)}
     return st1
 
 
@@ -191,39 +200,33 @@ def sample_pair_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     """
     others = x.layer.others
     slot_position = 0 if y.layer is others[0] else 1
-    y_out = st1.outer(y)
-    for attempt in range(1, cfg.cap + 1):
-        phantom = n_in
-        if n_in is None:
-            phantom = dict(zip(others, _sample_d_in_slot_conditioned(
-                cfg.params, cfg.level - 1, pair_type, slot_position, y.index,
-                rng)))
-        _, msgs = _draw(pi, cfg, st1, x, phantom, rng)
-        if _matches(msgs, st1.m_pub[x]):
-            return msgs.get(y_out), attempt
-    raise EmptyOrRareSupport(
-        f"no phantom input of {x} reproduces the public messages within "
-        f"{cfg.cap} attempts", pair=(x, y),
-    )
+
+    def phantom():
+        return n_in if n_in is not None else dict(zip(
+            others, sample_d_in_conditioned(cfg.params, LEVEL - 1, pair_type,
+                                            slot_position, y.index, rng)))
+
+    _, msgs, attempts, matched = _reproduce(pi, cfg, st1, x, st1.m_pub[x],
+                                            phantom, rng)
+    if not matched:
+        raise EmptyOrRareSupport(
+            f"no phantom input of {x} reproduces the public messages within "
+            f"{cfg.cap} attempts", pair=(x, y))
+    return msgs.get(st1.outer(y)), attempts
 
 
 def _outer_partners(cfg: EliminationConfig, st1: StageOneState, x: VertexId,
                     vecs: dict):
-    """Each outer channel partner w of x, with the full input of w, whose
-    single channel goes to x.  Stored slots are non-default, so each
-    non-starred one is such a partner."""
-    n, level = cfg.params.level(cfg.level)["n"], cfg.level
+    """Each outer channel partner w of x (``outer_channels``), with the full
+    input of w, whose single channel goes to x."""
+    n = cfg.params.level(LEVEL)["n"]
     x_out = st1.outer(x)
-    starred = {layer: set(st1.ids[layer]) for layer in LAYERS}
-    for w_layer, row in vecs.items():
-        for j, t in row.slots.items():
-            if j + 1 in starred[w_layer]:
-                continue
-            w = VertexId(w_layer, j + 1)
-            vectors = {layer: TypeRow(n, level + 1, {x_out.index - 1: t}
-                                      if layer is x.layer else None)
-                       for layer in w_layer.others}
-            yield w, VertexInput(identity=w, vectors=vectors, r=level)
+    for w_layer, index, t in outer_channels(vecs, st1.ids):
+        w = VertexId(w_layer, index)
+        vectors = {layer: TypeRow(n, LEVEL + 1, {x_out.index - 1: t}
+                                  if layer is x.layer else None)
+                   for layer in w_layer.others}
+        yield w, VertexInput(identity=w, vectors=vectors, r=LEVEL)
 
 
 def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
@@ -242,13 +245,10 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     # outer identity
     target_msgs = {**st1.m_pub[x],
                    **{st1.outer(y): bits for y, bits in m_in_out.items()}}
-    for attempts in range(1, cfg.cap + 1):
-        vecs, msgs = _draw(pi, cfg, st1, x, n_in, rng)
-        if _matches(msgs, target_msgs):
-            fallback_used = False
-            break
-    else:
-        fallback_used = True  # "drop" keeps the final, unmatched draw
+    # "drop" keeps the final, unmatched draw
+    vecs, msgs, attempts, matched = _reproduce(pi, cfg, st1, x, target_msgs,
+                                               lambda: n_in, rng)
+    fallback_used = not matched
     x_out = st1.outer(x)
     partners = dict(_outer_partners(cfg, st1, x, vecs))
     incoming = {w: bits for w, w_inp in partners.items()
@@ -303,7 +303,7 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     ``n_prev`` or a row whose length is not ``n_prev`` is refused first.
     """
     _require_one_round_regime(pi)
-    n_prev = cfg.params.level(cfg.level)["n_prev"]
+    n_prev = cfg.params.level(LEVEL)["n_prev"]
     for x, rows in inputs.items():
         lengths = sorted({len(row) for row in rows.values()})
         if x.index > n_prev or lengths != [n_prev]:
@@ -347,7 +347,7 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
 def _staged_draw(pi: ProtocolSpec, cfg: EliminationConfig,
                  view: RandomnessView, rung: str):
     """The inner instance of ``view``'s seed, and the stages run on it."""
-    inner = sample_inner(cfg.params, cfg.level - 1,
+    inner = sample_inner(cfg.params, LEVEL - 1,
                          derive_rng(view.seed, "inner"))
     inputs = {x: inner.type_rows(x) for x in inner.vertices()}
     return inner, run_stages(pi, cfg, inputs, rung, view)
@@ -379,7 +379,7 @@ def _pi_r_output(pi: ProtocolSpec, cfg: EliminationConfig, run: StagedRun,
                  x: VertexId, view) -> bool:
     """The original protocol's answer at x plus the answers of every vertex
     x can simulate (its outer partners and one isolated outer vertex)."""
-    n, level = cfg.params.level(cfg.level)["n"], cfg.level
+    n = cfg.params.level(LEVEL)["n"]
     s3, x_out = run.s3[x], run.st1.outer(x)
     inbox = {}
     for y, bits in run.received(x).items():
@@ -387,7 +387,7 @@ def _pi_r_output(pi: ProtocolSpec, cfg: EliminationConfig, run: StagedRun,
             inbox[(1, run.st1.outer(y))] = bits
     for w, bits in s3.incoming.items():
         inbox[(1, w)] = bits
-    inp = VertexInput(identity=x_out, vectors=s3.vecs, r=level)
+    inp = VertexInput(identity=x_out, vectors=s3.vecs, r=LEVEL)
     if pi.output_fn(inp, inbox, view):
         return True
     for w, w_inp in s3.partners.items():
@@ -398,7 +398,7 @@ def _pi_r_output(pi: ProtocolSpec, cfg: EliminationConfig, run: StagedRun,
     # one isolated outer vertex stands in for all channel-free vertices
     iso = VertexInput(
         identity=VertexId(x.layer, n),
-        vectors={w: TypeRow(n, level + 1) for w in x.layer.others}, r=level)
+        vectors={w: TypeRow(n, LEVEL + 1) for w in x.layer.others}, r=LEVEL)
     return bool(pi.output_fn(iso, {}, view))
 
 
@@ -438,13 +438,13 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     every inner vertex with the trial's randomness (the tapes agree across
     vertices, so each vertex's share equals the compiled protocol's run at
     that vertex), and judges the compiled protocol's answers against the
-    inner instance.  A run that stops is a failed trial and is not judged;
-    ``bandwidth_used`` still counts the private stages it completed.
+    inner instance.  A run that stops is a failed trial and is not judged,
+    and ``bandwidth_used`` reads only the judged runs.
     """
     _require_one_round_regime(pi)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n_prev = cfg.params.level(cfg.level)["n_prev"]
+    n_prev = cfg.params.level(LEVEL)["n_prev"]
     successes = fallbacks = failures = 0
     pair_attempts = private_attempts = max_bits = 0
     for trial in range(trials):
@@ -452,14 +452,14 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
         inner, run = _staged_draw(pi, cfg, view, "dfake")
         pair_attempts += run.pair_attempts
         private_attempts += run.private_attempts
-        for s3 in run.s3.values():
-            fallbacks += s3.fallback_used
-            if not s3.failed:
-                max_bits = max([max_bits, *map(len, s3.outgoing.values())])
+        fallbacks += sum(s3.fallback_used for s3 in run.s3.values())
         if run.failure is not None:
             failures += 1
-        elif judge(inner, {x: _pi_r_output(pi, cfg, run, x, view.restrict(x))
-                           for x in run.s3}):
+            continue
+        max_bits = max([max_bits, *(len(bits) for s3 in run.s3.values()
+                                    for bits in s3.outgoing.values())])
+        if judge(inner, {x: _pi_r_output(pi, cfg, run, x, view.restrict(x))
+                         for x in run.s3}):
             successes += 1
     return EliminationReport(
         rounds_used=pi.rounds - 1,
@@ -501,10 +501,10 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
     _require_one_round_regime(pi)
     if which not in HYBRIDS:
         raise InfeasibleParams(f"unknown hybrid {which!r}")
-    p, level = cfg.params, cfg.level
+    p = cfg.params
     view = RandomnessView(seed)
     if which == "dtilde_real":
-        g, emb, aux, _ = sample_gr_tilde(p, level,
+        g, emb, aux, _ = sample_gr_tilde(p, LEVEL,
                                          derive_rng(seed, "gtilde"))
         transcript, _ = simulate(pi, g, view)
         return g, emb, aux, transcript
@@ -513,7 +513,7 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
     if run.failure is not None:
         raise run.failure
     g = rebuild_from_inner_views(
-        p.level(level)["n"], level, run.st1.ids,
+        p.level(LEVEL)["n"], LEVEL, run.st1.ids,
         {x: s3.vecs for x, s3 in run.s3.items()})
     transcript = Transcript()
     for x, s3 in run.s3.items():

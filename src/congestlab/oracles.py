@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import CapExceeded, InvalidDistribution
 from .params import ParamSchedule
-from .sampling import (_inner_cross_pairs, enumerate_g0, has_collision,
+from .sampling import (enumerate_g0, has_collision, inner_cross_pairs,
                        inner_views, sample_gr_tilde)
 
 # largest inner support ``exact_inner_transcript_law`` enumerates
@@ -125,7 +125,7 @@ def project_inner_input(drawn) -> tuple:
     """The inner instance as seen through the embedding (all inner pair types)."""
     g, emb = drawn[0], drawn[1]
     return tuple(g.pair_type(emb.outer(u), emb.outer(v))
-                 for u, v, _ in _inner_cross_pairs(emb.inner))
+                 for u, v, _ in inner_cross_pairs(emb.inner))
 
 
 def project_inner_transcript(message_given_type):
@@ -151,7 +151,7 @@ def exact_inner_transcript_law(p: ParamSchedule, message_given_type) -> dict:
     law: dict = {}
     for inner, _, w in enumerate_g0(n0):
         key = tuple(message_given_type(t)
-                    for _, _, t in _inner_cross_pairs(inner))
+                    for _, _, t in inner_cross_pairs(inner))
         law[key] = law.get(key, Fraction(0)) + w
     return law
 

@@ -154,7 +154,7 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
 
     # inner pair types are copied verbatim; the inner default (= level) is
     # below the outer default (= level + 1) so every inner pair is stored
-    for u, v, t in _inner_cross_pairs(inner):
+    for u, v, t in inner_cross_pairs(inner):
         g.set_type(emb.outer(u), emb.outer(v), t)
 
     for target in LAYERS:
@@ -175,7 +175,7 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
     return g, emb
 
 
-def _inner_cross_pairs(inner: TypedTripartiteGraph):
+def inner_cross_pairs(inner: TypedTripartiteGraph):
     """Every inner cross-layer pair (u, v, type): layer pairs (A,B), (A,C),
     (B,C), then u's index, then v's.  The exact inner laws key their
     outcomes in this order."""
@@ -245,18 +245,24 @@ def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
     return g
 
 
-def has_collision(views: dict, ids: dict) -> bool:
-    """Whether some non-starred outer vertex carries two or more channels.
+def outer_channels(rows: dict, ids: dict):
+    """The stored slots of an inner vertex's ``rows`` (one ``TypeRow`` per
+    other layer) that reach a vertex outside the starred ``ids``, as (layer,
+    outer index, type).  A stored slot is non-default, so each is a
+    channel."""
+    for layer, row in rows.items():
+        starred = ids[layer]
+        for j, t in row.slots.items():
+            if j + 1 not in starred:
+                yield layer, j + 1, t
 
-    ``views`` holds the rows of every inner vertex and ``ids`` their outer
-    indices.  A stored slot is non-default, so each is a channel; the rule
-    counts, per outer vertex, the stored slots that reach it from the
-    inner vertices and flags any count of two or more.
-    """
-    starred = {layer: set(ids[layer]) for layer in LAYERS}
-    incidence = Counter((w, j) for rows in views.values()
-                        for w, row in rows.items() for j in row.slots
-                        if j + 1 not in starred[w])
+
+def has_collision(views: dict, ids: dict) -> bool:
+    """Whether some non-starred outer vertex carries two or more channels:
+    the ``outer_channels`` of every inner vertex's rows in ``views``, counted
+    per outer vertex (``ids`` holds the starred outer indices)."""
+    incidence = Counter((w, i) for rows in views.values()
+                        for w, i, _ in outer_channels(rows, ids))
     return any(c >= 2 for c in incidence.values())
 
 
@@ -289,13 +295,14 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
     return tuple(g.type_rows(emb.outer(VertexId(Layer.A, 1))).values())
 
 
-def _sample_d_in_slot_conditioned(p: ParamSchedule, level: int, t: int,
-                                  slot_position: int, slot_index: int,
-                                  rng: random.Random):
+def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
+                            slot_position: int, slot_index: int,
+                            rng: random.Random):
     """Rejection-sample the marginal until one slot carries a given type.
 
     ``slot_position`` is 0 for the first other layer and 1 for the second;
-    ``slot_index`` is 1-based.  Returns the full vector pair.
+    ``slot_index`` is 1-based.  Returns the full row pair of the accepted
+    draw, conditioned slot included.
     """
     for _ in range(D_IN_CONDITIONED_CAP):
         vecs = sample_d_in(p, level, rng)
@@ -305,19 +312,6 @@ def _sample_d_in_slot_conditioned(p: ParamSchedule, level: int, t: int,
         f"no acceptance for type {t} at slot {slot_index} within "
         f"{D_IN_CONDITIONED_CAP} attempts"
     )
-
-
-def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
-                            slot_position: int, slot_index: int,
-                            rng: random.Random):
-    """Conditioned marginal with the conditioning slot removed."""
-    vecs = _sample_d_in_slot_conditioned(p, level, t, slot_position,
-                                         slot_index, rng)
-    kept = list(vecs[slot_position])
-    kept.pop(slot_index - 1)
-    if slot_position == 0:
-        return kept, list(vecs[1])
-    return list(vecs[0]), kept
 
 
 # -- restructured family --------------------------------------------------
@@ -404,6 +398,14 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
     return aux
 
 
+def sample_frame(p: ParamSchedule, level: int, rng: random.Random):
+    """The public frame of a restructured instance: the starred outer ids of
+    each layer, then the auxiliaries reserved around them."""
+    lv = p.level(level)
+    ids = _sample_ids(lv["n"], lv["n_prev"], rng)
+    return ids, sample_aux(ids, p, level, rng)
+
+
 def public_slots(x: VertexId, aux: Auxiliaries, level: int, n_prev: int):
     """The publicly forced input slots of one inner vertex, the members of
     its L sets, as (target layer, forced type, starred position i, outer
@@ -446,16 +448,17 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
             for k, idx in enumerate(s.members[w]):
                 slots[w][idx - 1] = draws[w][k]
     # K sets carry inner-marginal draws conditioned on one starred slot
-    # type, with that slot dropped
+    # type; the target row's members skip that slot
     for slot_position, target in enumerate(others):
         for t in range(level + 1):
             for i in range(1, n_prev + 1):
                 for s in aux.K[(x, target, t, i)]:
-                    draws = dict(zip(others, sample_d_in_conditioned(
-                        p, level - 1, t, slot_position, i, rng)))
-                    for w in others:
+                    draws = sample_d_in_conditioned(
+                        p, level - 1, t, slot_position, i, rng)
+                    for w, row in zip(others, draws):
                         for k, idx in enumerate(s.members[w]):
-                            slots[w][idx - 1] = draws[w][k]
+                            slots[w][idx - 1] = row[
+                                k + (w is target and k >= i - 1)]
     # L sets are forced to their bucket's type
     for target, t, _, idx in public_slots(x, aux, level, n_prev):
         slots[target][idx - 1] = t
@@ -492,14 +495,11 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     is ``has_collision`` of the sampled inner views.
     """
     require_restructured_feasible(p, level)
-    lv = p.level(level)
-    n, n_prev = lv["n"], lv["n_prev"]
     inner = sample_inner(p, level - 1, rng)
-    ids = _sample_ids(n, n_prev, rng)
-    aux = sample_aux(ids, p, level, rng)
+    ids, aux = sample_frame(p, level, rng)
     emb = InnerEmbedding(ids=ids, inner=inner)
     views = {v: sample_tilde_input(v, ids, aux, p, level, rng,
                                    n_in=inner.type_rows(v))
              for v in emb.inner_vertices()}
-    g = rebuild_from_inner_views(n, level, ids, views)
+    g = rebuild_from_inner_views(p.level(level)["n"], level, ids, views)
     return g, emb, aux, has_collision(views, ids)

@@ -7,6 +7,9 @@
 - SMALL2: n_prev = 2 fills K sets on both sides, but d = 8 is too small for
   the restructured completion, whose fixed type-1 slots can reach 18.
 - SPARSE3: n_prev = 3 with few collisions (about 1 restructured draw in 20).
+- SPARSE2: n_prev = 2 with collisions rarer still (none in 40 draws).
+- MIXED3 and MIXED4: n_prev = 3 and 4 where about 1 restructured draw in 3
+  collides, so a collision check sees both answers.
 """
 
 from congestlab.params import ParamSchedule
@@ -17,3 +20,9 @@ WIDE2 = ParamSchedule(n=[2, 600], d=[20], alpha=[1], beta=[1], gamma=[1])
 SMALL2 = ParamSchedule(n=[2, 2000], d=[8], alpha=[1], beta=[1], gamma=[1])
 SPARSE3 = ParamSchedule(n=[3, 4_000_000], d=[40], alpha=[1], beta=[1],
                         gamma=[1])
+SPARSE2 = ParamSchedule(n=[2, 1_000_000], d=[20], alpha=[1], beta=[1],
+                        gamma=[1])
+MIXED3 = ParamSchedule(n=[3, 1_000_000], d=[40], alpha=[1], beta=[1],
+                       gamma=[1])
+MIXED4 = ParamSchedule(n=[4, 4_000_000], d=[70], alpha=[1], beta=[1],
+                       gamma=[1])

@@ -22,10 +22,10 @@ from congestlab.params import feasibility_check
 from congestlab.protocols import (exact_success, registry, simulate,
                                   wilson_interval)
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import (_inner_cross_pairs, build_gr_frame,
-                                 enumerate_g0, sample_g0, sample_gr,
+from congestlab.sampling import (build_gr_frame, enumerate_g0,
+                                 inner_cross_pairs, sample_g0, sample_gr,
                                  sample_gr_tilde)
-from schedules import LOOSE, MICRO, SMALL2
+from schedules import LOOSE, MICRO, MIXED4, SMALL2, SPARSE2, SPARSE3
 
 
 def report(num, ok, detail):
@@ -112,8 +112,12 @@ def test_criterion_4_restructured_family_fidelity():
             aux_bad += 1
     ok &= aux_bad == 0
     parts.append(f"aux well-formed on {100 - aux_bad}/100 draws")
-    # (b) collision frequency <= analytic bound + 3 sigma at both schedules
-    for name, p, trials in (("tight", MICRO, 200), ("loose", LOOSE, 300)):
+    # (b) collision frequency <= analytic bound + 3 sigma, at n_prev = 1
+    # (MICRO, LOOSE) and at n_prev = 2, 3 and 4
+    for name, p, trials in (("tight", MICRO, 200), ("loose", LOOSE, 300),
+                            ("sparse2", SPARSE2, 40),
+                            ("sparse3", SPARSE3, 40),
+                            ("mixed4", MIXED4, 40)):
         rate, _ = oracles.collision_rate(p, 1, trials=trials, seed=4)
         bound = oracles.collision_bound(p, 1)
         sigma = math.sqrt(max(bound * (1 - bound), 0.25 / trials) / trials)
@@ -194,7 +198,7 @@ def _framed_inner_transcript_law(pi):
         sent = simulate(pi, g, RandomnessView(0))[0].entries
         key = tuple((sent.get((1, emb.outer(u), emb.outer(v))),
                      sent.get((1, emb.outer(v), emb.outer(u))))
-                    for u, v, _ in _inner_cross_pairs(inner))
+                    for u, v, _ in inner_cross_pairs(inner))
         law[key] = law.get(key, Fraction(0)) + w
     return law
 

@@ -194,6 +194,11 @@ def test_every_entry_point_refuses_a_protocol_outside_the_regime(
 
 
 def test_config_refuses_a_level_other_than_one():
+    # the level is checked, not stored: no stage can read another one
+    cfg = EliminationConfig(MICRO, level=1)
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "params", "cap", "fallback"]
+    assert "level" not in vars(cfg)
     two_levels = ParamSchedule(n=[1, 29, 10 ** 6], d=[6, 5046],
                                alpha=[1, 1], beta=[1, 1], gamma=[1, 1])
     with pytest.raises(InfeasibleParams, match="level 1 only, got level 2"):
@@ -247,6 +252,18 @@ def test_inconsistency_count_counts_the_kept_fallbacks():
         pi, EliminationConfig(MICRO, cap=3, fallback="fail"), 5, 2)
     assert fail.inconsistency_count == 0
     assert fail.fallback_count >= 1
+
+
+def test_bandwidth_is_read_off_judged_runs_only():
+    # at cap 3 the trial stops on 36 of these 60 seeds; a stopped trial is
+    # not judged, so its completed private stages carry no bandwidth
+    cfg = EliminationConfig(MICRO, cap=3, fallback="fail")
+    stopped = 0
+    for seed in range(60):
+        rep = run_elimination_trials(REG["probe-first-slot"], cfg, 1, seed)
+        stopped += rep.failed_trials
+        assert rep.bandwidth_used == (0 if rep.failed_trials else 1), seed
+    assert 0 < stopped < 60
 
 
 def _replay_breaks(pi, cfg, which, seed):

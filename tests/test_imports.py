@@ -1,8 +1,9 @@
 """Every name a ``congestlab`` module imports at module level is read in
 that module; the package's re-exports count as read through ``__all__``.
 Every module-level private function, class and constant is read somewhere
-in the package outside its own definition.  No linter is a dependency, so the checks walk the
-source with ``ast``."""
+in the package outside its own definition.  No module imports a private
+name from another package module.  No linter is a dependency, so the
+checks walk the source with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,35 @@ def test_the_check_flags_an_import_that_is_never_read():
                          ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """The ``_``-prefixed names that ``source`` imports, at any depth, from
+    a ``congestlab`` module, by a relative or an absolute import."""
+    return sorted(
+        a.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0]
+             == "congestlab")
+        for a in node.names if a.name.startswith("_"))
+
+
+def test_the_check_flags_a_private_name_imported_from_the_package():
+    source = ("from __future__ import annotations\n"
+              "from collections import _chain\n"
+              "from .sampling import _draw, sample_aux\n"
+              "from congestlab.graphs import _Row as Row\n"
+              "from . import params\n"
+              "def f():\n"
+              "    from .oracles import _cap\n"
+              "    return _draw, Row, _cap, params._x, _chain, sample_aux\n")
+    assert private_imports(source) == ["_Row", "_cap", "_draw"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert private_imports(path.read_text()) == []
 
 
 def defined_names(node) -> list:

@@ -17,7 +17,7 @@ from congestlab.oracles import (collision_bound, collision_rate,
                                 zero_round_optimum)
 from congestlab.protocols import registry
 from congestlab.sampling import sample_g0, sample_gr, sample_gr_tilde
-from schedules import LOOSE, MICRO, SMALL2
+from schedules import LOOSE, MICRO, MIXED3, SMALL2
 
 
 def test_triangle_prob_is_one_eighth_any_n0():
@@ -86,6 +86,18 @@ def test_degree_excess_projection_recounts_hybrid_draws():
                 expect = _recount_degree_excess(drawn[0], drawn[1])
                 assert project_degree_excess(drawn) == expect, (which, seed)
                 seen.add(expect)
+    assert seen == {False, True}
+
+
+def test_degree_excess_recounts_restructured_draws():
+    # at n_prev = 3 the starred ids are a list of three per layer; MIXED3
+    # draws collide about 2 times in 5, so both answers are checked
+    seen = set()
+    for seed in range(40):
+        drawn = sample_gr_tilde(MIXED3, 1, random.Random(seed))
+        expect = _recount_degree_excess(drawn[0], drawn[1])
+        assert drawn[3] == project_degree_excess(drawn) == expect, seed
+        seen.add(expect)
     assert seen == {False, True}
 
 

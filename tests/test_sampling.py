@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,10 @@ from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
 from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
                                  public_slots, rebuild_from_inner_views,
                                  sample_aux, sample_d_in,
-                                 sample_d_in_conditioned, sample_g0,
-                                 sample_gr, sample_gr_tilde, sample_inner,
-                                 sample_tilde_input, _Complement,
-                                 _sample_d_in_slot_conditioned, _sample_ids)
+                                 sample_d_in_conditioned, sample_frame,
+                                 sample_g0, sample_gr, sample_gr_tilde,
+                                 sample_inner, sample_tilde_input,
+                                 _Complement, _sample_ids)
 from schedules import LOOSE, MICRO, SMALL2, WIDE2
 
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
@@ -132,12 +133,25 @@ def test_level0_d_in_equals_g0_projection(n0):
 
 
 def test_d_in_conditioned_respects_slot():
-    for t in (0, 1):
-        kept, other = sample_d_in_conditioned(
-            ParamSchedule(n=[1]), 0, t, 0, 1, random.Random(11))
-        # level 0 at n0=1: the conditioning slot is removed, leaving nothing
-        assert kept == []
-        assert len(other) == 1
+    # the accepted draw is the first plain draw whose slot carries t: the
+    # same full rows, with the stream left at the same position
+    for n0 in (1, 2, 3):
+        p = ParamSchedule(n=[n0])
+        for t, slot_position, seed in itertools.product((0, 1), (0, 1),
+                                                        range(3)):
+            for slot_index in range(1, n0 + 1):
+                rng = random.Random(seed)
+                rows = sample_d_in_conditioned(p, 0, t, slot_position,
+                                               slot_index, rng)
+                ref = random.Random(seed)
+                for _ in range(10 ** 4):
+                    expect = sample_d_in(p, 0, ref)
+                    if expect[slot_position][slot_index - 1] == t:
+                        break
+                assert rows == expect
+                assert [len(row) for row in rows] == [n0, n0]
+                assert rows[slot_position][slot_index - 1] == t
+                assert rng.random() == ref.random()
 
 
 def test_conditioned_sampler_cap_raises_empty_or_rare_support(monkeypatch):
@@ -372,7 +386,7 @@ def _dense_tilde_input_reference(x, ids, aux, p, level, rng, n_in=None):
         for t in range(level + 1):
             for i in range(1, n_prev + 1):
                 for s in aux.K[(x, target, t, i)]:
-                    full = _sample_d_in_slot_conditioned(
+                    full = sample_d_in_conditioned(
                         p, level - 1, t, slot_position, i, rng)
                     kept = list(full[slot_position])
                     kept.pop(i - 1)
@@ -411,8 +425,7 @@ def test_sparse_tilde_input_equals_dense_reference(name):
     for seed in range(12 if n < 1000 else 4):
         rng = random.Random(seed)
         inner = sample_inner(p, 0, rng)
-        ids = _sample_ids(n, n_prev, rng)
-        aux = sample_aux(ids, p, 1, rng)
+        ids, aux = sample_frame(p, 1, rng)
         for layer in LAYERS:
             for i in range(1, n_prev + 1):
                 x = VertexId(layer, i)
