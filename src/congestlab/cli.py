@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 import click
 
@@ -289,7 +290,6 @@ def verify(suite, seed, out):
     """Run the oracle suite and exit 0 only if every check passes."""
     checks = {}
     if suite in ("g0", "all"):
-        from fractions import Fraction
         checks["triangle_prob_exact"] = (
             oracles.exact_g0_triangle_prob(1) == Fraction(1, 8))
         checks["zero_round_optimum"] = (

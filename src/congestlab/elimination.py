@@ -27,7 +27,7 @@ import random
 from dataclasses import InitVar, dataclass, field
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
-from .graphs import LAYERS, TypeRow, VertexId
+from .graphs import TypeRow, VertexId, vertices
 from .params import ParamSchedule, require_restructured_feasible
 from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
 from .randomness import RandomnessView, RestrictedView, derive_rng
@@ -121,18 +121,6 @@ def _require_one_round_regime(pi: ProtocolSpec):
             f"rounds={pi.rounds}, deterministic={pi.deterministic}")
 
 
-def _inner_vertices(n_prev: int):
-    for layer in LAYERS:
-        for i in range(1, n_prev + 1):
-            yield VertexId(layer, i)
-
-
-def _inner_partners(x: VertexId, n_prev: int):
-    for layer in x.layer.others:
-        for j in range(1, n_prev + 1):
-            yield VertexId(layer, j)
-
-
 def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
           x: VertexId, n_in, rng: random.Random):
     """One restructured input of x around the inner rows ``n_in`` (true or
@@ -176,7 +164,7 @@ def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     p = cfg.params
     n_prev = p.level(LEVEL)["n_prev"]
     st1 = StageOneState(*sample_frame(p, LEVEL, rng), m_pub={})
-    for x in _inner_vertices(n_prev):
+    for x in vertices(n_prev):
         if inputs is None:
             n_in = dict(zip(x.layer.others, sample_d_in(p, LEVEL - 1, rng)))
         else:
@@ -315,8 +303,10 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
         pi, cfg, view.public_rng("stage1"),
         inputs if "public" in keep else None))
     try:
-        for x in _inner_vertices(n_prev):
-            for y in _inner_partners(x, n_prev):
+        for x in vertices(n_prev):
+            for y in vertices(n_prev):
+                if y.layer is x.layer:
+                    continue
                 if x in inputs:
                     t = inputs[x][y.layer][y.index - 1]
                 elif y in inputs:

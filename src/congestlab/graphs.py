@@ -60,6 +60,14 @@ class VertexId(NamedTuple):
         return f"{self.layer.value}{self.index}"
 
 
+def vertices(n: int):
+    """Every vertex of a graph with ``n`` vertices per layer, by layer and
+    then index."""
+    for layer in LAYERS:
+        for i in range(1, n + 1):
+            yield VertexId(layer, i)
+
+
 def pair_key(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
     """Canonical (layer-order, index) key for an unordered cross-layer pair."""
     return (u, v) if u < v else (v, u)
@@ -208,9 +216,7 @@ class TypedTripartiteGraph:
         return False
 
     def vertices(self):
-        for layer in LAYERS:
-            for i in range(1, self.n + 1):
-                yield VertexId(layer, i)
+        return vertices(self.n)
 
     def neighborhood_vector(self, u: VertexId, target: Layer) -> list[int]:
         """Length-n list of types from ``u`` to every vertex of ``target``."""

@@ -15,6 +15,7 @@ from itertools import product
 
 from .errors import CapExceeded, InvalidDistribution
 from .params import ParamSchedule
+from .protocols import wilson_interval
 from .sampling import (enumerate_g0, has_collision, inner_cross_pairs,
                        inner_views, sample_gr_tilde)
 
@@ -161,8 +162,6 @@ def exact_inner_transcript_law(p: ParamSchedule, message_given_type) -> dict:
 
 def collision_rate(p: ParamSchedule, level: int, trials: int, seed: int):
     """Observed collision frequency with its 95% Wilson interval."""
-    from .protocols import wilson_interval
-
     hits = 0
     for i in range(trials):
         _, _, _, flag = sample_gr_tilde(p, level, random.Random(seed + i))

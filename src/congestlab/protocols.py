@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (BandwidthViolation, ChannelViolation, RegimeMismatch,
                      SupportTooLarge)
@@ -41,10 +42,6 @@ class VertexInput:
     identity: VertexId
     vectors: dict  # other Layer -> TypeRow
     r: int
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.vectors.values())))
 
     def pair_type(self, other: VertexId) -> int:
         return self.vectors[other.layer][other.index - 1]
@@ -205,8 +202,6 @@ def exact_success(p: ProtocolSpec, support):
     across ``PROBE_SEEDS`` seeds on every instance; a tape-dependent outcome
     raises, since no exact value exists then.
     """
-    from fractions import Fraction
-
     seeds = range(1 if p.deterministic else PROBE_SEEDS)
     total = Fraction(0)
     count = 0

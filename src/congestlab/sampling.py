@@ -21,13 +21,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyOrRareSupport, InfeasibleParams
-from .graphs import LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId
+from .errors import InfeasibleParams
+from .graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId,
+                     vertices)
 from .params import (ParamSchedule, aux_draws_per_vertex_layer,
                      require_feasible, require_restructured_feasible)
-
-# attempts of the slot-conditioned rejection sampler of ``sample_d_in``
-D_IN_CONDITIONED_CAP = 10 ** 6
 
 
 class _Complement(Sequence):
@@ -74,19 +72,25 @@ class _Complement(Sequence):
 # -- base family ----------------------------------------------------------
 
 
+def _g0_stream(n0: int, rng: random.Random) -> tuple:
+    """The base family's one draw, in stream order: the starred indices of
+    A, B and C, then the edge coins of (a,b), (b,c) and (c,a)."""
+    index, coin = rng.randrange, rng.random
+    return (index(1, n0 + 1), index(1, n0 + 1), index(1, n0 + 1),
+            coin() < 0.5, coin() < 0.5, coin() < 0.5)
+
+
 def sample_g0(n0: int, rng: random.Random):
     """One 0-round instance plus its starred triple.
 
     Each starred pair is an edge (type 0) with probability 1/2, else type 1.
     All other pairs keep the default type 1 of regime 0.
     """
+    draw = _g0_stream(n0, rng)
+    a, b, c = starred = tuple(map(VertexId, LAYERS, draw[:3]))
     g = TypedTripartiteGraph(n0, 0)
-    starred = tuple(
-        VertexId(layer, rng.randrange(1, n0 + 1)) for layer in LAYERS
-    )
-    a, b, c = starred
-    for u, v in ((a, b), (b, c), (c, a)):
-        if rng.random() < 0.5:
+    for (u, v), edge in zip(((a, b), (b, c), (c, a)), draw[3:]):
+        if edge:
             g.set_type(u, v, 0)
     return g, starred
 
@@ -124,9 +128,6 @@ class InnerEmbedding:
     def starred(self, layer: Layer) -> set:
         return set(self.ids[layer])
 
-    def inner_vertices(self):
-        return self.inner.vertices()
-
 
 def sample_inner(p: ParamSchedule, level: int, rng: random.Random):
     """An instance at the given level (the base family at level 0)."""
@@ -160,18 +161,16 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
     for target in LAYERS:
         pool = pools[target]
         pos = 0
-        for layer in LAYERS:
-            if layer is target:
+        for y in vertices(n_prev):
+            if y.layer is target:
                 continue
-            for i in range(1, n_prev + 1):
-                y = VertexId(layer, i)
-                y_out = emb.outer(y)
-                for t in range(level + 1):
-                    chunk = sorted(pool[pos:pos + d])
-                    pos += d
-                    have = g.channel_degree(y_out, t, target)
-                    for idx in chunk[: d - have]:
-                        g.set_type(y_out, VertexId(target, idx), t)
+            y_out = emb.outer(y)
+            for t in range(level + 1):
+                chunk = sorted(pool[pos:pos + d])
+                pos += d
+                have = g.channel_degree(y_out, t, target)
+                for idx in chunk[: d - have]:
+                    g.set_type(y_out, VertexId(target, idx), t)
     return g, emb
 
 
@@ -226,7 +225,7 @@ def build_gr_frame(inner: TypedTripartiteGraph, p: ParamSchedule, level: int):
 
 def inner_views(g: TypedTripartiteGraph, emb: InnerEmbedding) -> dict:
     """The type rows of every inner vertex, keyed by inner identity."""
-    return {v: g.type_rows(emb.outer(v)) for v in emb.inner_vertices()}
+    return {v: g.type_rows(emb.outer(v)) for v in emb.inner.vertices()}
 
 
 def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
@@ -274,16 +273,13 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
 
     Projects the first inner vertex of layer A; by the relabeling symmetry
     of the construction this is the marginal of any inner vertex.  Rows are
-    returned toward the two other layers in layer order.  Level 0 draws the
-    rows of A1 in a ``sample_g0`` instance directly, as two length-n0 lists,
-    consuming the same stream (three starred indices, then the coins of
-    (a,b), (b,c) and (c,a)); higher levels materialize a full instance and
-    return A1's ``TypeRow``s.
+    returned toward the two other layers in layer order.  Level 0 reads the
+    rows of A1 off ``sample_g0``'s own draw, as two length-n0 lists; higher
+    levels materialize a full instance and return A1's ``TypeRow``s.
     """
     if level == 0:
         n0 = p.n[0]
-        ia, ib, ic = [rng.randrange(1, n0 + 1) for _ in LAYERS]
-        ab, _, ca = [rng.random() < 0.5 for _ in range(3)]
+        ia, ib, ic, ab, _, ca = _g0_stream(n0, rng)
         to_b, to_c = [1] * n0, [1] * n0
         if ia == 1:
             if ab:
@@ -301,17 +297,24 @@ def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
     """Rejection-sample the marginal until one slot carries a given type.
 
     ``slot_position`` is 0 for the first other layer and 1 for the second;
-    ``slot_index`` is 1-based.  Returns the full row pair of the accepted
-    draw, conditioned slot included.
+    ``slot_index`` is 1-based.  Every type from 0 to ``level + 1`` has
+    positive probability at every slot of a level-``level`` row: at level 0
+    type 0 at slot j has probability 1/(2 n0^2), and above it the starred ids
+    and the pools are uniform.  So a condition naming no such slot or type is
+    refused before any draw, and any other one is drawn for without a cap.
+    Returns the full row pair of the accepted draw, conditioned slot
+    included.
     """
-    for _ in range(D_IN_CONDITIONED_CAP):
+    n = p.n[0] if level == 0 else p.level(level)["n"]
+    if (slot_position not in (0, 1) or not 1 <= slot_index <= n
+            or not 0 <= t <= level + 1):
+        raise InfeasibleParams(
+            f"no level-{level} row carries type {t} at slot {slot_index} of "
+            f"position {slot_position}")
+    while True:
         vecs = sample_d_in(p, level, rng)
         if vecs[slot_position][slot_index - 1] == t:
             return vecs
-    raise EmptyOrRareSupport(
-        f"no acceptance for type {t} at slot {slot_index} within "
-        f"{D_IN_CONDITIONED_CAP} attempts"
-    )
 
 
 # -- restructured family --------------------------------------------------
@@ -377,24 +380,22 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
         return pools[layer][p0:p0 + count]
 
     aux = Auxiliaries()
-    for x_layer in LAYERS:
-        others = x_layer.others
-        for i in range(1, n_prev + 1):
-            x = VertexId(x_layer, i)
-            aux.J[x] = [
-                AuxSet({w: take(w, n_prev) for w in others})
-                for _ in range(alpha)
-            ]
-            for target in others:
-                other = others[0] if target is others[1] else others[1]
-                for t in range(level + 1):
-                    for j in range(1, n_prev + 1):
-                        aux.K[(x, target, t, j)] = [
-                            AuxSet({target: take(target, n_prev - 1),
-                                    other: take(other, n_prev)})
-                            for _ in range(beta)
-                        ]
-                        aux.L[(x, target, t, j)] = take(target, gamma)
+    for x in vertices(n_prev):
+        others = x.layer.others
+        aux.J[x] = [
+            AuxSet({w: take(w, n_prev) for w in others})
+            for _ in range(alpha)
+        ]
+        for target in others:
+            other = others[0] if target is others[1] else others[1]
+            for t in range(level + 1):
+                for j in range(1, n_prev + 1):
+                    aux.K[(x, target, t, j)] = [
+                        AuxSet({target: take(target, n_prev - 1),
+                                other: take(other, n_prev)})
+                        for _ in range(beta)
+                    ]
+                    aux.L[(x, target, t, j)] = take(target, gamma)
     return aux
 
 
@@ -500,6 +501,6 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     emb = InnerEmbedding(ids=ids, inner=inner)
     views = {v: sample_tilde_input(v, ids, aux, p, level, rng,
                                    n_in=inner.type_rows(v))
-             for v in emb.inner_vertices()}
+             for v in inner.vertices()}
     g = rebuild_from_inner_views(p.level(level)["n"], level, ids, views)
     return g, emb, aux, has_collision(views, ids)

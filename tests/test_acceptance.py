@@ -17,10 +17,9 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     hybrid_sampler, result1_chain,
                                     run_elimination_trials, theorem1_bound,
                                     theorem1_precondition)
-from congestlab.graphs import LAYERS, Layer, VertexId
+from congestlab.graphs import LAYERS
 from congestlab.params import feasibility_check
-from congestlab.protocols import (exact_success, registry, simulate,
-                                  wilson_interval)
+from congestlab.protocols import exact_success, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  inner_cross_pairs, sample_g0, sample_gr,
@@ -61,7 +60,7 @@ def test_criterion_3_recursive_family_invariants():
         starred = {layer: emb.starred(layer) for layer in LAYERS}
         degree_ok = all(
             g.channel_degree(emb.outer(v), t, w) == 8
-            for v in emb.inner_vertices()
+            for v in emb.inner.vertices()
             for w in v.layer.others
             for t in (0, 1)
         )
@@ -173,6 +172,10 @@ def test_criterion_5_information_measure_suite():
 
 def test_criterion_6_elimination_structural_contract():
     cfg = EliminationConfig(params=MICRO, level=1, cap=3000)
+    # the bandwidth the trials report is the longest message of an
+    # independent run: pi simulated on a framed level-1 instance
+    inner, _ = sample_g0(MICRO.n[0], derive_rng(6, "inner"))
+    framed, _ = build_gr_frame(inner, MICRO, 1)
     parts = []
     ok = True
     for name, pi in registry(rounds=1, bandwidth=1).items():
@@ -181,7 +184,10 @@ def test_criterion_6_elimination_structural_contract():
         rep = run_elimination_trials(pi, cfg, trials=25, seed=6)
         ok &= rep.inconsistency_count == 0
         ok &= rep.rounds_used == 0
+        longest = simulate(pi, framed, RandomnessView(6))[0].max_length()
+        ok &= rep.bandwidth_used == longest
         parts.append(f"{name}: succ={rep.success_frequency:.2f} "
+                     f"bandwidth={rep.bandwidth_used} (simulated {longest}) "
                      f"fallback={rep.fallback_count} "
                      f"inconsistent={rep.inconsistency_count} "
                      f"failed={rep.failed_trials}")
@@ -242,22 +248,16 @@ def test_criterion_8_hybrid_decomposition():
     pi = registry(rounds=1, bandwidth=1)["type-broadcast"]
     cfg = EliminationConfig(params=MICRO, level=1, cap=3000)
     f = pi.message_given_type
-    # exact projected transcript laws: for a type-determined protocol every
-    # hybrid's starred-pair transcript is the same pushforward of the inner
-    # instance law
+    # for a type-determined protocol every hybrid's starred-pair transcript
+    # is the same pushforward of the inner instance law; each sampler is
+    # checked against that exact law, each hybrid from its own seed range,
+    # so no two share an inner instance
     law = oracles.exact_inner_transcript_law(MICRO, f)
-    d_tilde_h1 = oracles.tvd_exact(law, law)
-    d_h1_h2 = oracles.tvd_exact(law, law)
-    d_h2_fake = oracles.tvd_exact(law, law)
-    d_tilde_fake = oracles.tvd_exact(law, law)
-    triangle_ok = d_tilde_fake <= d_tilde_h1 + d_h1_h2 + d_h2_fake
-    # cross-validate each sampler against the exact law empirically; each
-    # hybrid draws from its own seed range, so no two share an inner instance
     proj = oracles.project_inner_transcript(f)
+    trials = 120
     worst = 0.0
     for k, which in enumerate(HYBRIDS):
         counts = {}
-        trials = 120
         for i in range(trials):
             g, emb, _, _ = hybrid_sampler(which, pi, cfg, 1000 * (k + 1) + i)
             key = proj((g, emb))
@@ -265,21 +265,13 @@ def test_criterion_8_hybrid_decomposition():
         d = sum(abs(counts.get(k, 0) / trials - float(p))
                 for k, p in law.items()) / 2
         worst = max(worst, d)
-    empirical_ok = worst <= 0.25
-    # Claim about the real/restructured gap, exactly per projection:
-    # inner-input and inner-transcript laws coincide (identical pushforward),
-    # degree-excess TVD equals the collision probability
-    n_prev = MICRO.n[0]
-    # the recursive family never collides, so the projected TVD is this
+    # the recursive family never collides, so the degree-excess TVD between
+    # it and the restructured family is the collision probability: data
     d_excess = oracles.exact_collision_probability(MICRO, 1)
-    close_ok = d_excess <= Fraction(1, n_prev) and \
-        oracles.tvd_exact(law, law) == 0
-    ok = triangle_ok and empirical_ok and close_ok
-    report(8, ok,
-           f"triangle: {float(d_tilde_fake)} <= "
-           f"{float(d_tilde_h1 + d_h1_h2 + d_h2_fake)}; sampler-vs-law "
-           f"empirical TVD worst={worst:.3f} <= 0.25; degree-excess "
-           f"TVD={float(d_excess):.4f} <= 1/{n_prev}")
+    report(8, worst <= 0.25,
+           f"sampler-vs-law empirical TVD worst={worst:.3f} <= 0.25 over "
+           f"{trials} draws per hybrid; degree-excess TVD="
+           f"{float(d_excess):.10f}")
 
 
 def test_criterion_9_bound_calculators():

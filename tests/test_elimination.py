@@ -1,8 +1,6 @@
 import dataclasses
-import math
 import random
 from decimal import Decimal, getcontext
-from fractions import Fraction
 
 import pytest
 
@@ -14,16 +12,14 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     run_stages, sample_pair_stage,
                                     sample_private_stage,
                                     sample_public_stage, theorem1_bound,
-                                    theorem1_precondition, _inner_partners,
-                                    _inner_vertices, _m_pub_targets,
-                                    _OwnTapes)
+                                    theorem1_precondition, _OwnTapes)
 from congestlab.errors import EmptyOrRareSupport, InfeasibleParams
-from congestlab.graphs import Layer, VertexId
+from congestlab.graphs import Layer, VertexId, vertices
 from congestlab.params import ParamSchedule
-from congestlab.protocols import exact_success, registry, simulate
+from congestlab.protocols import registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import (enumerate_g0, public_slots, sample_g0,
-                                 sample_gr_tilde, sample_inner)
+from congestlab.sampling import (public_slots, sample_g0, sample_gr_tilde,
+                                 sample_inner)
 from schedules import LOOSE, MICRO, SMALL2, SPARSE3, WIDE2
 
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
@@ -33,7 +29,7 @@ REG = registry(rounds=1, bandwidth=1)
 def test_public_stage_shapes_and_forced_slots():
     pi = REG["type-broadcast"]
     st1 = sample_public_stage(pi, CFG, random.Random(0))
-    for x in _inner_vertices(1):
+    for x in vertices(1):
         for target, t, _, idx in public_slots(x, st1.aux, 1, 1):
             assert t in (0, 1)
             assert idx not in st1.ids[target]
@@ -47,7 +43,7 @@ def test_m_pub_size_bound():
     pi = REG["probe-first-slot"]
     for seed in range(10):
         st1 = sample_public_stage(pi, CFG, random.Random(seed))
-        for x in _inner_vertices(1):
+        for x in vertices(1):
             # at most 2 * gamma * (level+1) * n_prev public messages
             assert len(st1.m_pub[x]) <= 2 * 1 * 2 * 1
 
@@ -55,7 +51,7 @@ def test_m_pub_size_bound():
 def test_constant_message_m_pub_is_constant():
     pi = REG["constant-message"]
     st1 = sample_public_stage(pi, CFG, random.Random(1))
-    for x in _inner_vertices(1):
+    for x in vertices(1):
         assert all(bits == "0" for bits in st1.m_pub[x].values())
 
 
@@ -91,11 +87,13 @@ def test_private_stage_consistency_and_degrees():
     pi = REG["type-broadcast"]
     st1 = sample_public_stage(pi, CFG, random.Random(6))
     inner, _ = sample_g0(1, random.Random(6))
-    for x in _inner_vertices(1):
+    for x in vertices(1):
         n_in = {w: [inner.pair_type(x, VertexId(w, 1))]
                 for w in x.layer.others}
         m_in_out = {}
-        for y in _inner_partners(x, 1):
+        for y in vertices(1):
+            if y.layer is x.layer:
+                continue
             t = inner.pair_type(x, y)
             m_in_out[y], _ = sample_pair_stage(pi, CFG, st1, x, y, t,
                                                derive_rng(7, repr(x), repr(y)))
@@ -277,7 +275,7 @@ def _replay_breaks(pi, cfg, which, seed):
     """
     g, emb, _, staged = hybrid_sampler(which, pi, cfg, seed)
     replayed, _ = simulate(pi, g, RandomnessView(seed))
-    starred = {emb.outer(x) for x in emb.inner_vertices()}
+    starred = {emb.outer(x) for x in emb.inner.vertices()}
     collided = {w for u, v, _ in g.stored_pairs() for w in (u, v)
                 if w not in starred and g.total_channel_degree(w) >= 2}
     # a transcript key is (round, sender, receiver)
@@ -346,7 +344,7 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, names, seeds):
         for seed in range(seeds):
             inner = sample_inner(p, 0, derive_rng(seed, "inner"))
             view = RandomnessView(seed)
-            inputs = {x: inner.type_rows(x) for x in _inner_vertices(inner.n)}
+            inputs = {x: inner.type_rows(x) for x in inner.vertices()}
             run = run_stages(pi, cfg, inputs, "dfake", view)
             assert run.failure is None
             shared = {x: real(pi, cfg, run, x, view.restrict(x))

@@ -1,5 +1,6 @@
-"""Every name a ``congestlab`` module imports at module level is read in
-that module; the package's re-exports count as read through ``__all__``.
+"""Every name a ``congestlab`` or test module imports at module level is
+read in that module; the package's re-exports count as read through
+``__all__``.
 Every module-level private function, class and constant is read somewhere
 in the package outside its own definition.  No module imports a private
 name from another package module.  No linter is a dependency, so the
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "congestlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "congestlab"
 
 
 def unused_imports(source: str) -> list:
@@ -41,8 +43,9 @@ def test_the_check_flags_an_import_that_is_never_read():
     assert unused_imports(source) == ["V", "json"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 

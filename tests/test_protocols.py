@@ -265,7 +265,7 @@ def test_declared_message_given_type_is_what_round_one_sends(p, family):
                              "type-broadcast"}
     for seed in range(2):
         g, emb = family(p, 1, random.Random(seed))[:2]
-        starred = [emb.outer(x) for x in emb.inner_vertices()]
+        starred = [emb.outer(x) for x in emb.inner.vertices()]
         touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
         isolated = next(v for v in g.vertices() if v not in touched)
         outer = sorted(touched - set(starred))
@@ -289,7 +289,7 @@ def test_parity_sends_zero_from_every_starred_vertex(p, family):
     d = p.level(1)["d"]
     for seed in range(5):
         g, emb = family(p, 1, random.Random(seed))[:2]
-        for x in emb.inner_vertices():
+        for x in emb.inner.vertices():
             msgs = pi.message_fn(1, vertex_input(g, emb.outer(x)), {}, None)
             # one message per round-1 channel: types 0 and 1, both layers
             assert len(msgs) == 4 * d

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congestlab import sampling
-from congestlab.errors import EmptyOrRareSupport, InfeasibleParams
+from congestlab.errors import InfeasibleParams
 from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow,
                                VertexId)
 from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
@@ -57,7 +56,7 @@ def test_g0_edge_marginal_is_half():
 
 def test_gr_per_type_degree_exact():
     g, emb = sample_gr(SMALL2, 1, random.Random(5))
-    for v in emb.inner_vertices():
+    for v in emb.inner.vertices():
         u = emb.outer(v)
         for w in v.layer.others:
             for t in (0, 1):
@@ -154,12 +153,65 @@ def test_d_in_conditioned_respects_slot():
                 assert rng.random() == ref.random()
 
 
-def test_conditioned_sampler_cap_raises_empty_or_rare_support(monkeypatch):
-    # a level-0 row carries types 0 and 1 only, never 2
-    monkeypatch.setattr(sampling, "D_IN_CONDITIONED_CAP", 7)
+@pytest.mark.parametrize("t, slot_position, slot_index", [
+    (2, 0, 1), (-1, 0, 1), (0, 2, 1), (0, 0, 0), (1, 1, 4),
+], ids=["type-2", "type-minus-1", "position-2", "slot-0", "slot-n0-plus-1"])
+def test_d_in_conditioned_refuses_an_impossible_condition_before_any_draw(
+        t, slot_position, slot_index):
+    # a level-0 row has n0 = 3 slots per position and carries types 0 and 1
     rng = random.Random(0)
-    with pytest.raises(EmptyOrRareSupport, match="within 7 attempts"):
-        sample_d_in_conditioned(MICRO, 0, 2, 0, 1, rng)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleParams, match="no level-0 row carries"):
+        sample_d_in_conditioned(ParamSchedule(n=[3]), 0, t, slot_position,
+                                slot_index, rng)
+    assert rng.getstate() == state
+
+
+class _Scripted:
+    """A stand-in rng that replays one outcome of the level-0 stream: the
+    given indices for ``randrange`` and the given coins for ``random``."""
+
+    def __init__(self, indices, coins):
+        self.indices, self.coins = iter(indices), iter(coins)
+
+    def randrange(self, lo, hi):
+        i = next(self.indices)
+        assert lo <= i < hi
+        return i
+
+    def random(self):
+        return 0.25 if next(self.coins) else 0.75
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3])
+def test_every_level0_slot_type_has_positive_probability(n0):
+    # the exact law of each slot of a level-0 row, enumerated over every
+    # outcome of the draw (three indices in [1, n0], three fair coins)
+    p = ParamSchedule(n=[n0])
+    law = {}
+    for indices in itertools.product(range(1, n0 + 1), repeat=3):
+        for coins in itertools.product((False, True), repeat=3):
+            rng = _Scripted(indices, coins)
+            rows = sample_d_in(p, 0, rng)
+            assert next(rng.indices, None) is None
+            assert next(rng.coins, None) is None
+            for pos, row in enumerate(rows):
+                for j, t in enumerate(row, start=1):
+                    law[(pos, j, t)] = (law.get((pos, j, t), 0)
+                                        + Fraction(1, n0 ** 3 * 8))
+    for pos, j in itertools.product((0, 1), range(1, n0 + 1)):
+        assert law[(pos, j, 0)] == Fraction(1, 2 * n0 ** 2)
+        assert law[(pos, j, 1)] == 1 - Fraction(1, 2 * n0 ** 2)
+    assert len(law) == 2 * n0 * 2
+
+
+def test_every_level1_slot_type_appears_at_micro():
+    # every (position, slot, type in 0..2) of a level-1 row, in 300 draws
+    seen = {(pos, j, t)
+            for s in range(300)
+            for pos, row in enumerate(sample_d_in(MICRO, 1, random.Random(s)))
+            for j, t in enumerate(row, start=1)}
+    assert seen == set(itertools.product((0, 1), range(1, 30), (0, 1, 2)))
 
 
 def test_aux_sets_disjoint_and_sized():
@@ -205,7 +257,7 @@ def test_tilde_input_keeps_given_inner_slot():
 def test_gr_tilde_flags_and_degrees():
     g, emb, aux, flag = sample_gr_tilde(MICRO, 1, random.Random(15))
     assert isinstance(flag, bool)
-    for v in emb.inner_vertices():
+    for v in emb.inner.vertices():
         u = emb.outer(v)
         for w in v.layer.others:
             for t in (0, 1):
