@@ -294,16 +294,29 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
 def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
                             slot_position: int, slot_index: int,
                             rng: random.Random):
-    """Rejection-sample the marginal until one slot carries a given type.
+    """The marginal's two rows, conditioned on one slot carrying type ``t``.
 
     ``slot_position`` is 0 for the first other layer and 1 for the second;
     ``slot_index`` is 1-based.  Every type from 0 to ``level + 1`` has
     positive probability at every slot of a level-``level`` row: at level 0
     type 0 at slot j has probability 1/(2 n0^2), and above it the starred ids
     and the pools are uniform.  So a condition naming no such slot or type is
-    refused before any draw, and any other one is drawn for without a cap.
-    Returns the full row pair of the accepted draw, conditioned slot
+    refused before any draw.  Returns the full row pair, conditioned slot
     included.
+
+    Level 0 draws once from the exact conditional law.  A1's row toward a
+    layer holds at most one type-0 slot; call the conditioned row "own" and
+    the other row "other".
+
+    - t = 0: own is all 1 except 0 at ``slot_index``; other has a 0 at a
+      uniform slot with probability 1/2, else is all 1.
+    - t = 1: with probability (2 n0 - 1)/(2 n0^2 - 1) A1 is the starred
+      vertex; then own has a 0 at a uniform slot other than ``slot_index``
+      with probability (n0 - 1)/(2 n0 - 1), and other is drawn as under
+      t = 0.  Otherwise both rows are all 1.
+
+    Each choice is one integer ``randrange``, so the probabilities are exact.
+    Levels 1 and above redraw ``sample_d_in`` until the slot carries ``t``.
     """
     n = p.n[0] if level == 0 else p.level(level)["n"]
     if (slot_position not in (0, 1) or not 1 <= slot_index <= n
@@ -311,6 +324,21 @@ def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,
         raise InfeasibleParams(
             f"no level-{level} row carries type {t} at slot {slot_index} of "
             f"position {slot_position}")
+    if level == 0:
+        rows = ([1] * n, [1] * n)
+        own, other = rows[slot_position], rows[1 - slot_position]
+        if t == 0:
+            own[slot_index - 1] = 0
+        elif rng.randrange(2 * n * n - 1) < 2 * n - 1:  # A1 is starred
+            k = rng.randrange(2 * n - 1)
+            if k < n - 1:  # k-th slot of own, skipping slot_index
+                own[k + (k >= slot_index - 1)] = 0
+        else:
+            return rows
+        k = rng.randrange(2 * n)
+        if k < n:
+            other[k] = 0
+        return rows
     while True:
         vecs = sample_d_in(p, level, rng)
         if vecs[slot_position][slot_index - 1] == t:

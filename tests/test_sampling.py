@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -131,28 +132,6 @@ def test_level0_d_in_equals_g0_projection(n0):
         assert rng.random() == ref
 
 
-def test_d_in_conditioned_respects_slot():
-    # the accepted draw is the first plain draw whose slot carries t: the
-    # same full rows, with the stream left at the same position
-    for n0 in (1, 2, 3):
-        p = ParamSchedule(n=[n0])
-        for t, slot_position, seed in itertools.product((0, 1), (0, 1),
-                                                        range(3)):
-            for slot_index in range(1, n0 + 1):
-                rng = random.Random(seed)
-                rows = sample_d_in_conditioned(p, 0, t, slot_position,
-                                               slot_index, rng)
-                ref = random.Random(seed)
-                for _ in range(10 ** 4):
-                    expect = sample_d_in(p, 0, ref)
-                    if expect[slot_position][slot_index - 1] == t:
-                        break
-                assert rows == expect
-                assert [len(row) for row in rows] == [n0, n0]
-                assert rows[slot_position][slot_index - 1] == t
-                assert rng.random() == ref.random()
-
-
 @pytest.mark.parametrize("t, slot_position, slot_index", [
     (2, 0, 1), (-1, 0, 1), (0, 2, 1), (0, 0, 0), (1, 1, 4),
 ], ids=["type-2", "type-minus-1", "position-2", "slot-0", "slot-n0-plus-1"])
@@ -203,6 +182,99 @@ def test_every_level0_slot_type_has_positive_probability(n0):
         assert law[(pos, j, 0)] == Fraction(1, 2 * n0 ** 2)
         assert law[(pos, j, 1)] == 1 - Fraction(1, 2 * n0 ** 2)
     assert len(law) == 2 * n0 * 2
+
+
+class _Unscripted(Exception):
+    """Raised by ``_Branching`` at the first call past its prefix."""
+
+    def __init__(self, size):
+        self.size = size
+
+
+class _Branching:
+    """A stand-in rng that replays a prefix of ``randrange(n)`` outcomes and
+    stops the draw at the first call past it, reporting that call's range.
+    It has no ``random``: a float coin cannot be enumerated exactly."""
+
+    def __init__(self, prefix):
+        self.prefix = iter(prefix)
+
+    def randrange(self, n):
+        i = next(self.prefix, None)
+        if i is None:
+            raise _Unscripted(n)
+        assert 0 <= i < n
+        return i
+
+
+def _branching_law(draw, max_calls):
+    """The exact law of ``draw(rng)``, by branching over every outcome of
+    each ``randrange`` call; a path of more than ``max_calls`` calls fails,
+    so a redraw loop cannot branch forever."""
+    law, todo = Counter(), [((), Fraction(1))]
+    while todo:
+        prefix, weight = todo.pop()
+        try:
+            out = draw(_Branching(prefix))
+        except _Unscripted as call:
+            assert len(prefix) < max_calls
+            todo.extend((prefix + (i,), weight / call.size)
+                        for i in range(call.size))
+            continue
+        law[out] += weight
+    return law
+
+
+def test_level0_d_in_conditioned_draws_the_exact_conditional_law():
+    # the plain level-0 law (weight 1/(8 n0^3) per outcome of the stream),
+    # conditioned on each slot's type, equals the law of the direct draw
+    for n0 in (1, 2, 3):
+        p = ParamSchedule(n=[n0])
+        plain = Counter()
+        for indices in itertools.product(range(1, n0 + 1), repeat=3):
+            for coins in itertools.product((False, True), repeat=3):
+                rows = sample_d_in(p, 0, _Scripted(indices, coins))
+                plain[tuple(map(tuple, rows))] += Fraction(1, 8 * n0 ** 3)
+        for t, pos in itertools.product((0, 1), (0, 1)):
+            for j in range(1, n0 + 1):
+                kept = {rows: w for rows, w in plain.items()
+                        if rows[pos][j - 1] == t}
+                mass = sum(kept.values())
+                want = {rows: w / mass for rows, w in kept.items()}
+                got = _branching_law(
+                    lambda rng: tuple(map(tuple, sample_d_in_conditioned(
+                        p, 0, t, pos, j, rng))), max_calls=8)
+                assert got == want, (n0, t, pos, j)
+                for rows in got:
+                    assert [len(row) for row in rows] == [n0, n0]
+                    assert rows[pos][j - 1] == t
+
+
+class _CountingRng:
+    """A seeded ``random.Random`` that counts every method call on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = random.Random(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args):
+            self.calls += 1
+            return method(*args)
+        return counted
+
+
+def test_level0_d_in_conditioned_makes_at_most_four_rng_calls():
+    # one direct draw, never a redraw loop: a single plain level-0 draw
+    # alone makes six calls
+    for n0 in (1, 2, 3):
+        p = ParamSchedule(n=[n0])
+        for t, pos, seed in itertools.product((0, 1), (0, 1), range(20)):
+            for j in range(1, n0 + 1):
+                rng = _CountingRng(seed)
+                sample_d_in_conditioned(p, 0, t, pos, j, rng)
+                assert rng.calls <= 4, (n0, t, pos, j, seed)
 
 
 def test_every_level1_slot_type_appears_at_micro():
