@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from types import MappingProxyType
 
 from .errors import InvalidCoordinate, InvalidDistribution, PremiseViolated
 
@@ -18,45 +20,81 @@ IDENTITY_TOL = 1e-12
 PROPERTY_TOL = 1e-9
 
 
+def _checked(probs: dict):
+    """Yield each ``(outcome, p)`` of ``probs`` in order, then raise
+    InvalidDistribution if the ps do not sum to 1: the one validation rule
+    of every table in this module, applied in the same pass that stores
+    the rows."""
+    total = 0.0
+    for x, p in probs.items():
+        if p < -IDENTITY_TOL:
+            raise InvalidDistribution(f"negative probability at {x!r}")
+        total += p
+        yield x, p
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidDistribution(f"probabilities sum to {total}")
+
+
 class FiniteDistribution:
     """Explicit probability table over a finite outcome set."""
 
     def __init__(self, probs: dict):
-        total = 0.0
-        for x, p in probs.items():
-            if p < -IDENTITY_TOL:
-                raise InvalidDistribution(f"negative probability at {x!r}")
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidDistribution(f"probabilities sum to {total}")
-        self.probs = {x: max(0.0, float(p)) for x, p in probs.items()}
+        self.probs = {x: max(0.0, float(p)) for x, p in _checked(probs)}
 
     def __getitem__(self, x):
         return self.probs.get(x, 0.0)
 
 
 class JointTable:
-    """Joint probability table over named finite coordinates."""
+    """Joint probability table over named finite coordinates.
+
+    ``table`` is read-only, so a table groups its rows at most once per
+    distinct question: ``marginal`` and ``conditionals`` keep each result
+    for the life of the table and hand the same object to every later
+    caller, whichever measure asks.  Returned laws and groupings are
+    therefore shared and must be treated as read-only.
+    """
 
     def __init__(self, coords: list, table: dict):
         self.coords = list(coords)
-        for key in table:
-            if len(key) != len(self.coords):
+        arity = len(self.coords)
+        rows = {}
+        for key, p in _checked(table):
+            if len(key) != arity:
                 raise InvalidCoordinate(f"entry {key!r} arity mismatch")
-        FiniteDistribution({k: p for k, p in table.items()})  # validates
-        self.table = {k: float(p) for k, p in table.items() if p > 0}
+            if p > 0:
+                rows[key] = float(p)
+        self.table = MappingProxyType(rows)
+        # resolved axes -> result; keyed after _axes has checked the names
+        self._memo = {}
 
-    def _axes(self, names):
+    def _axes(self, names) -> tuple:
         try:
-            return [self.coords.index(n) for n in names]
+            return tuple(self.coords.index(n) for n in names)
         except ValueError as exc:
             raise InvalidCoordinate(str(exc)) from None
 
+    def _project(self, axes: tuple):
+        """Every row key projected onto ``axes``, in table order, as tuples."""
+        if not axes:
+            return itertools.repeat((), len(self.table))
+        if len(axes) == 1:
+            # itemgetter of one index yields the bare value; zip wraps it
+            return zip(map(operator.itemgetter(axes[0]), self.table))
+        return map(operator.itemgetter(*axes), self.table)
+
     def marginal(self, names) -> FiniteDistribution:
+        """The law of the named coordinates, summed in table order."""
         axes = self._axes(names)
+        memo_key = ("marginal", axes)
+        law = self._memo.get(memo_key)
+        if law is None:
+            law = self._memo[memo_key] = self._marginal(axes)
+        return law
+
+    def _marginal(self, axes: tuple) -> FiniteDistribution:
         out = {}
-        for key, p in self.table.items():
-            sub = tuple(key[a] for a in axes)
+        for sub, p in zip(self._project(axes), self.table.values()):
             out[sub] = out.get(sub, 0.0) + p
         return FiniteDistribution(out)
 
@@ -69,17 +107,22 @@ class JointTable:
         for bit to the ``marginal(given)`` entry; it and the law's
         numerators are summed in table order.
         """
-        t_axes = self._axes(target)
-        g_axes = self._axes(given)
+        t_axes, g_axes = self._axes(target), self._axes(given)
+        memo_key = ("conditionals", t_axes, g_axes)
+        groups = self._memo.get(memo_key)
+        if groups is None:
+            groups = self._memo[memo_key] = self._conditionals(t_axes, g_axes)
+        return groups
+
+    def _conditionals(self, t_axes: tuple, g_axes: tuple) -> dict:
         groups = {}
-        for key, p in self.table.items():
-            gval = tuple(key[a] for a in g_axes)
+        for gval, sub, p in zip(self._project(g_axes), self._project(t_axes),
+                                self.table.values()):
             group = groups.get(gval)
             if group is None:
                 group = groups[gval] = [0.0, {}]
             group[0] += p
             num = group[1]
-            sub = tuple(key[a] for a in t_axes)
             num[sub] = num.get(sub, 0.0) + p
         # every stored row has p > 0, so every group's denominator is positive
         return {g: (den, FiniteDistribution({k: v / den

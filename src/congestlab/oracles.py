@@ -63,7 +63,7 @@ def zero_round_optimum(n0: int) -> Fraction:
         instances.append((((ab, ca), (ab, bc), (ca, bc)), triangle))
 
     idx = {inp: k for k, inp in enumerate(inputs)}
-    best = Fraction(0)
+    best = 0  # most instances won by one strategy triple, out of 8
     for sa in strategies:
         for sb in strategies:
             for sc in strategies:
@@ -72,9 +72,9 @@ def zero_round_optimum(n0: int) -> Fraction:
                     some_yes = sa[idx[ia]] or sb[idx[ib]] or sc[idx[ic]]
                     if some_yes == triangle:
                         wins += 1
-                if Fraction(wins, 8) > best:
-                    best = Fraction(wins, 8)
-    return best
+                if wins > best:
+                    best = wins
+    return Fraction(best, len(instances))
 
 
 # -- distances between instance laws --------------------------------------

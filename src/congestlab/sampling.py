@@ -16,6 +16,7 @@ All samplers are pure functions of (params, rng state).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -38,11 +39,15 @@ class _Complement(Sequence):
     population it costs ``k`` indexed reads, not ``n``.
     """
 
-    __slots__ = ("n", "taken")
+    __slots__ = ("n", "taken", "_below")
 
     def __init__(self, n: int, taken: list):
         self.n = n
         self.taken = taken
+        # below[i] counts the indices missing from taken that lie under
+        # taken[i]; built on the first indexed read, so a population that
+        # random.sample copies through __iter__ never pays for it
+        self._below = None
 
     def __len__(self) -> int:
         return self.n - len(self.taken)
@@ -52,12 +57,10 @@ class _Complement(Sequence):
         k = j + size if j < 0 else j
         if not 0 <= k < size:
             raise IndexError(f"index {j} outside a complement of length {size}")
-        v = k + 1
-        for t in self.taken:
-            if t > v:
-                break
-            v += 1
-        return v
+        if self._below is None:
+            self._below = [t - i - 1 for i, t in enumerate(self.taken)]
+        # taken[i] precedes the answer exactly when below[i] <= k
+        return k + 1 + bisect_right(self._below, k)
 
     def __iter__(self):
         # walk the gaps: the inherited __iter__ would index every entry

@@ -323,3 +323,102 @@ def test_one_pass_measures_equal_the_per_slice_reference(case):
     if pair is not None:
         assert (overconditioning_check(*pair)
                 == ref_overconditioning_check(*pair))
+
+
+# -- per-table memo: each table groups its rows once per distinct question
+
+
+def fresh(j):
+    """A never-queried copy of ``j``, so a reference reads no memo."""
+    return JointTable(j.coords, dict(j.table))
+
+
+def ordered(groups):
+    return [(g, p, list(law.probs.items())) for g, (p, law) in groups.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_cases())
+def test_memoized_measures_equal_those_of_a_fresh_table(case):
+    mu, nu, a, b, c, pair = case
+    measures = [
+        lambda m, n: list(m.marginal(a + c).probs.items()),
+        lambda m, n: ordered(m.conditionals(a, b + c)),
+        lambda m, n: ordered(m.conditionals(a, [])),
+        lambda m, n: entropy(m.marginal(b)),
+        lambda m, n: cond_entropy(m, a, b + c),
+        lambda m, n: cond_entropy(n, b, a),
+        lambda m, n: mutual_info(m, a, b),
+        lambda m, n: cond_mutual_info(m, a, b, c),
+        lambda m, n: mi_kl_identity_check(m, a, b, c),
+        lambda m, n: pinsker_check(m.marginal(m.coords), n.marginal(n.coords)),
+        lambda m, n: tvd_chain_bound_check(m, n),
+        lambda m, n: ci_outcome(_verify_ci, m, a, b, c),
+    ]
+    if pair is not None:
+        measures.append(lambda m, n: overconditioning_check(*pair))
+    # each order starts from an empty memo and is run twice, so the first
+    # pass mixes misses with hits on questions asked earlier in it and the
+    # second pass hits on every question
+    for order in (measures, measures[::-1]):
+        m, n = fresh(mu), fresh(nu)
+        for _ in range(2):
+            for measure in order:
+                assert measure(m, n) == measure(fresh(mu), fresh(nu))
+
+
+def test_a_suite_op_groups_each_question_once(monkeypatch):
+    passes = {"_marginal": 0, "_conditionals": 0}
+    for name in passes:
+        def counted(self, *axes, _name=name, _run=getattr(JointTable, name)):
+            passes[_name] += 1
+            return _run(self, *axes)
+        monkeypatch.setattr(JointTable, name, counted)
+    rng = random.Random(3)
+    j, k = (random_joint(["A", "B", "C"], [6, 6, 6], rng) for _ in range(2))
+    xz, yz = (random_joint(["X", "Z"], [6, 6], rng) for _ in range(2))
+    # the calls of one measure-suite op of perfbench's verify-info workload,
+    # in its order: 15 conditionals calls ask 8 questions, 12 marginal
+    # calls ask 10
+    entropy(j.marginal(["A", "B", "C"]))
+    entropy(j.marginal(["A"]))
+    cond_entropy(j, ["B"], ["A"])
+    cond_entropy(j, ["C"], ["A", "B"])
+    cond_mutual_info(j, ["A"], ["B"], ["C"])
+    cond_entropy(j, ["A"], ["C"])
+    mi_kl_identity_check(j, ["A"], ["B"], ["C"])
+    pinsker_check(j.marginal(["A", "B"]), k.marginal(["A", "B"]))
+    tvd_chain_bound_check(j, k)
+    overconditioning_check(xz, yz)
+    assert passes == {"_marginal": 10, "_conditionals": 8}
+
+
+def test_projections_onto_no_axis_and_one_axis():
+    j = JointTable(["A", "B"], {(0, 0): 0.25, (1, 0): 0.25, (1, 1): 0.5})
+    assert j.marginal([]).probs == {(): 1.0}
+    assert list(j.marginal(["B"]).probs) == [(0,), (1,)]
+    den, law = j.conditionals(["A"], [])[()]
+    assert den == 1.0 and law.probs == {(0,): 0.25, (1,): 0.75}
+    assert list(j.conditionals(["A"], ["B"])) == [(0,), (1,)]
+    assert cond_entropy(j, ["A"], []) == entropy(j.marginal(["A"]))
+
+
+def test_table_is_read_only():
+    j = JointTable(["A"], {(0,): 0.5, (1,): 0.5})
+    with pytest.raises(TypeError):
+        j.table[(0,)] = 1.0
+    with pytest.raises(TypeError):
+        del j.table[(1,)]
+
+
+def test_joint_table_validates_and_stores_rows_as_finite_distribution_does():
+    with pytest.raises(InvalidCoordinate, match=r"entry \(0,\) arity mismatch"):
+        JointTable(["A", "B"], {(0, 0): 0.5, (0,): 0.5})
+    with pytest.raises(InvalidDistribution,
+                       match=r"negative probability at \(1, 0\)"):
+        JointTable(["A", "B"], {(0, 0): 1.5, (1, 0): -0.5})
+    with pytest.raises(InvalidDistribution, match="probabilities sum to 0.9"):
+        JointTable(["A", "B"], {(0, 0): 0.5, (1, 0): 0.4})
+    j = JointTable(["A", "B"], {(0, 0): 0.0, (1, 1): 1, (0, 1): -1e-13})
+    assert dict(j.table) == {(1, 1): 1.0}
+    assert type(j.table[(1, 1)]) is float

@@ -384,6 +384,13 @@ def test_complement_matches_its_list_when_sample_indexes(taken, seed, k):
     _check_complement(5000, sorted(taken), seed, k)
 
 
+def test_complement_of_a_thousand_taken_indices():
+    # a long taken list, ends of [1, n] included: indexed reads bisect it
+    rng = random.Random(9)
+    taken = sorted({1, 2, 5000} | set(rng.sample(range(1, 5001), 1200)))
+    _check_complement(5000, taken, seed=11, k=60)
+
+
 # -- reservation ------------------------------------------------------------
 
 
