@@ -29,7 +29,8 @@ from dataclasses import InitVar, dataclass, field
 from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import TypeRow, VertexId, vertices
 from .params import ParamSchedule, require_restructured_feasible
-from .protocols import ProtocolSpec, Transcript, VertexInput, judge, simulate
+from .protocols import (ProtocolSpec, Transcript, VertexInput, judge,
+                        round_messages, simulate)
 from .randomness import RandomnessView, RestrictedView, derive_rng
 from .sampling import (InnerEmbedding, outer_channels, public_slots,
                        rebuild_from_inner_views, sample_d_in,
@@ -66,6 +67,10 @@ class EliminationConfig:
 class EliminationReport:
     """What ``run_elimination_trials`` counted.
 
+    Every round-1 message a stage draws, on a phantom input, the completed
+    one or an outer partner's, goes through ``protocols.round_messages``, so
+    a protocol that breaks its channels or its bandwidth raises before any
+    report exists, and ``bandwidth_used`` is at most ``pi.bandwidth``.
     ``fallback_count`` counts every private stage without a consistent
     draw.  ``inconsistency_count`` counts those whose unmatched draw was
     kept: it equals ``fallback_count`` under ``fallback="drop"`` and is 0
@@ -124,11 +129,13 @@ def _require_one_round_regime(pi: ProtocolSpec):
 def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
           x: VertexId, n_in, rng: random.Random):
     """One restructured input of x around the inner rows ``n_in`` (true or
-    phantom), with the round-1 messages x sends on it."""
+    phantom), with the round-1 messages x sends on it, checked by
+    ``round_messages``: a message that breaks the channel or bandwidth rule
+    raises, on a phantom input as on the true one."""
     vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, LEVEL, rng,
                               n_in)
     inp = VertexInput(identity=st1.outer(x), vectors=vecs, r=LEVEL)
-    return vecs, pi.message_fn(1, inp, {}, None)
+    return vecs, round_messages(pi, 1, inp, {}, None)
 
 
 def _reproduce(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
@@ -239,9 +246,11 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     fallback_used = not matched
     x_out = st1.outer(x)
     partners = dict(_outer_partners(cfg, st1, x, vecs))
-    incoming = {w: bits for w, w_inp in partners.items()
-                if (bits := pi.message_fn(1, w_inp, {}, None).get(x_out))
-                is not None}
+    incoming = {}
+    for w, w_inp in partners.items():
+        bits = round_messages(pi, 1, w_inp, {}, None).get(x_out)
+        if bits is not None:
+            incoming[w] = bits
     return StageThreeResult(
         vecs=vecs, outgoing=dict(msgs), partners=partners, incoming=incoming,
         fallback_used=fallback_used,

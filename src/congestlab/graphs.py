@@ -237,12 +237,15 @@ class TypedTripartiteGraph:
         """
         self._check_vertex(u)
         adj = self._adj.get(u)
+        others = _OTHERS[u.layer]
         if not adj:
-            return dict.fromkeys(u.layer.others, self._empty_row)
-        slots = {w: {} for w in u.layer.others}
-        for v, t in adj.items():
+            return dict.fromkeys(others, self._empty_row)
+        # one pass over the adjacency sorted by (layer, index) fills both
+        # rows, each in ascending index order
+        slots = {w: {} for w in others}
+        for v, t in sorted(adj.items()):
             slots[v.layer][v.index - 1] = t
-        return {w: TypeRow(self.n, self.default_type, dict(sorted(s.items())))
+        return {w: TypeRow(self.n, self.default_type, s)
                 for w, s in slots.items()}
 
     def validate(self) -> list[str]:

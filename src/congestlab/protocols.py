@@ -7,8 +7,14 @@ inputs.
 
 A vertex's input holds one sparse ``TypeRow`` per other layer, built from the
 graph's stored pairs, and the transcript files every message under its
-receiver too, so a round costs the stored pairs and the messages sent, not
-``n`` slots per vertex or a scan of all messages per vertex.
+receiver too.  So one ``simulate`` call costs one ``message_fn`` call per
+player per round, one ``output_fn`` call per player and the graph's stored
+pairs: no ``n`` slots per vertex, no scan of all messages per vertex, and
+no per-player work beyond a player's input, view and inbox.
+
+``round_messages`` is the one round-``i`` message rule.  It checks every
+message against the sender's own rows and the bandwidth, and ``simulate``
+and the staged sampler of ``elimination`` both send through it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 
 from .errors import (BandwidthViolation, ChannelViolation, RegimeMismatch,
                      SupportTooLarge)
-from .graphs import TypedTripartiteGraph, VertexId, pair_key
+from .graphs import TypedTripartiteGraph, VertexId
 from .randomness import RandomnessView
 
 WILSON_Z = 1.96  # two-sided 95% normal quantile
@@ -58,7 +64,7 @@ class VertexInput:
 
 
 def vertex_input(g: TypedTripartiteGraph, v: VertexId) -> VertexInput:
-    return VertexInput(identity=v, vectors=g.type_rows(v), r=g.r)
+    return VertexInput(v, g.type_rows(v), g.r)
 
 
 @dataclass
@@ -89,15 +95,23 @@ class Transcript:
         self.entries: dict = {}
         # receiver -> {(round, sender): bits}, in recording order
         self._inboxes: dict = {}
+        self._last_round = 0  # the latest round recorded so far
 
     def record(self, rnd: int, sender: VertexId, receiver: VertexId, bits: str):
         self.entries[(rnd, sender, receiver)] = bits
         self._inboxes.setdefault(receiver, {})[(rnd, sender)] = bits
+        if rnd > self._last_round:
+            self._last_round = rnd
 
     def inbox_of(self, v: VertexId, upto_round: int) -> dict:
+        """A new dict of what ``v`` received in rounds <= ``upto_round``,
+        keyed by (round, sender); only an earlier cutoff than the latest
+        recorded round filters."""
         inbox = self._inboxes.get(v)
         if not inbox:
             return {}
+        if upto_round >= self._last_round:
+            return dict(inbox)
         return {key: bits for key, bits in inbox.items()
                 if key[0] <= upto_round}
 
@@ -116,40 +130,55 @@ class Transcript:
         return "\n".join(lines)
 
 
-def _check_bits(bits: str, s: int, sender, receiver):
-    if not isinstance(bits, str) or any(ch not in "01" for ch in bits):
-        raise BandwidthViolation(
-            f"message {sender}->{receiver} is not a bit string: {bits!r}"
-        )
-    if len(bits) > s:
-        raise BandwidthViolation(
-            f"message {sender}->{receiver} has {len(bits)} bits > s={s}"
-        )
+def round_messages(p: ProtocolSpec, i: int, inp: VertexInput, inbox: dict,
+                   view) -> dict:
+    """The round-``i`` messages of the player ``inp``, checked.
+
+    Every target must be a ``VertexId`` stored in the sender's own rows
+    with a type <= r+1-i, or ``ChannelViolation`` is raised: a same-layer
+    target, an index outside [1, n] and a default-type slot never qualify.
+    Every message must be a bit string of at most ``p.bandwidth`` bits, or
+    ``BandwidthViolation`` is raised.  Returns ``message_fn``'s dict.
+    """
+    msgs = p.message_fn(i, inp, inbox, view)
+    v, rows, cutoff, s = inp.identity, inp.vectors, inp.r + 1 - i, p.bandwidth
+    for target, bits in msgs.items():
+        row = rows.get(target.layer) if type(target) is VertexId else None
+        t = None if row is None else row.slots.get(target.index - 1)
+        if t is None or t > cutoff:
+            raise ChannelViolation(f"round {i}: no channel for {v}->{target}")
+        if not isinstance(bits, str) or bits.strip("01"):
+            raise BandwidthViolation(
+                f"message {v}->{target} is not a bit string: {bits!r}")
+        if len(bits) > s:
+            raise BandwidthViolation(
+                f"message {v}->{target} has {len(bits)} bits > s={s}")
+    return msgs
 
 
 def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
-    """Synchronous execution; returns (Transcript, {vertex: Yes boolean})."""
+    """Synchronous execution; returns (Transcript, {vertex: Yes boolean}).
+
+    Every vertex is a player, with or without channels, and sends through
+    ``round_messages``.
+    """
     if p.rounds != g.r:
         raise RegimeMismatch(f"protocol rounds {p.rounds} != graph regime {g.r}")
-    # every vertex is a player, with or without channels: one input and one
-    # randomness view each, kept for every round and the output step
+    # one input and one randomness view per player, kept for every round
+    # and the output step
     players = [(v, vertex_input(g, v), rnd.restrict(v)) for v in g.vertices()]
     transcript = Transcript()
     for i in range(1, p.rounds + 1):
-        available = g.channels_at_round(i)
-        round_msgs = []
+        sent = []
         for v, inp, view in players:
-            msgs = p.message_fn(i, inp, transcript.inbox_of(v, i - 1), view)
-            for target, bits in msgs.items():
-                if pair_key(v, target) not in available:
-                    raise ChannelViolation(
-                        f"round {i}: no channel for {v}->{target}"
-                    )
-                _check_bits(bits, p.bandwidth, v, target)
-                round_msgs.append((v, target, bits))
+            msgs = round_messages(p, i, inp, transcript.inbox_of(v, i - 1),
+                                  view)
+            if msgs:
+                sent.append((v, msgs))
         # deliver only after the whole round is computed
-        for v, target, bits in round_msgs:
-            transcript.record(i, v, target, bits)
+        for v, msgs in sent:
+            for target, bits in msgs.items():
+                transcript.record(i, v, target, bits)
     outputs = {
         v: bool(p.output_fn(inp, transcript.inbox_of(v, p.rounds), view))
         for v, inp, view in players
@@ -266,11 +295,11 @@ def _parity_messages(i, inp, inbox, view):
 
 
 def _edge_witness_output(inp, inbox, view):
-    # Yes iff this vertex touches edges toward both other layers and some
-    # neighbor reported an edge of its own
-    has_both = all(0 in vec for vec in inp.vectors.values())
-    heard = any(bits == "1" for bits in inbox.values())
-    return has_both and heard
+    # Yes iff some neighbor reported an edge of its own and this vertex
+    # touches edges toward both other layers; the inbox is read first, as
+    # most vertices heard nothing
+    return ("1" in inbox.values()
+            and all(0 in vec for vec in inp.vectors.values()))
 
 
 def registry(rounds: int = 1, bandwidth: int = 1) -> dict:

@@ -13,13 +13,14 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     sample_private_stage,
                                     sample_public_stage, theorem1_bound,
                                     theorem1_precondition, _OwnTapes)
-from congestlab.errors import EmptyOrRareSupport, InfeasibleParams
+from congestlab.errors import (BandwidthViolation, ChannelViolation,
+                               EmptyOrRareSupport, InfeasibleParams)
 from congestlab.graphs import Layer, VertexId, vertices
 from congestlab.params import ParamSchedule
-from congestlab.protocols import registry, simulate
+from congestlab.protocols import ProtocolSpec, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import (public_slots, sample_g0, sample_gr_tilde,
-                                 sample_inner)
+from congestlab.sampling import (public_slots, sample_g0, sample_gr,
+                                 sample_gr_tilde, sample_inner)
 from schedules import LOOSE, MICRO, SMALL2, SPARSE3, WIDE2
 
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
@@ -262,6 +263,64 @@ def test_bandwidth_is_read_off_judged_runs_only():
         stopped += rep.failed_trials
         assert rep.bandwidth_used == (0 if rep.failed_trials else 1), seed
     assert 0 < stopped < 60
+
+
+def _two_bit_broadcast(i, inp, inbox, view):
+    return {v: "11" if inp.pair_type(v) == 0 else "00"
+            for v in inp.partners_at_round(i)}
+
+
+def _two_bits_where(one_channel: bool):
+    """2 bits from the vertices with exactly one channel (as every outer
+    partner of the private stage has) or from those with more (as every
+    starred vertex has), 1 bit from the others."""
+    def message_fn(i, inp, inbox, view):
+        partners = list(inp.partners_at_round(i))
+        bits = "11" if (len(partners) == 1) is one_channel else "0"
+        return dict.fromkeys(partners, bits)
+    return message_fn
+
+
+def _to_everyone(i, inp, inbox, view):
+    return {VertexId(w, j): "0" for w, row in inp.vectors.items()
+            for j in range(1, len(row) + 1)}
+
+
+# a 2-bit copy of type-broadcast at bandwidth 1, two protocols that send 2
+# bits only from the outer partners or only from the starred vertices (so
+# the staged routes meet each at one step alone), and a protocol that sends
+# to every vertex of both other layers, with the error each must raise
+BROKEN = {
+    "two-bit": (dataclasses.replace(
+        REG["type-broadcast"], name="two-bit", message_fn=_two_bit_broadcast,
+        message_given_type=None), BandwidthViolation, "2 bits > s=1"),
+    **{kind: (ProtocolSpec(kind, 1, 1, _two_bits_where(one_channel),
+                           REG["all-no"].output_fn),
+              BandwidthViolation, "2 bits > s=1")
+       for kind, one_channel in (("two-bit-outer", True),
+                                 ("two-bit-starred", False))},
+    "to-everyone": (ProtocolSpec(
+        "to-everyone", 1, 1, _to_everyone, REG["all-no"].output_fn),
+        ChannelViolation, "round 1: no channel for"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN))
+def test_a_protocol_breaking_the_message_rule_raises_on_every_route(kind):
+    # the staged routes draw messages on phantom and completed inputs; each
+    # goes through the round-1 message rule that simulate applies
+    pi, error, text = BROKEN[kind]
+    g, _ = sample_gr(MICRO, 1, random.Random(0))
+    calls = {
+        "trials": lambda: run_elimination_trials(pi, CFG, 3, 0),
+        "simulate": lambda: simulate(pi, g, RandomnessView(0)),
+        **{which: lambda which=which: hybrid_sampler(which, pi, CFG, 0)
+           for which in HYBRIDS},
+    }
+    for name, call in calls.items():
+        with pytest.raises(error, match=text):
+            call()
+            pytest.fail(f"{name} returned")
 
 
 def _replay_breaks(pi, cfg, which, seed):

@@ -10,8 +10,9 @@ from congestlab.errors import (BandwidthViolation, ChannelViolation,
                                RegimeMismatch, SupportTooLarge)
 from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId, pair_key
 from congestlab.params import ParamSchedule
-from congestlab.protocols import (ProtocolSpec, VertexInput, exact_success,
-                                  estimate_success, judge, registry, simulate,
+from congestlab.protocols import (ProtocolSpec, Transcript, VertexInput,
+                                  exact_success, estimate_success, judge,
+                                  registry, round_messages, simulate,
                                   vertex_input, wilson_interval)
 from congestlab.randomness import RandomnessView
 from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
@@ -86,6 +87,92 @@ def test_channel_violation_detected():
         lambda inp, inbox, view: False)
     with pytest.raises(ChannelViolation):
         simulate(pi, g, RandomnessView(0))
+
+
+A1, A2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
+B1, B2, C1 = VertexId(Layer.B, 1), VertexId(Layer.B, 2), VertexId(Layer.C, 1)
+
+
+def from_a1(msgs, rounds=1, bandwidth=3):
+    """A protocol in which only A1 sends, ``msgs`` in every round."""
+    return ProtocolSpec(
+        "from-a1", rounds, bandwidth,
+        lambda i, inp, inbox, view: msgs if inp.identity == A1 else {},
+        lambda inp, inbox, view: False)
+
+
+def a1_with_two_channels():
+    # n = 2: A1-B1 has type 0, A1-C1 type 1, every other pair the default
+    g = TypedTripartiteGraph(2, 1)
+    g.set_type(A1, B1, 0)
+    g.set_type(A1, C1, 1)
+    return g
+
+
+@pytest.mark.parametrize("bits", ["0x1", "10 ", 1, None, b"0", "1010"],
+                         ids=["letter", "space", "int", "None", "bytes",
+                              "too-long"])
+def test_round_messages_refuses_all_but_bit_strings_within_bandwidth(bits):
+    g = a1_with_two_channels()
+    pi = from_a1({B1: bits})
+    with pytest.raises(BandwidthViolation, match="A1->B1"):
+        round_messages(pi, 1, vertex_input(g, A1), {}, None)
+    with pytest.raises(BandwidthViolation, match="A1->B1"):
+        simulate(pi, g, RandomnessView(0))
+
+
+def test_round_messages_passes_the_empty_message_and_full_bandwidth():
+    g = a1_with_two_channels()
+    msgs = {B1: "", C1: "011"}
+    pi = from_a1(msgs)
+    assert round_messages(pi, 1, vertex_input(g, A1), {}, None) == msgs
+    transcript, _ = simulate(pi, g, RandomnessView(0))
+    assert transcript.entries == {(1, A1, B1): "", (1, A1, C1): "011"}
+
+
+@pytest.mark.parametrize("target", [
+    A2, VertexId(Layer.B, 0), VertexId(Layer.B, 3), B2, (Layer.B, 1), "B1",
+], ids=["same-layer", "index-0", "index-n+1", "default-type", "bare-tuple",
+        "string"])
+def test_round_messages_refuses_a_target_without_a_channel(target):
+    g = a1_with_two_channels()
+    pi = from_a1({target: "0"})
+    with pytest.raises(ChannelViolation, match="no channel for A1->"):
+        round_messages(pi, 1, vertex_input(g, A1), {}, None)
+    with pytest.raises(ChannelViolation, match="no channel for A1->"):
+        simulate(pi, g, RandomnessView(0))
+
+
+def test_round_messages_reads_the_round_cutoff():
+    # a type-2 pair at r = 2 is a channel in round 1 only
+    g = TypedTripartiteGraph(1, 2)
+    g.set_type(A1, B1, 2)
+    pi = from_a1({B1: "1"}, rounds=2)
+    inp = vertex_input(g, A1)
+    assert round_messages(pi, 1, inp, {}, None) == {B1: "1"}
+    with pytest.raises(ChannelViolation, match="round 2"):
+        round_messages(pi, 2, inp, {}, None)
+    with pytest.raises(ChannelViolation, match="round 2"):
+        simulate(pi, g, RandomnessView(0))
+
+
+def test_inbox_of_cuts_at_its_round_and_returns_a_copy():
+    t = Transcript()
+    t.record(2, B1, A1, "11")
+    t.record(1, B1, A1, "0")
+    t.record(1, C1, A1, "1")
+    round_one = {(1, B1): "0", (1, C1): "1"}
+    both = {(2, B1): "11", **round_one}
+    assert t.inbox_of(A1, 1) == round_one
+    assert t.inbox_of(A1, 0) == {} and t.inbox_of(B1, 2) == {}
+    for upto in (2, 3):
+        got = t.inbox_of(A1, upto)
+        assert got == both and list(got) == list(both)
+        got.pop((1, B1))
+        got[(3, C1)] = "0"
+    cut = t.inbox_of(A1, 1)
+    cut.clear()
+    assert t.inbox_of(A1, 2) == both and t.inbox_of(A1, 1) == round_one
 
 
 def test_judge_rules():
@@ -197,45 +284,69 @@ class DenseInput(VertexInput):
                 for j, t in enumerate(vec, start=1) if t <= cutoff]
 
 
-def reference_simulate(p, g, rnd):
-    """Dense inputs from ``neighborhood_vector`` and every inbox found by a
-    scan of all messages; returns (entries, outputs)."""
-    inputs = {v: DenseInput(v, {w: g.neighborhood_vector(v, w)
-                                for w in v.layer.others}, g.r)
-              for v in g.vertices()}
+def dense_inputs(g):
+    """Every vertex's input as dense lists from ``neighborhood_vector``."""
+    return {v: DenseInput(v, {w: g.neighborhood_vector(v, w)
+                              for w in v.layer.others}, g.r)
+            for v in g.vertices()}
+
+
+def reference_simulate(p, g, rnd, inputs=None):
+    """Dense inputs (``dense_inputs``, unless given), the channel set of
+    each round, and every inbox grouped from one scan of all messages;
+    returns (entries, outputs)."""
+    inputs = dense_inputs(g) if inputs is None else inputs
     entries = {}
 
-    def inbox(v, upto):
-        return {(i, s): bits for (i, s, rcv), bits in entries.items()
-                if rcv == v and i <= upto}
+    def inboxes(upto):
+        boxes = {v: {} for v in inputs}
+        for (i, s, rcv), bits in entries.items():
+            if i <= upto:
+                boxes[rcv][(i, s)] = bits
+        return boxes
 
     for i in range(1, p.rounds + 1):
-        available, sent = g.channels_at_round(i), {}
+        available, sent, boxes = g.channels_at_round(i), {}, inboxes(i - 1)
         for v, inp in inputs.items():
-            msgs = p.message_fn(i, inp, inbox(v, i - 1), rnd.restrict(v))
+            msgs = p.message_fn(i, inp, boxes[v], rnd.restrict(v))
             for target, bits in msgs.items():
                 assert pair_key(v, target) in available
                 assert len(bits) <= p.bandwidth
                 sent[(i, v, target)] = bits
         entries.update(sent)
-    outputs = {v: bool(p.output_fn(inp, inbox(v, p.rounds), rnd.restrict(v)))
+    boxes = inboxes(p.rounds)
+    outputs = {v: bool(p.output_fn(inp, boxes[v], rnd.restrict(v)))
                for v, inp in inputs.items()}
     return entries, outputs
 
 
-def assert_matches_reference(pi, g, seed):
+def assert_matches_reference(pi, g, seed, inputs=None):
     transcript, outputs = simulate(pi, g, RandomnessView(seed))
-    entries, ref_outputs = reference_simulate(pi, g, RandomnessView(seed))
-    assert transcript.entries == entries
+    entries, ref_outputs = reference_simulate(pi, g, RandomnessView(seed),
+                                              inputs)
+    # the same entries, recorded in the same order
+    assert list(transcript.entries.items()) == list(entries.items())
     assert outputs == ref_outputs
 
 
 @pytest.mark.parametrize("name", sorted(registry(rounds=1)))
 def test_simulate_matches_reference_on_recursive_instances(name):
     pi = registry(rounds=1)[name]
-    for seed in range(3):
-        g, _ = sample_gr(MICRO, 1, random.Random(seed))
-        assert_matches_reference(pi, g, seed)
+    for family in (sample_gr, sample_gr_tilde):
+        for seed in range(3):
+            g = family(MICRO, 1, random.Random(seed))[0]
+            assert_matches_reference(pi, g, seed)
+
+
+@pytest.mark.parametrize("family", [sample_gr, sample_gr_tilde])
+def test_simulate_matches_reference_on_wide_instances(family):
+    # n_prev = 2 and n = 600: every registry protocol on each draw, the
+    # dense inputs built once per draw
+    for seed in range(2):
+        g = family(WIDE2, 1, random.Random(seed))[0]
+        inputs = dense_inputs(g)
+        for pi in registry(rounds=1).values():
+            assert_matches_reference(pi, g, seed, inputs)
 
 
 @pytest.mark.parametrize("name", sorted(registry(rounds=0)))
