@@ -297,7 +297,9 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     picks the stages that keep the true inner input (``LADDER``; the private
     stage always does).  ``view`` hands out the tapes as a
     ``RandomnessView`` does.  A protocol outside the regime, a vertex past
-    ``n_prev`` or a row whose length is not ``n_prev`` is refused first.
+    ``n_prev``, a row whose length is not ``n_prev``, a rung outside
+    ``LADDER``, and a rung that keeps the true inner input (``h1``, ``h2``)
+    without the input of every inner vertex are refused before any draw.
     """
     _require_one_round_regime(pi)
     n_prev = cfg.params.level(LEVEL)["n_prev"]
@@ -307,7 +309,14 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
             raise InfeasibleParams(
                 f"input of {x!r} (rows of length {lengths}) does not fit "
                 f"inner layers of size n_prev = {n_prev}")
+    if rung not in LADDER:
+        raise InfeasibleParams(f"unknown rung {rung!r}, not one of "
+                               f"{sorted(LADDER)}")
     keep = LADDER[rung]
+    if keep and inputs.keys() != set(vertices(n_prev)):
+        raise InfeasibleParams(
+            f"rung {rung!r} keeps the true inner input, so it needs the "
+            f"input of every inner vertex, got {sorted(inputs)}")
     run = StagedRun(sample_public_stage(
         pi, cfg, view.public_rng("stage1"),
         inputs if "public" in keep else None))

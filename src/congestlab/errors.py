@@ -13,10 +13,6 @@ class OutOfRange(CongestLabError):
     """A vertex index exceeds the layer size."""
 
 
-class RoundOutOfRange(CongestLabError):
-    """A round index outside [1, r] was requested."""
-
-
 class InfeasibleParams(CongestLabError):
     """A parameter schedule cannot support the requested sampling step."""
 

@@ -27,7 +27,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import OutOfRange, RoundOutOfRange, SameLayerPair
+from .errors import OutOfRange, SameLayerPair
 
 
 class Layer(str, Enum):
@@ -175,13 +175,6 @@ class TypedTripartiteGraph:
             for v, t in row.items():
                 if u.layer < v.layer:
                     yield u, v, t
-
-    def channels_at_round(self, i: int) -> set[tuple[VertexId, VertexId]]:
-        """Unordered pairs usable at round ``i``: exactly those of type <= r+1-i."""
-        if not 1 <= i <= self.r:
-            raise RoundOutOfRange(f"round {i} outside [1, {self.r}]")
-        cutoff = self.r + 1 - i
-        return {(u, v) for u, v, t in self.stored_pairs() if t <= cutoff}
 
     def channel_degree(self, u: VertexId, t: int, target: Layer) -> int:
         """Number of vertices in ``target`` whose pair with ``u`` has type ``t``."""

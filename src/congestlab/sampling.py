@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InfeasibleParams
 from .graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId,
@@ -29,47 +29,18 @@ from .params import (ParamSchedule, aux_draws_per_vertex_layer,
                      require_feasible, require_restructured_feasible)
 
 
-class _Complement(Sequence):
-    """The ascending indices of ``[1, n]`` missing from the sorted list
-    ``taken``, as a read-only sequence that is never materialized.
+def _sample_missing(rng: random.Random, n: int, taken, k: int) -> list:
+    """The ``k`` indices ``rng.sample`` draws from the ascending indices of
+    ``[1, n]`` missing from the distinct ``taken``, without listing them.
 
-    ``random.sample`` reads a population only through ``len``, indexing and,
-    when it copies a small population, iteration, so ``rng.sample(view, k)``
-    draws exactly what it draws from the equivalent list; from a large
-    population it costs ``k`` indexed reads, not ``n``.
+    ``random.sample`` picks its positions from the population's length
+    alone, so a ``range`` of that length yields the same positions.  The
+    index at position ``j`` skips every taken index whose ``below`` (the
+    missing indices under it) is at most ``j``.
     """
-
-    __slots__ = ("n", "taken", "_below")
-
-    def __init__(self, n: int, taken: list):
-        self.n = n
-        self.taken = taken
-        # below[i] counts the indices missing from taken that lie under
-        # taken[i]; built on the first indexed read, so a population that
-        # random.sample copies through __iter__ never pays for it
-        self._below = None
-
-    def __len__(self) -> int:
-        return self.n - len(self.taken)
-
-    def __getitem__(self, j: int) -> int:
-        size = len(self)
-        k = j + size if j < 0 else j
-        if not 0 <= k < size:
-            raise IndexError(f"index {j} outside a complement of length {size}")
-        if self._below is None:
-            self._below = [t - i - 1 for i, t in enumerate(self.taken)]
-        # taken[i] precedes the answer exactly when below[i] <= k
-        return k + 1 + bisect_right(self._below, k)
-
-    def __iter__(self):
-        # walk the gaps: the inherited __iter__ would index every entry
-        # through the walk above when random.sample copies the population
-        prev = 0
-        for t in self.taken:
-            yield from range(prev + 1, t)
-            prev = t
-        yield from range(prev + 1, self.n + 1)
+    below = [t - i - 1 for i, t in enumerate(sorted(taken))]
+    return [j + 1 + bisect_right(below, j)
+            for j in rng.sample(range(n - len(below)), k)]
 
 
 # -- base family ----------------------------------------------------------
@@ -147,9 +118,9 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
                  p: ParamSchedule, level: int):
     """Deterministic assembly of a level instance from inner + frame.
 
-    ``pools[X]`` lists the non-starred indices of layer X in the order the
-    disjoint reserved chunks are carved; chunk consumption is by index order
-    within each chunk.
+    ``pools[X]`` yields the non-starred indices of layer X in the order the
+    disjoint reserved chunks are carved, ``d`` per chunk; each chunk is
+    consumed in index order.
     """
     lv = p.level(level)
     n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
@@ -162,15 +133,13 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
         g.set_type(emb.outer(u), emb.outer(v), t)
 
     for target in LAYERS:
-        pool = pools[target]
-        pos = 0
+        pool = iter(pools[target])
         for y in vertices(n_prev):
             if y.layer is target:
                 continue
             y_out = emb.outer(y)
             for t in range(level + 1):
-                chunk = sorted(pool[pos:pos + d])
-                pos += d
+                chunk = sorted(islice(pool, d))
                 have = g.channel_degree(y_out, t, target)
                 for idx in chunk[: d - have]:
                     g.set_type(y_out, VertexId(target, idx), t)
@@ -201,7 +170,7 @@ def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
     # require_feasible's room check, n_prev*(2*d*(level+1)+1) < n, leaves
     # more non-starred indices than that
     demand = 2 * n_prev * (level + 1) * lv["d"]
-    pools = {layer: rng.sample(_Complement(n, sorted(ids[layer])), demand)
+    pools = {layer: _sample_missing(rng, n, ids[layer], demand)
              for layer in LAYERS}
     return _assemble_gr(inner, ids, pools, p, level)
 
@@ -222,7 +191,7 @@ def build_gr_frame(inner: TypedTripartiteGraph, p: ParamSchedule, level: int):
         raise InfeasibleParams(f"inner instance (n={inner.n}, r={inner.r}) "
                                f"does not fit level {level}")
     ids = {layer: list(range(1, n_prev + 1)) for layer in LAYERS}
-    pools = {layer: list(range(n_prev + 1, n + 1)) for layer in LAYERS}
+    pools = {layer: range(n_prev + 1, n + 1) for layer in LAYERS}
     return _assemble_gr(inner, ids, pools, p, level)
 
 
@@ -396,19 +365,16 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
     # every layer serves the 2 * n_prev inner vertices of the other layers
     demand = 2 * n_prev * aux_draws_per_vertex_layer(
         n_prev, lv["d"], alpha, beta, gamma, level)
-    pools, pos = {}, {}
+    pools = {}
     for layer in LAYERS:
-        free = _Complement(n, sorted(ids[layer]))
-        if demand > len(free):
+        if demand > n - len(ids[layer]):
             raise InfeasibleParams(
                 f"auxiliary reservation exhausted layer {layer.value}"
             )
-        pools[layer], pos[layer] = rng.sample(free, demand), 0
+        pools[layer] = iter(_sample_missing(rng, n, ids[layer], demand))
 
     def take(layer, count):
-        p0 = pos[layer]
-        pos[layer] = p0 + count
-        return pools[layer][p0:p0 + count]
+        return list(islice(pools[layer], count))
 
     aux = Auxiliaries()
     for x in vertices(n_prev):
@@ -507,15 +473,12 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
                 f"(counts {counts})"
             )
         total = sum(needs)
-        free = _Complement(n, [j + 1 for j in sorted(row)])
-        if total > len(free):
+        if total > n - len(row):
             raise InfeasibleParams("not enough free slots for completion")
-        chosen = rng.sample(free, total)
-        pos = 0
+        chosen = iter(_sample_missing(rng, n, [j + 1 for j in row], total))
         for t, need in enumerate(needs):
-            for idx in chosen[pos:pos + need]:
+            for idx in islice(chosen, need):
                 row[idx - 1] = t
-            pos += need
     return {w: TypeRow(n, default, dict(sorted(row.items())))
             for w, row in slots.items()}
 

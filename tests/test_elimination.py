@@ -143,9 +143,16 @@ def test_run_stages_refuses_inputs_larger_than_the_inner_layers(monkeypatch):
     monkeypatch.setattr(elimination, "sample_public_stage", no_draw)
     a1, a2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
     short = {w: [1] for w in Layer.A.others}
-    for inputs in ({a1: g.type_rows(a1)}, {a2: short}):
-        with pytest.raises(InfeasibleParams, match="n_prev = 1"):
-            run_stages(pi, CFG, inputs, "dfake", RandomnessView(0))
+    every = {x: {w: [1] for w in x.layer.others} for x in vertices(1)}
+    # a rung that keeps the true inner input needs every inner vertex's
+    # input, and a rung outside the ladder names no stages at all
+    for inputs, rung, match in (({a1: g.type_rows(a1)}, "dfake", "n_prev = 1"),
+                                ({a2: short}, "dfake", "n_prev = 1"),
+                                ({a1: short}, "h2", "every inner vertex"),
+                                ({a1: short}, "h1", "every inner vertex"),
+                                (every, "dtilde_real", "unknown rung")):
+        with pytest.raises(InfeasibleParams, match=match):
+            run_stages(pi, CFG, inputs, rung, RandomnessView(0))
 
 
 def test_build_rounds_and_bandwidth():
@@ -429,7 +436,8 @@ def test_own_tapes_refuse_other_vertices():
 
 def test_dreal_sampler_channel_legality():
     g, emb, transcript = dreal_sampler(REG["type-broadcast"], MICRO, 1, 12)
-    available = g.channels_at_round(1)
+    # the channels of round 1: every pair of type <= r + 1 - 1
+    available = {(u, v) for u, v, t in g.stored_pairs() if t <= g.r}
     for (rnd, s, rcv) in transcript.entries:
         assert rnd == 1
         key = (min(s, rcv), max(s, rcv))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congestlab.errors import OutOfRange, RoundOutOfRange, SameLayerPair
+from congestlab.errors import OutOfRange, SameLayerPair
 from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, VertexId,
                                brute_force_has_triangle, pair_key)
 from congestlab.protocols import vertex_input
@@ -33,16 +33,6 @@ def test_out_of_range_rejected():
     g = TypedTripartiteGraph(2, 1)
     with pytest.raises(OutOfRange):
         g.pair_type(VertexId(Layer.A, 3), VertexId(Layer.B, 1))
-
-
-def test_channels_at_round_cutoff():
-    g = make_triangle_graph()  # r = 2
-    round1 = g.channels_at_round(1)  # type <= 2
-    round2 = g.channels_at_round(2)  # type <= 1
-    assert len(round1) == 4
-    assert len(round2) == 3
-    with pytest.raises(RoundOutOfRange):
-        g.channels_at_round(3)
 
 
 def test_has_triangle_matches_brute_force():

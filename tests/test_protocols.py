@@ -306,7 +306,9 @@ def reference_simulate(p, g, rnd, inputs=None):
         return boxes
 
     for i in range(1, p.rounds + 1):
-        available, sent, boxes = g.channels_at_round(i), {}, inboxes(i - 1)
+        available = {(u, v) for u, v, t in g.stored_pairs()
+                     if t <= g.r + 1 - i}
+        sent, boxes = {}, inboxes(i - 1)
         for v, inp in inputs.items():
             msgs = p.message_fn(i, inp, boxes[v], rnd.restrict(v))
             for target, bits in msgs.items():

@@ -19,7 +19,7 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
                                  sample_d_in_conditioned, sample_frame,
                                  sample_g0, sample_gr, sample_gr_tilde,
                                  sample_inner, sample_tilde_input,
-                                 _Complement, _sample_ids)
+                                 _sample_ids, _sample_missing)
 from schedules import LOOSE, MICRO, SMALL2, WIDE2
 
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
@@ -346,48 +346,42 @@ def test_gr_tilde_inner_marginal_preserved():
                 == emb.inner.pair_type(u, v))
 
 
-# -- lazy complement ------------------------------------------------------
+# -- sampling the complement of a taken set ---------------------------------
 
 
 def _check_complement(n, taken, seed, k):
     gone = set(taken)
     explicit = [i for i in range(1, n + 1) if i not in gone]
-    view = _Complement(n, taken)
-    size = len(explicit)
-    assert len(view) == size
-    assert list(view) == explicit
-    assert [view[j] for j in range(size)] == explicit
-    assert [view[-j] for j in range(1, size + 1)] == explicit[::-1]
-    for bad in (size, -size - 1):
-        with pytest.raises(IndexError):
-            view[bad]
-    rng_view, rng_list = random.Random(seed), random.Random(seed)
-    assert rng_view.sample(view, k) == rng_list.sample(explicit, k)
-    assert rng_view.random() == rng_list.random()
+    rng_drawn, rng_list = random.Random(seed), random.Random(seed)
+    assert (_sample_missing(rng_drawn, n, taken, k)
+            == rng_list.sample(explicit, k))
+    assert rng_drawn.random() == rng_list.random()
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 21), data=st.data(), seed=st.integers(0, 2 ** 32))
 def test_complement_matches_its_list_when_sample_copies_the_pool(n, data,
                                                                   seed):
-    # n <= 21 always takes random.sample's pool-copy branch (list(view))
-    taken = sorted(data.draw(st.sets(st.integers(1, n))))
+    # n <= 21 always takes random.sample's pool-copy branch; taken is
+    # drawn in any order, since the function sorts it
+    taken = data.draw(st.lists(st.integers(1, n), unique=True))
     k = data.draw(st.integers(0, n - len(taken)))
     _check_complement(n, taken, seed, k)
 
 
 @settings(max_examples=50, deadline=None)
-@given(taken=st.sets(st.integers(1, 5000), max_size=40),
+@given(taken=st.lists(st.integers(1, 5000), unique=True, max_size=40),
        seed=st.integers(0, 2 ** 32), k=st.integers(0, 60))
 def test_complement_matches_its_list_when_sample_indexes(taken, seed, k):
-    # n = 5000 with k <= 60 always takes the set-based branch (view[j])
-    _check_complement(5000, sorted(taken), seed, k)
+    # n = 5000 with k <= 60 always takes the set-based branch
+    _check_complement(5000, taken, seed, k)
 
 
 def test_complement_of_a_thousand_taken_indices():
-    # a long taken list, ends of [1, n] included: indexed reads bisect it
+    # a long taken list, ends of [1, n] included, unsorted
     rng = random.Random(9)
-    taken = sorted({1, 2, 5000} | set(rng.sample(range(1, 5001), 1200)))
+    taken = list({1, 2, 5000} | set(rng.sample(range(1, 5001), 1200)))
+    rng.shuffle(taken)
     _check_complement(5000, taken, seed=11, k=60)
 
 
