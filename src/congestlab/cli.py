@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 infeasible parameters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import sys
@@ -31,7 +32,18 @@ MEMORY_CAP = 5_000_000
 
 def _load_params(path: str) -> ParamSchedule:
     with open(path) as fh:
-        p = ParamSchedule.from_json(fh.read())
+        obj = json.load(fh)
+    spec = obj.get("canonical") if isinstance(obj, dict) else None
+    if isinstance(spec, dict):
+        # decided from (n0, r) before any size is built: n_r = n0**(34**r)
+        # is above the cap when log(log(n_r)) is above log(log(cap))
+        n0, r = int(spec["n0"]), int(spec["r"])
+        if n0 > 1 and (r * math.log(34) + math.log(math.log(n0))
+                       > math.log(math.log(MEMORY_CAP))):
+            raise InfeasibleParams(
+                f"canonical schedule (n0={n0}, r={r}): largest layer size "
+                f"n0**(34**r) exceeds memory cap {MEMORY_CAP}")
+    p = ParamSchedule.from_dict(obj)
     require_feasible(p)
     if max(p.n) > MEMORY_CAP:
         # by bit length: a canonical size can pass Python's digit limit

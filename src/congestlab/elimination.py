@@ -31,13 +31,16 @@ from .graphs import TypeRow, VertexId, vertices
 from .params import ParamSchedule, require_restructured_feasible
 from .protocols import (ProtocolSpec, Transcript, VertexInput, judge,
                         round_messages, simulate)
-from .randomness import RandomnessView, RestrictedView, derive_rng
+from .randomness import RandomnessView, derive_rng
 from .sampling import (InnerEmbedding, outer_channels, public_slots,
                        rebuild_from_inner_views, sample_d_in,
                        sample_d_in_conditioned, sample_frame, sample_gr,
                        sample_gr_tilde, sample_inner, sample_tilde_input)
 
-HYBRIDS = ("dtilde_real", "h1", "h2", "dfake")
+# the stages that keep the true inner input, per rung of the hybrid ladder;
+# written in HYBRIDS' order, the order seeded runs draw the hybrids in
+LADDER = {"h1": ("public", "pair"), "h2": ("pair",), "dfake": ()}
+HYBRIDS = ("dtilde_real", *LADDER)
 
 # the one level eliminated here: level 1 around a level-0 inner instance
 LEVEL = 1
@@ -109,12 +112,15 @@ class StageOneState:
 
 @dataclass
 class StageThreeResult:
+    """x's completed input and its round-1 traffic.  ``fallback_used``: no
+    draw within ``cfg.cap`` reproduced the sampled messages, so these are
+    the last, unmatched draw's; ``run_stages`` applies ``cfg.fallback``."""
+
     vecs: dict  # other layer -> TypeRow of x's completed input
     outgoing: dict  # outer VertexId -> bits
     partners: dict  # outer partner VertexId -> its one-channel VertexInput
     incoming: dict  # outer VertexId -> bits (from outer partners only)
     fallback_used: bool
-    failed: bool
     attempts: int
 
 
@@ -232,18 +238,15 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
     then derive all remaining round-1 traffic of x.
 
     ``m_in_out`` maps each inner partner of x to the stage-2 message (or
-    None for a deliberate silence).  On an empty joint support the fallback
-    policy either fails the trial or keeps a draw conditioned on the input
-    alone.
+    None for a deliberate silence).  Without a consistent draw, the last
+    draw is kept and reported as ``fallback_used``.
     """
     # the public messages, and each stage-2 message keyed by the partner's
     # outer identity
     target_msgs = {**st1.m_pub[x],
                    **{st1.outer(y): bits for y, bits in m_in_out.items()}}
-    # "drop" keeps the final, unmatched draw
     vecs, msgs, attempts, matched = _reproduce(pi, cfg, st1, x, target_msgs,
                                                lambda: n_in, rng)
-    fallback_used = not matched
     x_out = st1.outer(x)
     partners = dict(_outer_partners(cfg, st1, x, vecs))
     incoming = {}
@@ -253,15 +256,10 @@ def sample_private_stage(pi: ProtocolSpec, cfg: EliminationConfig,
             incoming[w] = bits
     return StageThreeResult(
         vecs=vecs, outgoing=dict(msgs), partners=partners, incoming=incoming,
-        fallback_used=fallback_used,
-        failed=fallback_used and cfg.fallback == "fail", attempts=attempts)
+        fallback_used=not matched, attempts=attempts)
 
 
 # -- the staged pipeline --------------------------------------------------
-
-
-# the stages that keep the true inner input, per rung of the hybrid ladder
-LADDER = {"dfake": (), "h2": ("pair",), "h1": ("public", "pair")}
 
 
 @dataclass
@@ -295,11 +293,16 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     order, the pair stage for every ordered inner pair with an endpoint
     among them, reading the pair's type from that endpoint's row.  ``rung``
     picks the stages that keep the true inner input (``LADDER``; the private
-    stage always does).  ``view`` hands out the tapes as a
-    ``RandomnessView`` does.  A protocol outside the regime, a vertex past
-    ``n_prev``, a row whose length is not ``n_prev``, a rung outside
-    ``LADDER``, and a rung that keeps the true inner input (``h1``, ``h2``)
-    without the input of every inner vertex are refused before any draw.
+    stage always does).  Each pair and private tape is read through
+    ``view.restrict(v)``, where ``v`` is the vertex of ``inputs`` drawn for
+    (of a pair, its endpoint in ``inputs``), so ``view`` is a
+    ``RandomnessView`` (trials, hybrids) or that one vertex's
+    ``RestrictedView`` (the compiled protocol).  A protocol outside the
+    regime, a vertex past ``n_prev``, a row whose length is not ``n_prev``,
+    a vertex whose tapes ``view`` cannot restrict to (``ValueError``), a
+    rung outside ``LADDER``, and a rung that keeps the true inner input
+    (``h1``, ``h2``) without the input of every inner vertex are refused
+    before any draw.
     """
     _require_one_round_regime(pi)
     n_prev = cfg.params.level(LEVEL)["n_prev"]
@@ -309,6 +312,7 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
             raise InfeasibleParams(
                 f"input of {x!r} (rows of length {lengths}) does not fit "
                 f"inner layers of size n_prev = {n_prev}")
+        view.restrict(x)  # refuses a view that cannot see x's tapes
     if rung not in LADDER:
         raise InfeasibleParams(f"unknown rung {rung!r}, not one of "
                                f"{sorted(LADDER)}")
@@ -323,17 +327,13 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     try:
         for x in vertices(n_prev):
             for y in vertices(n_prev):
-                if y.layer is x.layer:
-                    continue
-                if x in inputs:
-                    t = inputs[x][y.layer][y.index - 1]
-                elif y in inputs:
-                    t = inputs[y][x.layer][x.index - 1]
-                else:
+                # the pair's type and tape, read at its endpoint in inputs
+                u, v = (x, y) if x in inputs else (y, x)
+                if y.layer is x.layer or u not in inputs:
                     continue
                 run.m_in[(x, y)], attempts = sample_pair_stage(
-                    pi, cfg, run.st1, x, y, t,
-                    view.pair_rng(x, y, f"m_in:{x!r}->{y!r}"),
+                    pi, cfg, run.st1, x, y, inputs[u][v.layer][v.index - 1],
+                    view.restrict(u).pair_rng(v, f"m_in:{x!r}->{y!r}"),
                     inputs[x] if "pair" in keep else None)
                 run.pair_attempts += attempts
     except EmptyOrRareSupport as exc:
@@ -342,9 +342,9 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     for x, rows in inputs.items():
         s3 = run.s3[x] = sample_private_stage(
             pi, cfg, run.st1, x, rows, run.sent(x),
-            view.private_rng(x, "stage3"))
+            view.restrict(x).private_rng("stage3"))
         run.private_attempts += s3.attempts
-        if s3.failed:
+        if s3.fallback_used and cfg.fallback == "fail":
             run.failure = EmptyOrRareSupport(
                 f"no completed input of {x} reproduces its sampled messages "
                 f"within {cfg.cap} attempts")
@@ -359,25 +359,6 @@ def _staged_draw(pi: ProtocolSpec, cfg: EliminationConfig,
                          derive_rng(view.seed, "inner"))
     inputs = {x: inner.type_rows(x) for x in inner.vertices()}
     return inner, run_stages(pi, cfg, inputs, rung, view)
-
-
-class _OwnTapes:
-    """One vertex's ``RestrictedView`` as a ``RandomnessView``: it refuses
-    every tape the vertex cannot see."""
-
-    def __init__(self, view: RestrictedView):
-        self.view, self.owner = view, view.owner
-        self.public_rng = view.public_rng
-
-    def pair_rng(self, u: VertexId, v: VertexId, label: str):
-        if self.owner not in (u, v):
-            raise ValueError(f"{self.owner} cannot read the tape of {u}-{v}")
-        return self.view.pair_rng(v if u == self.owner else u, label)
-
-    def private_rng(self, v: VertexId, label: str):
-        if v != self.owner:
-            raise ValueError(f"{self.owner} cannot read {v}'s tape")
-        return self.view.private_rng(label)
 
 
 # -- the compiled protocol and the elimination trials ---------------------
@@ -425,7 +406,7 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
 
     def output_fn(inp, inbox, view):
         x = inp.identity
-        run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", _OwnTapes(view))
+        run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", view)
         return run.failure is None and _pi_r_output(pi, cfg, run, x, view)
 
     return ProtocolSpec(

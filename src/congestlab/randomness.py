@@ -49,7 +49,9 @@ class RestrictedView:
     """What a single vertex is allowed to see.
 
     Public tape, pair tapes of pairs containing the owner, and the owner's
-    private tape only.
+    private tape only.  It restricts only to its owner, so code that reads
+    a vertex's tapes through ``view.restrict(v)`` takes a full view and a
+    restricted one alike.
     """
 
     def __init__(self, full: RandomnessView, owner: VertexId):
@@ -64,3 +66,8 @@ class RestrictedView:
 
     def private_rng(self, label: str) -> random.Random:
         return self._full.private_rng(self.owner, label)
+
+    def restrict(self, v: VertexId) -> "RestrictedView":
+        if v != self.owner:
+            raise ValueError(f"{self.owner} cannot read the tapes of {v}")
+        return self

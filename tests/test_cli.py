@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from congestlab import params as params_module
 from congestlab.cli import main
 from schedules import MICRO, SMALL2
 
@@ -42,10 +43,15 @@ def test_gen_restructured_sidecar(tmp_path):
     assert "collision_flag" in meta and "ids" in meta
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_gen_canonical_params_exit_2(tmp_path, r):
+@pytest.mark.parametrize("r", [1, 3, 7, 40])
+def test_gen_canonical_params_exit_2(tmp_path, monkeypatch, r):
     # at r = 3 the largest layer size, 2 ** (34 ** 3), has 11832 decimal
-    # digits, more than Python converts to a string
+    # digits, more than Python converts to a string; at r = 7 it alone
+    # takes 6.6 GB, so the refusal must come before any size is built
+    def expanded(n0, r):
+        raise AssertionError(f"canonical_params({n0}, {r}) was expanded")
+
+    monkeypatch.setattr(params_module, "canonical_params", expanded)
     params = str(tmp_path / "p.json")
     with open(params, "w") as fh:
         fh.write(json.dumps({"canonical": {"n0": 2, "r": r}}))

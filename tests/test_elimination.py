@@ -12,7 +12,7 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     run_stages, sample_pair_stage,
                                     sample_private_stage,
                                     sample_public_stage, theorem1_bound,
-                                    theorem1_precondition, _OwnTapes)
+                                    theorem1_precondition)
 from congestlab.errors import (BandwidthViolation, ChannelViolation,
                                EmptyOrRareSupport, InfeasibleParams)
 from congestlab.graphs import Layer, VertexId, vertices
@@ -100,7 +100,7 @@ def test_private_stage_consistency_and_degrees():
                                                derive_rng(7, repr(x), repr(y)))
         s3 = sample_private_stage(pi, CFG, st1, x, n_in, m_in_out,
                                   random.Random(8))
-        assert not s3.failed
+        assert not s3.fallback_used
         for w in x.layer.others:
             assert s3.vecs[w].count(0) == 6
             assert s3.vecs[w].count(1) == 6
@@ -110,6 +110,11 @@ def test_private_stage_consistency_and_degrees():
 def test_config_refuses_cap_below_one(cap):
     with pytest.raises(InfeasibleParams, match="cap"):
         EliminationConfig(params=MICRO, cap=cap)
+
+
+def test_config_refuses_an_unknown_fallback_policy():
+    with pytest.raises(InfeasibleParams, match="fallback policy keep"):
+        EliminationConfig(MICRO, fallback="keep")
 
 
 def test_config_refuses_a_schedule_restructured_inputs_cannot_complete():
@@ -144,15 +149,21 @@ def test_run_stages_refuses_inputs_larger_than_the_inner_layers(monkeypatch):
     a1, a2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
     short = {w: [1] for w in Layer.A.others}
     every = {x: {w: [1] for w in x.layer.others} for x in vertices(1)}
+    full = RandomnessView(0)
     # a rung that keeps the true inner input needs every inner vertex's
-    # input, and a rung outside the ladder names no stages at all
-    for inputs, rung, match in (({a1: g.type_rows(a1)}, "dfake", "n_prev = 1"),
-                                ({a2: short}, "dfake", "n_prev = 1"),
-                                ({a1: short}, "h2", "every inner vertex"),
-                                ({a1: short}, "h1", "every inner vertex"),
-                                (every, "dtilde_real", "unknown rung")):
-        with pytest.raises(InfeasibleParams, match=match):
-            run_stages(pi, CFG, inputs, rung, RandomnessView(0))
+    # input, a rung outside the ladder names no stages at all, and a view
+    # restricted to B1 cannot read A1's tapes
+    for inputs, rung, view, error, match in (
+            ({a1: g.type_rows(a1)}, "dfake", full, InfeasibleParams,
+             "n_prev = 1"),
+            ({a2: short}, "dfake", full, InfeasibleParams, "n_prev = 1"),
+            ({a1: short}, "h2", full, InfeasibleParams, "every inner vertex"),
+            ({a1: short}, "h1", full, InfeasibleParams, "every inner vertex"),
+            (every, "dtilde_real", full, InfeasibleParams, "unknown rung"),
+            ({a1: short}, "dfake", full.restrict(VertexId(Layer.B, 1)),
+             ValueError, "cannot read the tapes of A1")):
+        with pytest.raises(error, match=match):
+            run_stages(pi, CFG, inputs, rung, view)
 
 
 def test_build_rounds_and_bandwidth():
@@ -383,7 +394,7 @@ def _drawn(run, x):
                     {layer: _row(row) for layer, row in inp.vectors.items()})
                 for w, inp in s3.partners.items()}
     return (run.st1, rows, s3.outgoing, partners, s3.incoming,
-            s3.fallback_used, s3.failed, s3.attempts, run.received(x))
+            s3.fallback_used, s3.attempts, run.received(x))
 
 
 @pytest.mark.parametrize("p, names, seeds", [
@@ -421,17 +432,33 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, names, seeds):
             assert seen == {x: _drawn(run, x) for x in run.s3}
 
 
-def test_own_tapes_refuse_other_vertices():
-    a, b, c = (VertexId(layer, 1) for layer in (Layer.A, Layer.B, Layer.C))
-    view = RandomnessView(3)
-    tapes = _OwnTapes(view.restrict(a))
-    # a pair tape is the same from either endpoint
-    assert (tapes.pair_rng(b, a, "t").random()
-            == view.pair_rng(a, b, "t").random())
-    with pytest.raises(ValueError):
-        tapes.pair_rng(b, c, "t")
-    with pytest.raises(ValueError):
-        tapes.private_rng(b, "t")
+@pytest.mark.parametrize("count", [1, 0], ids=["outer-partner",
+                                               "channel-free"])
+def test_compiled_answer_includes_each_vertex_it_simulates(monkeypatch,
+                                                           count):
+    # an outer partner's input stores its one channel and the channel-free
+    # stand-in's stores none, while every inner vertex's input stores its
+    # 2d channels per other layer: so a Yes can only come from the partner
+    # (count 1) or from the stand-in (count 0); pi itself sends nothing
+    pi = ProtocolSpec(
+        f"yes-at-{count}-slots", 1, 1, lambda i, inp, inbox, view: {},
+        lambda inp, inbox, view: sum(
+            len(row.slots) for row in inp.vectors.values()) == count)
+    inner = sample_inner(MICRO, 0, derive_rng(0, "inner"))
+    _, outputs = simulate(build_pi_r_minus_1(pi, CFG), inner,
+                          RandomnessView(0))
+    assert outputs == dict.fromkeys(inner.vertices(), True)
+    judged = []
+    real = elimination.judge
+
+    def spy(g, answers):
+        judged.append(answers)
+        return real(g, answers)
+
+    monkeypatch.setattr(elimination, "judge", spy)
+    rep = run_elimination_trials(pi, CFG, 3, 0)
+    assert rep.failed_trials == 0
+    assert judged == [dict.fromkeys(inner.vertices(), True)] * 3
 
 
 def test_dreal_sampler_channel_legality():

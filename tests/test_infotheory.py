@@ -75,6 +75,17 @@ def test_conditional_on_zero_event_raises():
         j.conditional(["A"], ["B"], (1,))
 
 
+def test_conditional_is_the_grouped_law_of_its_value():
+    # its own rng, so the tests drawing from RNG see the same tables
+    j = random_joint(["A", "B", "C"], [2, 3, 2], random.Random(0))
+    groups = j.conditionals(["A"], ["B", "C"])
+    assert len(groups) == 6
+    for gval, (_, law) in groups.items():
+        assert j.conditional(["A"], ["B", "C"], list(gval)) is law
+        ref = ref_conditional(j, ["A"], ["B", "C"], gval)
+        assert law.probs == pytest.approx(ref.probs)
+
+
 def test_mi_kl_identity():
     for _ in range(30):
         j = random_joint(["A", "B", "C"], [2, 2, 2], RNG)

@@ -1,3 +1,5 @@
+import pytest
+
 from congestlab.graphs import Layer, VertexId
 from congestlab.randomness import RandomnessView
 
@@ -37,3 +39,11 @@ def test_restricted_view_routes_to_owner():
     assert rv.public_rng("x").random() == v.public_rng("x").random()
     assert rv.pair_rng(B1, "m").random() == v.pair_rng(A1, B1, "m").random()
     assert rv.private_rng("p").random() == v.private_rng(A1, "p").random()
+    # a restricted view restricts only to its owner
+    assert rv.restrict(A1) is rv
+    for other in (B1, C2, VertexId(Layer.A, 2)):
+        with pytest.raises(ValueError, match="cannot read"):
+            rv.restrict(other)
+    # a pair tape is the same from either endpoint
+    assert (v.restrict(B1).pair_rng(A1, "m").random()
+            == rv.pair_rng(B1, "m").random())

@@ -13,7 +13,8 @@ from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow,
 from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
                                feasibility_check,
                                restructured_feasibility_check)
-from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
+from congestlab.sampling import (build_gr_frame, enumerate_g0,
+                                 inner_cross_pairs, inner_views,
                                  public_slots, rebuild_from_inner_views,
                                  sample_aux, sample_d_in,
                                  sample_d_in_conditioned, sample_frame,
@@ -23,6 +24,10 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0, inner_views,
 from schedules import LOOSE, MICRO, SMALL2, WIDE2
 
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
+# the smallest level-2 schedule the shared check accepts: at n_2 = 598820
+# its auxiliary budget fails
+LEVEL2 = ParamSchedule(n=[1, 29, 598821], d=[2, 30], alpha=[1, 1],
+                       beta=[1, 1], gamma=[1, 1])
 
 
 def test_g0_starred_pairs_are_binary():
@@ -76,6 +81,30 @@ def test_gr_triangle_equivalence():
     for seed in range(40):
         g, emb = sample_gr(SMALL2, 1, random.Random(seed))
         assert g.has_triangle() == emb.inner.has_triangle()
+
+
+def test_gr_level2_invariants():
+    # a level-2 draw recurses through a level-1 inner instance; seed 12's
+    # inner instance has a triangle and seed 0's has none
+    assert feasibility_check(LEVEL2) == []
+    triangles = set()
+    for seed in (0, 12):
+        g, emb = sample_gr(LEVEL2, 2, random.Random(seed))
+        inner = emb.inner
+        assert (inner.n, inner.r) == (29, 1)
+        for v in inner.vertices():
+            for w in v.layer.others:
+                for t in (0, 1, 2):
+                    assert g.channel_degree(emb.outer(v), t, w) == 30
+        starred = {layer: emb.starred(layer) for layer in LAYERS}
+        touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
+        assert all(g.total_channel_degree(u) <= 1 for u in touched
+                   if u.index not in starred[u.layer])
+        for u, v, t in inner_cross_pairs(inner):
+            assert g.pair_type(emb.outer(u), emb.outer(v)) == t
+        assert g.has_triangle() == inner.has_triangle()
+        triangles.add(inner.has_triangle())
+    assert triangles == {False, True}
 
 
 def test_inner_views_fix_graph():
@@ -286,6 +315,23 @@ def test_every_level1_slot_type_appears_at_micro():
     assert seen == set(itertools.product((0, 1), range(1, 30), (0, 1, 2)))
 
 
+def test_level1_d_in_conditioned_is_the_first_matching_plain_draw():
+    # at level 1 the conditioned marginal redraws sample_d_in until the slot
+    # carries t: its rows and the stream after them are those of a plain
+    # loop stopped at its first match
+    for t, position, slot, seed in itertools.product(
+            (0, 1, 2), (0, 1), (1, 2, 17, 29), range(5)):
+        rng = random.Random(seed)
+        rows = sample_d_in_conditioned(MICRO, 1, t, position, slot, rng)
+        assert rows[position][slot - 1] == t
+        plain_rng = random.Random(seed)
+        plain = sample_d_in(MICRO, 1, plain_rng)
+        while plain[position][slot - 1] != t:
+            plain = sample_d_in(MICRO, 1, plain_rng)
+        assert [list(row) for row in rows] == [list(row) for row in plain]
+        assert rng.random() == plain_rng.random()
+
+
 def test_aux_sets_disjoint_and_sized():
     ids = _sample_ids(29, 1, random.Random(12))
     aux = sample_aux(ids, MICRO, 1, random.Random(12))
@@ -449,6 +495,24 @@ def test_feasible_schedules_leave_room_for_every_pool(n_prev, d, alpha, beta,
     assert 2 * n_prev * 2 * d <= free  # sample_gr's pool at level 1
     assert 2 * n_prev * aux_draws_per_vertex_layer(
         n_prev, d, alpha, beta, gamma, 1) <= free  # sample_aux's pool
+
+
+@pytest.mark.parametrize("p, match", [
+    (SMALL2, "publicly fixed slots exceed degree target d=8"),
+    (ParamSchedule(n=[1, 12], d=[7], alpha=[1], beta=[1], gamma=[1]),
+     "not enough free slots for completion"),
+], ids=["SMALL2", "n12-d7"])
+def test_tilde_input_refuses_a_completion_the_gate_would_refuse(p, match):
+    # the gate refuses both schedules, so only a direct call reaches the
+    # completion's own refusals: too many fixed slots of one type, and too
+    # few free slots for the 2d channels
+    assert restructured_feasibility_check(p, 1) or feasibility_check(p)
+    rng = random.Random(0)
+    inner = sample_inner(p, 0, rng)
+    ids, aux = sample_frame(p, 1, rng)
+    for x in inner.vertices():
+        with pytest.raises(InfeasibleParams, match=match):
+            sample_tilde_input(x, ids, aux, p, 1, rng, inner.type_rows(x))
 
 
 def test_gr_tilde_refuses_small2_before_any_draw():
