@@ -35,9 +35,13 @@ def _load_params(path: str) -> ParamSchedule:
         obj = json.load(fh)
     spec = obj.get("canonical") if isinstance(obj, dict) else None
     if isinstance(spec, dict):
-        # decided from (n0, r) before any size is built: n_r = n0**(34**r)
-        # is above the cap when log(log(n_r)) is above log(log(cap))
+        # decided from (n0, r) before any size is built: n0 = 1 makes every
+        # size 1, and n_r = n0**(34**r) is above the cap when log(log(n_r))
+        # is above log(log(cap))
         n0, r = int(spec["n0"]), int(spec["r"])
+        if n0 == 1 and r >= 1:
+            raise InfeasibleParams(f"canonical schedule (n0=1, r={r}): every "
+                                   f"layer size is 1, too small for level 1")
         if n0 > 1 and (r * math.log(34) + math.log(math.log(n0))
                        > math.log(math.log(MEMORY_CAP))):
             raise InfeasibleParams(

@@ -20,26 +20,39 @@ IDENTITY_TOL = 1e-12
 PROPERTY_TOL = 1e-9
 
 
-def _checked(probs: dict):
-    """Yield each ``(outcome, p)`` of ``probs`` in order, then raise
-    InvalidDistribution if the ps do not sum to 1: the one validation rule
-    of every table in this module, applied in the same pass that stores
-    the rows."""
+def _checked(probs, arity=None) -> bool:
+    """Raise unless every p is at least -IDENTITY_TOL, the ps sum to 1 and,
+    given ``arity``, every key has that many coordinates: the one rule of
+    every table in this module.  It runs in builtin passes, and only a
+    table that fails them is walked in order to name its first fault.
+    Returns whether every p is positive."""
+    ps = probs.values()
+    low = min(ps, default=0.0)
+    if (low >= -IDENTITY_TOL and abs(sum(ps) - 1.0) <= 1e-9
+            and (arity is None or set(map(len, probs)) <= {arity})):
+        return low > 0
     total = 0.0
     for x, p in probs.items():
+        if arity is not None and len(x) != arity:
+            raise InvalidCoordinate(f"entry {x!r} arity mismatch")
         if p < -IDENTITY_TOL:
             raise InvalidDistribution(f"negative probability at {x!r}")
         total += p
-        yield x, p
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"probabilities sum to {total}")
+    return False
 
 
 class FiniteDistribution:
     """Explicit probability table over a finite outcome set."""
 
+    _entropy = None  # set by entropy(): a law is read-only once built
+
     def __init__(self, probs: dict):
-        self.probs = {x: max(0.0, float(p)) for x, p in _checked(probs)}
+        if _checked(probs):
+            self.probs = dict(zip(probs, map(float, probs.values())))
+        else:
+            self.probs = {x: max(0.0, float(p)) for x, p in probs.items()}
 
     def __getitem__(self, x):
         return self.probs.get(x, 0.0)
@@ -57,13 +70,10 @@ class JointTable:
 
     def __init__(self, coords: list, table: dict):
         self.coords = list(coords)
-        arity = len(self.coords)
-        rows = {}
-        for key, p in _checked(table):
-            if len(key) != arity:
-                raise InvalidCoordinate(f"entry {key!r} arity mismatch")
-            if p > 0:
-                rows[key] = float(p)
+        if _checked(table, len(self.coords)):
+            rows = dict(zip(table, map(float, table.values())))
+        else:
+            rows = {key: float(p) for key, p in table.items() if p > 0}
         self.table = MappingProxyType(rows)
         # resolved axes -> result; keyed after _axes has checked the names
         self._memo = {}
@@ -93,6 +103,9 @@ class JointTable:
         return law
 
     def _marginal(self, axes: tuple) -> FiniteDistribution:
+        if axes == tuple(range(len(self.coords))):
+            # every key is its own projection, and 0.0 + p == p
+            return FiniteDistribution(self.table)
         out = {}
         for sub, p in zip(self._project(axes), self.table.values()):
             out[sub] = out.get(sub, 0.0) + p
@@ -138,7 +151,14 @@ class JointTable:
 
 
 def entropy(d: FiniteDistribution) -> float:
-    return sum(p * math.log2(1 / p) for p in d.probs.values() if p > 0)
+    """H(d) in bits, computed once per law."""
+    if d._entropy is None:
+        d._entropy = _entropy(d.probs)
+    return d._entropy
+
+
+def _entropy(probs: dict) -> float:
+    return sum(p * math.log2(1 / p) for p in probs.values() if p > 0)
 
 
 def cond_entropy(j: JointTable, target, given) -> float:
@@ -157,11 +177,11 @@ def cond_mutual_info(j: JointTable, a, b, c) -> float:
 
 
 def kl(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    out = 0.0
+    out, q_get = 0.0, q.probs.get
     for x, px in p.probs.items():
         if px <= 0:
             continue
-        qx = q[x]
+        qx = q_get(x, 0.0)
         if qx <= 0:
             return math.inf
         out += px * math.log2(px / qx)
@@ -170,7 +190,8 @@ def kl(p: FiniteDistribution, q: FiniteDistribution) -> float:
 
 def tvd(p: FiniteDistribution, q: FiniteDistribution) -> float:
     keys = set(p.probs) | set(q.probs)
-    return 0.5 * sum(abs(p[x] - q[x]) for x in keys)
+    p_get, q_get = p.probs.get, q.probs.get
+    return 0.5 * sum(abs(p_get(x, 0.0) - q_get(x, 0.0)) for x in keys)
 
 
 def pinsker_check(p: FiniteDistribution, q: FiniteDistribution):

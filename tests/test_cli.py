@@ -43,15 +43,20 @@ def test_gen_restructured_sidecar(tmp_path):
     assert "collision_flag" in meta and "ids" in meta
 
 
-@pytest.mark.parametrize("r", [1, 3, 7, 40])
-def test_gen_canonical_params_exit_2(tmp_path, monkeypatch, r):
-    # at r = 3 the largest layer size, 2 ** (34 ** 3), has 11832 decimal
-    # digits, more than Python converts to a string; at r = 7 it alone
-    # takes 6.6 GB, so the refusal must come before any size is built
+@pytest.fixture
+def no_expansion(monkeypatch):
+    """Any expansion of a canonical schedule fails the test."""
     def expanded(n0, r):
         raise AssertionError(f"canonical_params({n0}, {r}) was expanded")
 
     monkeypatch.setattr(params_module, "canonical_params", expanded)
+
+
+@pytest.mark.parametrize("r", [1, 3, 7, 40])
+def test_gen_canonical_params_exit_2(tmp_path, no_expansion, r):
+    # at r = 3 the largest layer size, 2 ** (34 ** 3), has 11832 decimal
+    # digits, more than Python converts to a string; at r = 7 it alone
+    # takes 6.6 GB, so the refusal must come before any size is built
     params = str(tmp_path / "p.json")
     with open(params, "w") as fh:
         fh.write(json.dumps({"canonical": {"n0": 2, "r": r}}))
@@ -62,6 +67,22 @@ def test_gen_canonical_params_exit_2(tmp_path, monkeypatch, r):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "memory cap" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r", [1, 3000, 10000])
+def test_gen_canonical_params_with_unit_sizes_exit_2(tmp_path, no_expansion,
+                                                     r):
+    # with n0 = 1 every layer size is 1, so level 1 has no room; expanded
+    # level by level, r = 10000 took seconds and named every level's faults
+    params = str(tmp_path / "p.json")
+    with open(params, "w") as fh:
+        fh.write(json.dumps({"canonical": {"n0": 1, "r": r}}))
+    result = CliRunner().invoke(main, ["gen", "--level", "1", "--params",
+                                       params, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: canonical schedule (n0=1, r={r}): "
+                             f"every layer size is 1, too small for level 1\n")
     assert not (tmp_path / "out").exists()
 
 

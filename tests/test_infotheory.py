@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congestlab import infotheory
 from congestlab.errors import (InvalidCoordinate, InvalidDistribution,
                                PremiseViolated)
 from congestlab.infotheory import (FiniteDistribution, JointTable,
@@ -61,6 +62,10 @@ def test_kl_support_violation_is_infinite():
     q = FiniteDistribution({1: 1.0})
     assert kl(p, q) == math.inf
     assert tvd(p, q) == pytest.approx(1.0)
+    # an outcome that p holds at probability 0 is skipped, so q may lack it
+    p = FiniteDistribution({0: 0.0, 1: 0.25, 2: 0.75})
+    q = FiniteDistribution({1: 0.5, 2: 0.5})
+    assert kl(p, q) == 0.25 * math.log2(0.5) + 0.75 * math.log2(1.5)
 
 
 def test_invalid_coordinate_raises():
@@ -381,19 +386,11 @@ def test_memoized_measures_equal_those_of_a_fresh_table(case):
                         == measure(*(fresh(t) for t in tables)))
 
 
-def test_a_suite_op_groups_each_question_once(monkeypatch):
-    passes = {"_marginal": 0, "_conditionals": 0}
-    for name in passes:
-        def counted(self, *axes, _name=name, _run=getattr(JointTable, name)):
-            passes[_name] += 1
-            return _run(self, *axes)
-        monkeypatch.setattr(JointTable, name, counted)
-    rng = random.Random(3)
+def suite_op(rng):
+    """The calls of one measure-suite op of perfbench's verify-info
+    workload, in its order, on 6x6x6 tables."""
     j, k = (random_joint(["A", "B", "C"], [6, 6, 6], rng) for _ in range(2))
     xz, yz = (random_joint(["X", "Z"], [6, 6], rng) for _ in range(2))
-    # the calls of one measure-suite op of perfbench's verify-info workload,
-    # in its order: 15 conditionals calls ask 8 questions, 12 marginal
-    # calls ask 10
     entropy(j.marginal(["A", "B", "C"]))
     entropy(j.marginal(["A"]))
     cond_entropy(j, ["B"], ["A"])
@@ -404,7 +401,31 @@ def test_a_suite_op_groups_each_question_once(monkeypatch):
     pinsker_check(j.marginal(["A", "B"]), k.marginal(["A", "B"]))
     tvd_chain_bound_check(j, k)
     overconditioning_check(xz, yz)
+
+
+def test_a_suite_op_groups_each_question_once(monkeypatch):
+    passes = {"_marginal": 0, "_conditionals": 0}
+    for name in passes:
+        def counted(self, *axes, _name=name, _run=getattr(JointTable, name)):
+            passes[_name] += 1
+            return _run(self, *axes)
+        monkeypatch.setattr(JointTable, name, counted)
+    # 15 conditionals calls ask 8 questions, 12 marginal calls ask 10
+    suite_op(random.Random(3))
     assert passes == {"_marginal": 10, "_conditionals": 8}
+
+
+def test_a_suite_op_computes_each_laws_entropy_once(monkeypatch):
+    laws = []
+    run = infotheory._entropy
+    monkeypatch.setattr(infotheory, "_entropy",
+                        lambda probs: laws.append(probs) or run(probs))
+    # H(ABC) and H(A), then the laws of B|A (6), C|AB (36), A|C (6) and
+    # A|BC (36); H(A|C) asked again and I(A;B|C) asked again in the KL
+    # identity would add 48 more without the memo
+    suite_op(random.Random(3))
+    assert len(laws) == 86
+    assert len({id(probs) for probs in laws}) == 86
 
 
 def test_projections_onto_no_axis_and_one_axis():
@@ -425,6 +446,38 @@ def test_table_is_read_only():
         del j.table[(1,)]
 
 
+def test_marginal_over_all_axes_in_order_is_the_stored_rows():
+    rng = random.Random(11)
+    for coords, sizes in ((["A"], [4]), (["A", "B", "C"], [2, 3, 2])):
+        j = random_joint(coords, sizes, rng)
+        law = j.marginal(coords)
+        assert type(law.probs) is dict
+        assert list(law.probs.items()) == list(j.table.items())
+    swapped = j.marginal(["C", "B", "A"]).probs
+    assert swapped == {key[::-1]: p for key, p in j.table.items()}
+
+
+# the values that make one flag of one table's checks read False, in call
+# order: I(A;B|C) of j against H(B); H(A|BC) against H(A|B); then I(A;B|C)
+# against I(A;B|CD) for j2, which must not drop, and for j3, which must
+# not rise
+FAILING_CALLS = {  # flag: (cond_mutual_info values, cond_entropy values)
+    "cmi_le_entropy": ([10.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0]),
+    "conditioning_reduces_entropy": ([0.0] * 5, [1.0, 0.0]),
+    "extra_conditioning_raises_mi": ([0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0]),
+    "extra_conditioning_lowers_mi": ([0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("flag", FAILING_CALLS)
+def test_monotonicity_checks_can_report_each_failure(monkeypatch, flag):
+    cmi, ce = map(iter, FAILING_CALLS[flag])
+    monkeypatch.setattr(infotheory, "cond_mutual_info", lambda *a: next(cmi))
+    monkeypatch.setattr(infotheory, "cond_entropy", lambda *a: next(ce))
+    report = monotonicity_checks(random.Random(0), tables=1)
+    assert [name for name, ok in report.items() if not ok] == [flag]
+
+
 def test_joint_table_validates_and_stores_rows_as_finite_distribution_does():
     with pytest.raises(InvalidCoordinate, match=r"entry \(0,\) arity mismatch"):
         JointTable(["A", "B"], {(0, 0): 0.5, (0,): 0.5})
@@ -433,6 +486,20 @@ def test_joint_table_validates_and_stores_rows_as_finite_distribution_does():
         JointTable(["A", "B"], {(0, 0): 1.5, (1, 0): -0.5})
     with pytest.raises(InvalidDistribution, match="probabilities sum to 0.9"):
         JointTable(["A", "B"], {(0, 0): 0.5, (1, 0): 0.4})
+    # a table with two faults names the first in row order
+    with pytest.raises(InvalidCoordinate, match=r"entry \(0,\) arity"):
+        JointTable(["A", "B"], {(0,): 1.5, (1, 0): -0.5})
+    with pytest.raises(InvalidDistribution,
+                       match=r"negative probability at \(1, 0\)"):
+        JointTable(["A", "B"], {(1, 0): -0.5, (0,): 1.5})
+    with pytest.raises(InvalidDistribution, match=r"negative probability at 1"):
+        FiniteDistribution({0: 0.5, 1: -0.5, 2: 2.0})
+    with pytest.raises(InvalidDistribution, match=r"sum to 0\.0$"):
+        FiniteDistribution({})
     j = JointTable(["A", "B"], {(0, 0): 0.0, (1, 1): 1, (0, 1): -1e-13})
     assert dict(j.table) == {(1, 1): 1.0}
     assert type(j.table[(1, 1)]) is float
+    law = FiniteDistribution({0: -1e-13, 1: 1.0})
+    assert law.probs == {0: 0.0, 1: 1.0} and type(law.probs[0]) is float
+    law = FiniteDistribution({"x": 1})
+    assert law.probs == {"x": 1.0} and type(law.probs["x"]) is float

@@ -12,7 +12,10 @@ agrees.
 
 The digests were computed at commit e43298e, before ``sampling`` drew the
 indices outside a taken set by sampling positions in place of a lazy
-complement sequence.
+complement sequence.  The two ``infotheory`` digests, which hash the
+measures of one ``verify-info`` suite op on seeded tables and one
+``monotonicity_checks`` report, were computed at commit 05e83f8, before
+``infotheory`` validated rows in builtin passes and kept each law's entropy.
 """
 
 import hashlib
@@ -22,6 +25,11 @@ import pytest
 
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     hybrid_sampler, run_elimination_trials)
+from congestlab.infotheory import (JointTable, cond_entropy, cond_mutual_info,
+                                   entropy, mi_kl_identity_check,
+                                   monotonicity_checks, overconditioning_check,
+                                   pinsker_check, random_joint,
+                                   tvd_chain_bound_check)
 from congestlab.protocols import registry
 from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_gr,
                                  sample_gr_tilde)
@@ -78,6 +86,40 @@ def _frames():
             for g, _, _ in enumerate_g0(1)]
 
 
+def _suites():
+    """The measures of one verify-info suite op at three table sizes, with
+    the full-table laws and the conditional laws they read; the X and Z
+    tables are drawn independently, and a third shares the first's Z
+    marginal so that the averaged overconditioning form is taken too."""
+    out = []
+    for seed, sizes in enumerate([(2, 3, 2), (6, 6, 6), (8, 8, 8)]):
+        rng = random.Random(seed)
+        j, k = (random_joint(["A", "B", "C"], sizes, rng) for _ in range(2))
+        xz, yz = (random_joint(["X", "Z"], sizes[::2], rng) for _ in range(2))
+        pz, qz = xz.marginal(["Z"]).probs, yz.marginal(["Z"]).probs
+        shared = JointTable(["X", "Z"], {(x, z): pz[(z,)] * p / qz[(z,)]
+                                         for (x, z), p in yz.table.items()})
+        out.append((
+            entropy(j.marginal(["A", "B", "C"])), entropy(j.marginal(["A"])),
+            cond_entropy(j, ["B"], ["A"]), cond_entropy(j, ["C"], ["A", "B"]),
+            cond_mutual_info(j, ["A"], ["B"], ["C"]),
+            cond_entropy(j, ["A"], ["C"]),
+            mi_kl_identity_check(j, ["A"], ["B"], ["C"]),
+            pinsker_check(j.marginal(["A", "B"]), k.marginal(["A", "B"])),
+            tvd_chain_bound_check(j, k), overconditioning_check(xz, yz),
+            overconditioning_check(xz, shared),
+            list(j.marginal(["A", "B", "C"]).probs.items()),
+            list(xz.marginal(["X", "Z"]).probs.items()),
+            [(g, p, list(law.probs.items()))
+             for g, (p, law) in j.conditionals(["A"], ["B", "C"]).items()]))
+    return out
+
+
+def _monotonicity():
+    rng = random.Random(5)
+    return monotonicity_checks(rng, tables=20), rng.random()
+
+
 STREAMS = {
     "sample_gr/MICRO": (
         lambda: _gr(MICRO),
@@ -109,6 +151,12 @@ STREAMS = {
     "build_gr_frame/MICRO": (
         _frames,
         "929e598e6afc153e5f13e3298101b63a0e26fa901c83b8d2859dd1300502e974"),
+    "infotheory/suite": (
+        _suites,
+        "99f962fe53c93db2fc2ecd428a302ab84679441913ba3f6bc31616ffe8d49714"),
+    "infotheory/monotonicity_checks": (
+        _monotonicity,
+        "3899a8dd1289d0a8613de4fa66e5d2920dab2ce8d9fca17ea06e2e611229b4c3"),
 }
 
 
