@@ -433,7 +433,9 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     _require_one_round_regime(pi)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n_prev = cfg.params.level(LEVEL)["n_prev"]
+    # refuses a bandwidth below 1 before the first draw
+    predicted = degradation_bound(cfg.params.level(LEVEL)["n_prev"],
+                                  pi.bandwidth)
     successes = fallbacks = failures = 0
     pair_attempts = private_attempts = max_bits = 0
     for trial in range(trials):
@@ -462,7 +464,7 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
         rejection_attempts=pair_attempts + private_attempts,
         pair_attempts=pair_attempts,
         private_attempts=private_attempts,
-        predicted_degradation=degradation_bound(n_prev, pi.bandwidth),
+        predicted_degradation=predicted,
     )
 
 

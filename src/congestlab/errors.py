@@ -10,7 +10,7 @@ class SameLayerPair(CongestLabError):
 
 
 class OutOfRange(CongestLabError):
-    """A vertex index exceeds the layer size."""
+    """A vertex index or a pair type outside its range."""
 
 
 class InfeasibleParams(CongestLabError):

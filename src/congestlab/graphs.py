@@ -7,11 +7,15 @@ pairs carry no type at all.
 
 Only non-default pairs are stored, in one place: a per-vertex adjacency map
 that holds each pair at both endpoints, which is the view a player has of
-the pairs at its own vertex.  ``stored_pairs`` yields each pair once,
-oriented from its lower-layer endpoint.  A vertex's view of one other layer
-is a ``TypeRow``: a read-only length-n row that holds its non-default slots
-explicitly and answers the default type ``r+1`` everywhere else, so building
-and scanning it costs the vertex's stored pairs, not ``n``.  Layers order
+the pairs at its own vertex.  ``set_type`` is the one write gate: it refuses
+a same-layer pair, an index outside ``[1, n]`` and a type outside
+``[0, r+1]``, so every stored pair is well-formed.  ``stored_pairs`` yields
+each pair once, oriented from its lower-layer endpoint.  ``type_rows`` is the
+one per-vertex view: a vertex's view of one other layer is a ``TypeRow``, a
+read-only length-n row that holds its non-default slots explicitly and
+answers the default type ``r+1`` everywhere else, so building and scanning
+it costs the vertex's stored pairs, not ``n``.  A per-type channel count is
+``row.count(t)``.  Layers order
 ``A < B < C`` by their string values, and so do ``VertexId``s by (layer,
 index), which puts the A endpoint first in every canonical pair key.
 
@@ -120,7 +124,8 @@ class TypedTripartiteGraph:
 
     Only pairs with a non-default type are stored, in the adjacency map
     ``_adj``; every unlisted cross-layer pair has the default type ``r + 1``.
-    Instances are treated as immutable once built.
+    ``set_type`` writes and checks every pair, and ``type_rows`` reads a
+    vertex's pairs.  Instances are treated as immutable once built.
     """
 
     def __init__(self, n: int, r: int):
@@ -141,7 +146,11 @@ class TypedTripartiteGraph:
 
     def set_type(self, u: VertexId, v: VertexId, t: int) -> None:
         self._check_pair(u, v)
-        if t == self.default_type:
+        default = self.r + 1
+        if not 0 <= t <= default:
+            raise OutOfRange(
+                f"pair ({u}, {v}) type {t} outside [0, {default}]")
+        if t == default:
             self._adj.get(u, {}).pop(v, None)
             self._adj.get(v, {}).pop(u, None)
             return
@@ -175,23 +184,6 @@ class TypedTripartiteGraph:
             for v, t in row.items():
                 if u.layer < v.layer:
                     yield u, v, t
-
-    def channel_degree(self, u: VertexId, t: int, target: Layer) -> int:
-        """Number of vertices in ``target`` whose pair with ``u`` has type ``t``."""
-        if target is u.layer:
-            raise SameLayerPair(f"target layer equals layer of {u}")
-        self._check_vertex(u)
-        if t == self.default_type:
-            stored = sum(1 for v in self._adj.get(u, {}) if v.layer is target)
-            return self.n - stored
-        return sum(
-            1 for v, tt in self._adj.get(u, {}).items() if v.layer is target and tt == t
-        )
-
-    def total_channel_degree(self, u: VertexId) -> int:
-        """Number of partners with type <= r (i.e. usable in some round)."""
-        self._check_vertex(u)
-        return sum(1 for t in self._adj.get(u, {}).values() if t <= self.r)
 
     def has_triangle(self) -> bool:
         """True iff some a in A, b in B, c in C are pairwise type 0."""
@@ -241,16 +233,6 @@ class TypedTripartiteGraph:
         return {w: TypeRow(self.n, self.default_type, s)
                 for w, s in slots.items()}
 
-    def validate(self) -> list[str]:
-        """Return a list of invariant violations (empty when well-formed).
-
-        ``set_type`` already refuses same-layer pairs and out-of-range
-        indices, but not a type outside ``[0, r+1]``, so that is the one
-        invariant left to check.
-        """
-        return [f"TypeRangeViolation: ({u}, {v}) has type {t}"
-                for u, v, t in self.stored_pairs() if not 0 <= t <= self.r + 1]
-
     # -- equality / hashing ------------------------------------------------
 
     def canonical_items(self):
@@ -290,9 +272,6 @@ class TypedTripartiteGraph:
             u = VertexId(Layer(lu), int(iu))
             v = VertexId(Layer(lv), int(iv))
             g.set_type(u, v, int(t))
-        bad = g.validate()
-        if bad:
-            raise ValueError(f"instance file violates invariants: {bad}")
         return g
 
     @classmethod

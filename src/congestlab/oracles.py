@@ -2,7 +2,7 @@
 
 Everything here is computed from first principles — explicit enumeration,
 closed-form combinatorics, or direct Monte Carlo — so that the samplers and
-the protocol engine can be validated against values they did not produce
+the protocol engine can be checked against values they did not produce
 themselves.
 """
 

@@ -29,7 +29,6 @@ class ParamSchedule:
     alpha: list[int] = field(default_factory=list)
     beta: list[int] = field(default_factory=list)
     gamma: list[int] = field(default_factory=list)
-    canonical: bool = False
 
     @property
     def r(self) -> int:
@@ -55,7 +54,6 @@ class ParamSchedule:
             "alpha": self.alpha,
             "beta": self.beta,
             "gamma": self.gamma,
-            "canonical": self.canonical,
         }
 
     def to_json(self) -> str:
@@ -66,8 +64,8 @@ class ParamSchedule:
         if not isinstance(obj, dict):
             raise ValueError("a schedule must be a JSON object, got "
                              f"{type(obj).__name__}")
-        if "canonical" in obj and isinstance(obj["canonical"], dict):
-            spec = obj["canonical"]
+        spec = obj.get("canonical")
+        if isinstance(spec, dict):
             return canonical_params(int(spec["n0"]), int(spec["r"]))
         return cls(
             n=[int(x) for x in obj["n"]],
@@ -75,7 +73,6 @@ class ParamSchedule:
             alpha=[int(x) for x in obj.get("alpha", [])],
             beta=[int(x) for x in obj.get("beta", [])],
             gamma=[int(x) for x in obj.get("gamma", [])],
-            canonical=bool(obj.get("canonical", False)),
         )
 
     @classmethod
@@ -98,7 +95,7 @@ def canonical_params(n0: int, r: int) -> ParamSchedule:
     alpha = [n[l - 1] ** 11 for l in range(1, r + 1)]
     beta = [n[l - 1] ** 5 for l in range(1, r + 1)]
     gamma = [n[l - 1] ** 6 for l in range(1, r + 1)]
-    return ParamSchedule(n=n, d=d, alpha=alpha, beta=beta, gamma=gamma, canonical=True)
+    return ParamSchedule(n=n, d=d, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def aux_draws_per_vertex_layer(n_prev: int, d: int, alpha: int, beta: int,

@@ -99,9 +99,6 @@ class InnerEmbedding:
     def outer(self, v: VertexId) -> VertexId:
         return VertexId(v.layer, self.ids[v.layer][v.index - 1])
 
-    def starred(self, layer: Layer) -> set:
-        return set(self.ids[layer])
-
 
 def sample_inner(p: ParamSchedule, level: int, rng: random.Random):
     """An instance at the given level (the base family at level 0)."""
@@ -138,9 +135,13 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
             if y.layer is target:
                 continue
             y_out = emb.outer(y)
+            # y_out's type-t pairs toward target so far are its copied inner
+            # pairs: the chunks go to non-starred vertices, and earlier
+            # chunks of y_out carry other types
+            row = inner.type_rows(y)[target]
             for t in range(level + 1):
                 chunk = sorted(islice(pool, d))
-                have = g.channel_degree(y_out, t, target)
+                have = row.count(t)
                 for idx in chunk[: d - have]:
                     g.set_type(y_out, VertexId(target, idx), t)
     return g, emb

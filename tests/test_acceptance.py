@@ -57,18 +57,18 @@ def test_criterion_3_recursive_family_invariants():
     bad = 0
     for i in range(draws):
         g, emb = sample_gr(SMALL2, 1, derive_rng(3, i))
-        starred = {layer: emb.starred(layer) for layer in LAYERS}
+        starred = {layer: set(emb.ids[layer]) for layer in LAYERS}
         degree_ok = all(
-            g.channel_degree(emb.outer(v), t, w) == 8
+            g.type_rows(emb.outer(v))[w].count(t) == 8
             for v in emb.inner.vertices()
             for w in v.layer.others
             for t in (0, 1)
         )
-        # a vertex with no stored pair has channel degree 0, so only the
-        # endpoints of stored pairs can break the bound
+        # every stored slot is a channel (the default type is never stored),
+        # so only the endpoints of stored pairs can break the bound
         touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
         outer_ok = all(
-            g.total_channel_degree(u) <= 1
+            sum(len(row.slots) for row in g.type_rows(u).values()) <= 1
             for u in touched if u.index not in starred[u.layer]
         )
         triangle_ok = g.has_triangle() == emb.inner.has_triangle()

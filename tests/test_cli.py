@@ -115,7 +115,10 @@ def test_simulate_malformed_instance_exit_1(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["simulate", "--instance", str(bad),
                                   "--protocol", "all-no"])
-    assert result.exit_code == 1
+    # set_type refuses the type-9 pair while the file is read
+    assert_one_error_line(result)
+    assert "type 9 outside [0, 2]" in result.stderr
+    assert result.stdout == ""
 
 
 def test_simulate_unknown_protocol_exit_1(tmp_path):

@@ -210,6 +210,17 @@ def test_every_entry_point_refuses_a_protocol_outside_the_regime(
     assert "deterministic 1-round protocols only" in messages["build"]
 
 
+def test_trials_refuse_a_bandwidth_below_one_before_any_draw(monkeypatch):
+    pi = registry(rounds=1, bandwidth=0)["all-no"]
+
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(elimination, "sample_inner", no_draw)
+    with pytest.raises(InfeasibleParams, match="s must be >= 1"):
+        run_elimination_trials(pi, CFG, 200, 0)
+
+
 def test_config_refuses_a_level_other_than_one():
     # the level is checked, not stored: no stage can read another one
     cfg = EliminationConfig(MICRO, level=1)
@@ -354,7 +365,8 @@ def _replay_breaks(pi, cfg, which, seed):
     replayed, _ = simulate(pi, g, RandomnessView(seed))
     starred = {emb.outer(x) for x in emb.inner.vertices()}
     collided = {w for u, v, _ in g.stored_pairs() for w in (u, v)
-                if w not in starred and g.total_channel_degree(w) >= 2}
+                if w not in starred
+                and sum(len(row.slots) for row in g.type_rows(w).values()) >= 2}
     # a transcript key is (round, sender, receiver)
     breaks = sorted(
         k for k in staged.entries.keys() | replayed.entries.keys()

@@ -35,6 +35,38 @@ def test_out_of_range_rejected():
         g.pair_type(VertexId(Layer.A, 3), VertexId(Layer.B, 1))
 
 
+@pytest.mark.parametrize("n, r, text", [
+    (0, 1, "layer size must be positive, got 0"),
+    (-2, 1, "layer size must be positive, got -2"),
+    (2, -1, "round regime must be non-negative, got -1"),
+])
+def test_constructor_refuses_an_empty_layer_and_a_negative_regime(n, r, text):
+    with pytest.raises(OutOfRange, match=text):
+        TypedTripartiteGraph(n, r)
+
+
+@pytest.mark.parametrize("t", [-1, 4])
+def test_set_type_refuses_a_type_outside_zero_to_r_plus_1(t):
+    # r = 2: the types are 0 .. 3; a refused write stores nothing
+    g = make_triangle_graph()
+    before = g.canonical_items()
+    a, b = VertexId(Layer.A, 3), VertexId(Layer.B, 3)
+    with pytest.raises(OutOfRange, match=rf"type {t} outside \[0, 3\]"):
+        g.set_type(a, b, t)
+    assert g.canonical_items() == before
+    assert g.pair_type(a, b) == g.default_type
+    # both ends of the range are accepted; the default type is not stored
+    g.set_type(a, b, 0)
+    g.set_type(a, b, 3)
+    assert g.canonical_items() == before
+
+
+def test_neighborhood_vector_refuses_the_vertex_own_layer():
+    g = make_triangle_graph()
+    with pytest.raises(SameLayerPair):
+        g.neighborhood_vector(VertexId(Layer.B, 1), Layer.B)
+
+
 def test_has_triangle_matches_brute_force():
     g = make_triangle_graph()
     assert g.has_triangle()
@@ -51,22 +83,26 @@ def test_neighborhood_vector_roundtrip():
     assert vec == [3, 0, 3]
 
 
-def test_channel_degree_counts_default_complement():
+def test_type_row_count_counts_default_complement():
     g = make_triangle_graph()
     a = VertexId(Layer.A, 1)
-    assert g.channel_degree(a, 0, Layer.B) == 1
-    assert g.channel_degree(a, g.default_type, Layer.B) == 2
+    rows = g.type_rows(a)
+    assert rows[Layer.B].count(0) == 1
+    assert rows[Layer.B].count(g.default_type) == 2
+    # every stored slot is a channel: the default type is never stored
+    assert sum(len(row.slots) for row in rows.values()) == 2
+    assert sum(len(row.slots)
+               for row in g.type_rows(VertexId(Layer.B, 1)).values()) == 1
 
 
-def test_json_roundtrip_and_validate():
+def test_json_roundtrip():
     g = make_triangle_graph()
     g2 = TypedTripartiteGraph.from_json(g.to_json())
     assert g == g2
-    assert g.validate() == []
 
 
 def test_from_dict_rejects_bad_type():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match=r"type 9 outside \[0, 2\]"):
         TypedTripartiteGraph.from_dict(
             {"n": 2, "r": 1, "pairs": [["A", 1, "B", 1, 9]]})
 
@@ -75,10 +111,11 @@ def test_from_dict_rejects_bad_type():
     (["A", 1, "A", 2, 0], SameLayerPair),
     (["A", 3, "B", 1, 0], OutOfRange),
     (["A", 1, "C", 0, 0], OutOfRange),
+    (["A", 1, "B", 1, -1], OutOfRange),
+    (["A", 1, "B", 1, 3], OutOfRange),
 ])
 def test_from_dict_refuses_pairs_set_type_refuses(pair, error):
-    # the instance file goes through set_type, which raises before
-    # validate() could see such a pair
+    # the instance file goes through set_type, the graph's one write gate
     with pytest.raises(error):
         TypedTripartiteGraph.from_dict({"n": 2, "r": 1, "pairs": [pair]})
 

@@ -62,7 +62,7 @@ def test_degree_excess_projection():
 def _recount_degree_excess(g, emb) -> bool:
     """The collision rule from the graph's stored pairs: channels from a
     starred vertex to each non-starred one, flagged at two or more."""
-    starred = {layer: emb.starred(layer) for layer in LAYERS}
+    starred = {layer: set(emb.ids[layer]) for layer in LAYERS}
     counts = {}
     for u, v, _ in g.stored_pairs():
         for a, b in ((u, v), (v, u)):

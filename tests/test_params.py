@@ -15,7 +15,6 @@ def test_canonical_exact_integers():
     assert p.alpha == [2 ** 11]
     assert p.beta == [2 ** 5]
     assert p.gamma == [2 ** 6]
-    assert p.canonical
 
 
 def test_canonical_is_feasible_even_when_huge():
@@ -89,6 +88,12 @@ def test_json_roundtrip_and_canonical_shortcut():
     assert p2.to_dict() == MICRO.to_dict()
     p3 = ParamSchedule.from_json('{"canonical": {"n0": 2, "r": 1}}')
     assert p3.n == [2, 2 ** 34]
+    assert p3 == canonical_params(2, 1)
+    # a boolean "canonical", as older schedule files carry, is ignored
+    for flag in (True, False):
+        assert ParamSchedule.from_dict({**MICRO.to_dict(),
+                                        "canonical": flag}) == MICRO
+    assert "canonical" not in p3.to_dict()
 
 
 def test_restructured_gate_runs_the_shared_check_first():

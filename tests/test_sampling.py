@@ -66,15 +66,15 @@ def test_gr_per_type_degree_exact():
         u = emb.outer(v)
         for w in v.layer.others:
             for t in (0, 1):
-                assert g.channel_degree(u, t, w) == 8
+                assert g.type_rows(u)[w].count(t) == 8
 
 
 def test_gr_outer_degree_at_most_one():
     g, emb = sample_gr(SMALL2, 1, random.Random(6))
-    starred = {layer: emb.starred(layer) for layer in LAYERS}
+    starred = {layer: set(emb.ids[layer]) for layer in LAYERS}
     for u in g.vertices():
         if u.index not in starred[u.layer]:
-            assert g.total_channel_degree(u) <= 1
+            assert sum(len(row.slots) for row in g.type_rows(u).values()) <= 1
 
 
 def test_gr_triangle_equivalence():
@@ -95,11 +95,11 @@ def test_gr_level2_invariants():
         for v in inner.vertices():
             for w in v.layer.others:
                 for t in (0, 1, 2):
-                    assert g.channel_degree(emb.outer(v), t, w) == 30
-        starred = {layer: emb.starred(layer) for layer in LAYERS}
+                    assert g.type_rows(emb.outer(v))[w].count(t) == 30
+        starred = {layer: set(emb.ids[layer]) for layer in LAYERS}
         touched = {w for u, v, _ in g.stored_pairs() for w in (u, v)}
-        assert all(g.total_channel_degree(u) <= 1 for u in touched
-                   if u.index not in starred[u.layer])
+        assert all(sum(len(row.slots) for row in g.type_rows(u).values()) <= 1
+                   for u in touched if u.index not in starred[u.layer])
         for u, v, t in inner_cross_pairs(inner):
             assert g.pair_type(emb.outer(u), emb.outer(v)) == t
         assert g.has_triangle() == inner.has_triangle()
@@ -379,7 +379,7 @@ def test_gr_tilde_flags_and_degrees():
         u = emb.outer(v)
         for w in v.layer.others:
             for t in (0, 1):
-                assert g.channel_degree(u, t, w) == 6
+                assert g.type_rows(u)[w].count(t) == 6
 
 
 def test_gr_tilde_inner_marginal_preserved():
