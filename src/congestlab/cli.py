@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation failure, 2 infeasible parameters.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import sys
@@ -20,7 +19,7 @@ import click
 from . import elimination, infotheory, oracles, protocols
 from .errors import CongestLabError, InfeasibleParams
 from .graphs import TypedTripartiteGraph
-from .params import (ParamSchedule, require_feasible,
+from .params import (ParamSchedule, canonical_spec, require_feasible,
                      require_restructured_feasible)
 from .randomness import RandomnessView, derive_rng
 from .sampling import sample_g0, sample_gr, sample_gr_tilde
@@ -33,27 +32,22 @@ MEMORY_CAP = 5_000_000
 def _load_params(path: str) -> ParamSchedule:
     with open(path) as fh:
         obj = json.load(fh)
-    spec = obj.get("canonical") if isinstance(obj, dict) else None
-    if isinstance(spec, dict):
-        # decided from (n0, r) before any size is built: n0 = 1 makes every
-        # size 1, and n_r = n0**(34**r) is above the cap when log(log(n_r))
-        # is above log(log(cap))
-        n0, r = int(spec["n0"]), int(spec["r"])
-        if n0 == 1 and r >= 1:
+    spec = canonical_spec(obj)
+    if spec is not None and spec[0] >= 1 and spec[1] >= 1:
+        # decided from (n0, r) before any size is built: n_l = n0**(34**l)
+        # is 1 at n0 = 1 and at least 2**34, above the cap, at n0 >= 2
+        n0, r = spec
+        if n0 == 1:
             raise InfeasibleParams(f"canonical schedule (n0=1, r={r}): every "
                                    f"layer size is 1, too small for level 1")
-        if n0 > 1 and (r * math.log(34) + math.log(math.log(n0))
-                       > math.log(math.log(MEMORY_CAP))):
-            raise InfeasibleParams(
-                f"canonical schedule (n0={n0}, r={r}): largest layer size "
-                f"n0**(34**r) exceeds memory cap {MEMORY_CAP}")
+        raise InfeasibleParams(
+            f"canonical schedule (n0={n0}, r={r}): largest layer size "
+            f"n0**(34**r) exceeds memory cap {MEMORY_CAP}")
     p = ParamSchedule.from_dict(obj)
     require_feasible(p)
     if max(p.n) > MEMORY_CAP:
-        # by bit length: a canonical size can pass Python's digit limit
-        raise InfeasibleParams(
-            f"largest layer size ({max(p.n).bit_length()} bits) exceeds "
-            f"memory cap {MEMORY_CAP}")
+        raise InfeasibleParams(f"largest layer size {max(p.n)} exceeds "
+                               f"memory cap {MEMORY_CAP}")
     return p
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the JSON integer rule shared across the package."""
 
 
 class CongestLabError(Exception):
@@ -55,3 +55,10 @@ class InvalidCoordinate(CongestLabError):
 
 class PremiseViolated(CongestLabError):
     """A generated test table fails its declared independence premise."""
+
+
+def json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer; a float or a bool is a ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x

@@ -31,7 +31,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import OutOfRange, SameLayerPair
+from .errors import OutOfRange, SameLayerPair, json_int
 
 
 class Layer(str, Enum):
@@ -267,11 +267,12 @@ class TypedTripartiteGraph:
         if not isinstance(obj, dict):
             raise ValueError("an instance must be a JSON object, got "
                              f"{type(obj).__name__}")
-        g = cls(int(obj["n"]), int(obj["r"]))
+        g = cls(json_int(obj["n"], "n"), json_int(obj["r"], "r"))
         for lu, iu, lv, iv, t in obj["pairs"]:
-            u = VertexId(Layer(lu), int(iu))
-            v = VertexId(Layer(lv), int(iv))
-            g.set_type(u, v, int(t))
+            if not (type(iu) is int and type(iv) is int and type(t) is int):
+                raise ValueError(f"each index and type of pair "
+                                 f"{[lu, iu, lv, iv, t]} must be an integer")
+            g.set_type(VertexId(Layer(lu), iu), VertexId(Layer(lv), iv), t)
         return g
 
     @classmethod

@@ -23,24 +23,23 @@ PROPERTY_TOL = 1e-9
 def _checked(probs, arity=None) -> bool:
     """Raise unless every p is at least -IDENTITY_TOL, the ps sum to 1 and,
     given ``arity``, every key has that many coordinates: the one rule of
-    every table in this module.  It runs in builtin passes, and only a
-    table that fails them is walked in order to name its first fault.
+    every table here.  Builtin passes (``min``, ``sum``, key lengths) give
+    the one verdict, and a NaN fails the sum; a failed table is walked only
+    to name its first arity mismatch, NaN or negative value, else the sum.
     Returns whether every p is positive."""
     ps = probs.values()
-    low = min(ps, default=0.0)
-    if (low >= -IDENTITY_TOL and abs(sum(ps) - 1.0) <= 1e-9
+    low, total = min(ps, default=0.0), sum(ps, 0.0)
+    if (low >= -IDENTITY_TOL and abs(total - 1.0) <= 1e-9
             and (arity is None or set(map(len, probs)) <= {arity})):
         return low > 0
-    total = 0.0
     for x, p in probs.items():
         if arity is not None and len(x) != arity:
             raise InvalidCoordinate(f"entry {x!r} arity mismatch")
+        if p != p:
+            raise InvalidDistribution(f"probability at {x!r} is not a number")
         if p < -IDENTITY_TOL:
             raise InvalidDistribution(f"negative probability at {x!r}")
-        total += p
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidDistribution(f"probabilities sum to {total}")
-    return False
+    raise InvalidDistribution(f"probabilities sum to {total}")
 
 
 class FiniteDistribution:

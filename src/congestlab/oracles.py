@@ -162,6 +162,8 @@ def exact_inner_transcript_law(p: ParamSchedule, message_given_type) -> dict:
 
 def collision_rate(p: ParamSchedule, level: int, trials: int, seed: int):
     """Observed collision frequency with its 95% Wilson interval."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     hits = 0
     for i in range(trials):
         _, _, _, flag = sample_gr_tilde(p, level, random.Random(seed + i))

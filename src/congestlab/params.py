@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleParams
+from .errors import InfeasibleParams, json_int
 
 
 @dataclass
@@ -64,20 +64,27 @@ class ParamSchedule:
         if not isinstance(obj, dict):
             raise ValueError("a schedule must be a JSON object, got "
                              f"{type(obj).__name__}")
-        spec = obj.get("canonical")
-        if isinstance(spec, dict):
-            return canonical_params(int(spec["n0"]), int(spec["r"]))
-        return cls(
-            n=[int(x) for x in obj["n"]],
-            d=[int(x) for x in obj.get("d", [])],
-            alpha=[int(x) for x in obj.get("alpha", [])],
-            beta=[int(x) for x in obj.get("beta", [])],
-            gamma=[int(x) for x in obj.get("gamma", [])],
-        )
+        spec = canonical_spec(obj)
+        if spec is not None:
+            return canonical_params(*spec)
+        lists = {"n": obj["n"], **{key: obj.get(key, []) for key in
+                                   ("d", "alpha", "beta", "gamma")}}
+        return cls(**{key: [json_int(x, f"each {key} entry") for x in xs]
+                      for key, xs in lists.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "ParamSchedule":
         return cls.from_dict(json.loads(text))
+
+
+def canonical_spec(obj) -> tuple | None:
+    """``(n0, r)`` of ``{"canonical": {"n0": ..., "r": ...}}``, else None (a
+    ``"canonical"`` that is not an object, as in older files, is ignored)."""
+    spec = obj.get("canonical") if isinstance(obj, dict) else None
+    if not isinstance(spec, dict):
+        return None
+    return (json_int(spec["n0"], "canonical n0"),
+            json_int(spec["r"], "canonical r"))
 
 
 def canonical_params(n0: int, r: int) -> ParamSchedule:

@@ -95,25 +95,15 @@ class Transcript:
         self.entries: dict = {}
         # receiver -> {(round, sender): bits}, in recording order
         self._inboxes: dict = {}
-        self._last_round = 0  # the latest round recorded so far
 
     def record(self, rnd: int, sender: VertexId, receiver: VertexId, bits: str):
         self.entries[(rnd, sender, receiver)] = bits
         self._inboxes.setdefault(receiver, {})[(rnd, sender)] = bits
-        if rnd > self._last_round:
-            self._last_round = rnd
 
-    def inbox_of(self, v: VertexId, upto_round: int) -> dict:
-        """A new dict of what ``v`` received in rounds <= ``upto_round``,
-        keyed by (round, sender); only an earlier cutoff than the latest
-        recorded round filters."""
+    def inbox_of(self, v: VertexId) -> dict:
+        """A new dict of all ``v`` has received, keyed by (round, sender)."""
         inbox = self._inboxes.get(v)
-        if not inbox:
-            return {}
-        if upto_round >= self._last_round:
-            return dict(inbox)
-        return {key: bits for key, bits in inbox.items()
-                if key[0] <= upto_round}
+        return dict(inbox) if inbox else {}
 
     def max_length(self) -> int:
         return max((len(b) for b in self.entries.values()), default=0)
@@ -160,7 +150,8 @@ def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
     """Synchronous execution; returns (Transcript, {vertex: Yes boolean}).
 
     Every vertex is a player, with or without channels, and sends through
-    ``round_messages``.
+    ``round_messages``.  This is the one place that decides what a player
+    has heard: a round is delivered only after every player computed it.
     """
     if p.rounds != g.r:
         raise RegimeMismatch(f"protocol rounds {p.rounds} != graph regime {g.r}")
@@ -171,8 +162,7 @@ def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
     for i in range(1, p.rounds + 1):
         sent = []
         for v, inp, view in players:
-            msgs = round_messages(p, i, inp, transcript.inbox_of(v, i - 1),
-                                  view)
+            msgs = round_messages(p, i, inp, transcript.inbox_of(v), view)
             if msgs:
                 sent.append((v, msgs))
         # deliver only after the whole round is computed
@@ -180,7 +170,7 @@ def simulate(p: ProtocolSpec, g: TypedTripartiteGraph, rnd: RandomnessView):
             for target, bits in msgs.items():
                 transcript.record(i, v, target, bits)
     outputs = {
-        v: bool(p.output_fn(inp, transcript.inbox_of(v, p.rounds), view))
+        v: bool(p.output_fn(inp, transcript.inbox_of(v), view))
         for v, inp, view in players
     }
     return transcript, outputs

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from .errors import InfeasibleParams
 from .graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId,
@@ -54,36 +54,35 @@ def _g0_stream(n0: int, rng: random.Random) -> tuple:
             coin() < 0.5, coin() < 0.5, coin() < 0.5)
 
 
+def _g0_instance(n0: int, starred: tuple, edges) -> TypedTripartiteGraph:
+    """The base instance on ``starred = (a, b, c)``: (a,b), (b,c) and (c,a)
+    are edges (type 0) where ``edges`` is true, all else the default 1."""
+    a, b, c = starred
+    g = TypedTripartiteGraph(n0, 0)
+    for (u, v), edge in zip(((a, b), (b, c), (c, a)), edges):
+        if edge:
+            g.set_type(u, v, 0)
+    return g
+
+
 def sample_g0(n0: int, rng: random.Random):
     """One 0-round instance plus its starred triple.
 
     Each starred pair is an edge (type 0) with probability 1/2, else type 1.
-    All other pairs keep the default type 1 of regime 0.
     """
     draw = _g0_stream(n0, rng)
-    a, b, c = starred = tuple(map(VertexId, LAYERS, draw[:3]))
-    g = TypedTripartiteGraph(n0, 0)
-    for (u, v), edge in zip(((a, b), (b, c), (c, a)), draw[3:]):
-        if edge:
-            g.set_type(u, v, 0)
-    return g, starred
+    starred = tuple(map(VertexId, LAYERS, draw[:3]))
+    return _g0_instance(n0, starred, draw[3:]), starred
 
 
 def enumerate_g0(n0: int):
     """Full weighted support of the 0-round family, with exact weights."""
     weight = Fraction(1, n0 ** 3 * 8)
-    for ia in range(1, n0 + 1):
-        for ib in range(1, n0 + 1):
-            for ic in range(1, n0 + 1):
-                a = VertexId(Layer.A, ia)
-                b = VertexId(Layer.B, ib)
-                c = VertexId(Layer.C, ic)
-                for mask in range(8):
-                    g = TypedTripartiteGraph(n0, 0)
-                    for bit, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                        if mask >> bit & 1:
-                            g.set_type(u, v, 0)
-                    yield g, (a, b, c), weight
+    for indices in product(range(1, n0 + 1), repeat=3):
+        starred = tuple(map(VertexId, LAYERS, indices))
+        for mask in range(8):
+            edges = [mask >> bit & 1 for bit in range(3)]
+            yield _g0_instance(n0, starred, edges), starred, weight
 
 
 # -- recursive family -----------------------------------------------------
@@ -161,9 +160,7 @@ def inner_cross_pairs(inner: TypedTripartiteGraph):
 def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
     """One instance of the recursive family, with its embedding."""
     require_feasible(p)
-    if level < 1:
-        raise InfeasibleParams("recursive sampling needs level >= 1")
-    lv = p.level(level)
+    lv = p.level(level)  # refuses a level outside [1, r]
     n, n_prev = lv["n"], lv["n_prev"]
     inner = sample_inner(p, level - 1, rng)
     ids = _sample_ids(n, n_prev, rng)
@@ -339,7 +336,9 @@ class Auxiliaries:
     L: dict = field(default_factory=dict)
 
     def elements_in_layer(self, layer: Layer):
-        """All reserved indices of one layer, in reservation order."""
+        """All reserved indices of one layer: every J set's, then every K
+        set's, then every L set's, which is not ``sample_aux``'s order (one
+        inner vertex's J, K and L sets, then the next vertex's)."""
         out = []
         for sets in self.J.values():
             for s in sets:

@@ -10,7 +10,12 @@ collect this file, and it is not part of Tier-1: the trace makes the run
 several times slower.  A line counts as executable when the compiled module
 maps an instruction to it, in any code object, nested ones included.  Only
 the pytest process is traced, so a line that runs only in a subprocess counts
-as unreached.  The exit status is pytest's.
+as unreached.
+
+``line_ledger_allow.txt``, next to this file, lists the lines left unreached
+on purpose, one ``<path>:<line> <reason>`` per line.  The exit status is
+pytest's when pytest fails, else 1 when a line is unreached but not listed or
+listed but reached, else 0.
 """
 
 import os
@@ -22,6 +27,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+ALLOWLIST = Path(__file__).resolve().parent / "line_ledger_allow.txt"
+
+
+def allowed_lines(text: str) -> set:
+    """The ``(path, line)`` of every entry; blank and ``#`` lines skipped."""
+    out = set()
+    for entry in text.splitlines():
+        if entry.strip() and not entry.startswith("#"):
+            path, line = entry.split(None, 1)[0].rsplit(":", 1)
+            out.add((path, int(line)))
+    return out
 
 
 def executable_lines(path: Path) -> set:
@@ -87,18 +103,25 @@ def main(argv: list) -> int:
     code, reached = traced_run(
         ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
          *argv])
-    total = unreached_total = 0
+    total = 0
+    unreached = set()
     print()
     for path in sorted(SRC.rglob("*.py")):
         lines = executable_lines(path)
         missed = lines - reached.get(os.path.realpath(path), set())
         total += len(lines)
-        unreached_total += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} "
+        rel = path.relative_to(ROOT).as_posix()
+        unreached |= {(rel, line) for line in missed}
+        print(f"{rel}: {len(missed)} of {len(lines)} "
               f"unreached{': ' + spans(missed) if missed else ''}")
-    print(f"total: {unreached_total} of {total} executable lines unreached "
-          f"({total - unreached_total} reached)")
-    return code
+    print(f"total: {len(unreached)} of {total} executable lines unreached "
+          f"({total - len(unreached)} reached)")
+    allowed = allowed_lines(ALLOWLIST.read_text())
+    for label, entries in (("unreached and not listed", unreached - allowed),
+                           ("listed but reached", allowed - unreached)):
+        for path, line in sorted(entries):
+            print(f"{label}: {path}:{line}")
+    return code or int(unreached != allowed)
 
 
 if __name__ == "__main__":

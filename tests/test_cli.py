@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from congestlab import params as params_module
 from congestlab.cli import main
+from congestlab.params import ParamSchedule, feasibility_check
 from schedules import MICRO, SMALL2
 
 
@@ -412,3 +413,90 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert result.exit_code == 0, (argv, result.output)
     assert os.path.exists("out/base/instance-0002.json")
     assert os.path.exists("out/restructured/instance-0000.meta.json")
+
+
+def test_info_refuses_a_nan_probability(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"coords": ["A"], "entries": [[0, 1.0], [1, NaN]]}')
+    result = CliRunner().invoke(main, ["info", "--table", str(path),
+                                       "--measure", "entropy"])
+    assert_one_error_line(result)
+    assert "probability at (1,) is not a number" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["gen", "--level", "1", "--params", "{file}", "--out", "out"],
+     '{"n": [1.9, 29.7], "d": [6.5], "alpha": [true], "beta": [1], '
+     '"gamma": [1]}'),
+    (["gen", "--level", "1", "--params", "{file}", "--out", "out"],
+     '{"canonical": {"n0": 2.0, "r": 1}}'),
+    (["simulate", "--instance", "{file}", "--protocol", "all-no"],
+     '{"n": 1, "r": 1, "pairs": [["A", 1, "B", 1, 0.7]]}'),
+], ids=["schedule", "canonical", "instance"])
+def test_a_number_that_is_not_an_integer_is_refused(tmp_path, monkeypatch,
+                                                    argv, text):
+    # int() used to truncate: n=[1, 29], d=[6], and a type-0.7 pair an edge
+    monkeypatch.chdir(tmp_path)
+    Path("input.json").write_text(text)
+    result = CliRunner().invoke(main, [a.format(file="input.json")
+                                       for a in argv])
+    assert_one_error_line(result)
+    assert "must be an integer" in result.stderr and result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n0, r, message", [
+    (0, 1, "n0 must be >= 1"), (0, 0, "n0 must be >= 1"),
+    (2, -1, "r must be >= 0"),
+])
+def test_gen_canonical_params_below_their_range_exit_2(tmp_path, n0, r,
+                                                       message):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"canonical": {"n0": n0, "r": r}}))
+    result = CliRunner().invoke(main, ["gen", "--level", "1", "--params",
+                                       str(params), "--out",
+                                       str(tmp_path / "out")])
+    assert_one_error_line(result, code=2)
+    assert message in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_canonical_schedule_with_r_0_is_built_and_capped(tmp_path):
+    # r = 0 has the one layer size n0, so the built schedule's cap decides
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"canonical": {"n0": 3, "r": 0}}))
+    argv = ["gen", "--level", "0", "--params", str(params), "--out"]
+    result = CliRunner().invoke(main, argv + [str(tmp_path / "ok")])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "ok" / "instance-0000.json")
+                      .read_text())["n"] == 3
+    params.write_text(json.dumps({"canonical": {"n0": 5_000_001, "r": 0}}))
+    result = CliRunner().invoke(main, argv + [str(tmp_path / "big")])
+    assert_one_error_line(result, code=2)
+    assert "exceeds memory cap" in result.stderr
+    assert not (tmp_path / "big").exists()
+
+
+def test_an_explicit_schedule_above_the_cap_exit_2(tmp_path):
+    # feasible, so only the cap on the built sizes refuses it
+    schedule = ParamSchedule(n=[1, 6_000_000], d=[6], alpha=[1], beta=[1],
+                             gamma=[1])
+    assert feasibility_check(schedule) == []
+    params = tmp_path / "p.json"
+    params.write_text(schedule.to_json())
+    result = CliRunner().invoke(main, ["gen", "--level", "1", "--params",
+                                       str(params), "--out",
+                                       str(tmp_path / "out")])
+    assert_one_error_line(result, code=2)
+    assert "largest layer size 6000000 exceeds memory cap" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n0", [0, 5_000_001])
+def test_gen_level_0_refuses_a_size_outside_one_to_the_cap(tmp_path, n0):
+    result = CliRunner().invoke(main, ["gen", "--level", "0", "--n0", str(n0),
+                                       "--out", str(tmp_path / "out")])
+    assert_one_error_line(result, code=2)
+    assert f"layer size {n0} outside [1, memory cap" in result.stderr
+    assert not (tmp_path / "out").exists()

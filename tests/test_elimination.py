@@ -17,7 +17,8 @@ from congestlab.errors import (BandwidthViolation, ChannelViolation,
                                EmptyOrRareSupport, InfeasibleParams)
 from congestlab.graphs import Layer, VertexId, vertices
 from congestlab.params import ParamSchedule
-from congestlab.protocols import ProtocolSpec, registry, simulate
+from congestlab.protocols import (ProtocolSpec, registry, simulate,
+                                  vertex_input)
 from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import (public_slots, sample_g0, sample_gr,
                                  sample_gr_tilde, sample_inner)
@@ -559,3 +560,16 @@ def test_result1_chain_holds_for_valid_pairs():
 def test_result1_chain_detects_small_n0():
     steps = result1_chain(16, 1, 1)
     assert not all(step["holds"] for step in steps)
+
+
+def test_theorem1_bound_refuses_a_layer_size_below_1():
+    with pytest.raises(InfeasibleParams, match="n_r must be >= 1"):
+        theorem1_bound(0, 1)
+
+
+def test_compiled_message_fn_sends_nothing_when_called():
+    # a 0-round protocol is never asked for a message by simulate
+    built = build_pi_r_minus_1(REG["type-broadcast"], CFG)
+    g, (a, _, _) = sample_g0(1, random.Random(9))
+    assert built.rounds == 0
+    assert built.message_fn(1, vertex_input(g, a), {}, RandomnessView(9)) == {}

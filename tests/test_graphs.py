@@ -273,3 +273,15 @@ def test_stored_pairs_are_each_non_default_pair_once(drawn, rnd):
     other = _written(r, [(key, False, t) for key, t in items])
     assert other == g and hash(other) == hash(g)
     assert TypedTripartiteGraph.from_dict(g.to_dict()) == g
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 2, "r": 1, "pairs": [["A", 1, "B", 1, 0.7]]},
+    {"n": 2, "r": 1, "pairs": [["A", 1.0, "B", 1, 0]]},
+    {"n": 2, "r": 1, "pairs": [["A", 1, "B", True, 0]]},
+    {"n": 2.5, "r": 1, "pairs": []},
+    {"n": 2, "r": False, "pairs": []},
+], ids=["float-type", "whole-float-index", "bool-index", "float-n", "bool-r"])
+def test_from_dict_accepts_only_json_integers(obj):
+    with pytest.raises(ValueError, match="must be an integer"):
+        TypedTripartiteGraph.from_dict(obj)

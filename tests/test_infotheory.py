@@ -503,3 +503,35 @@ def test_joint_table_validates_and_stores_rows_as_finite_distribution_does():
     assert law.probs == {0: 0.0, 1: 1.0} and type(law.probs[0]) is float
     law = FiniteDistribution({"x": 1})
     assert law.probs == {"x": 1.0} and type(law.probs["x"]) is float
+
+
+@pytest.mark.parametrize("probs, at", [
+    ({0: 1.0, 1: math.nan}, "1"),
+    ({0: math.nan}, "0"),
+    ({0: math.nan, 1: 1.0, 2: -0.5}, "0"),
+], ids=["after-a-full-row", "alone", "before-a-negative-row"])
+def test_a_nan_probability_is_refused(probs, at):
+    # a NaN fails the builtin sum; the walk names it, and never lets it pass
+    with pytest.raises(InvalidDistribution,
+                       match=rf"probability at {at} is not a number"):
+        FiniteDistribution(probs)
+    with pytest.raises(InvalidDistribution,
+                       match=rf"probability at \({at},\) is not a number"):
+        JointTable(["A"], {(x,): p for x, p in probs.items()})
+
+
+def test_tvd_chain_bound_refuses_tables_whose_coordinates_differ():
+    mu = JointTable(["A", "B"], {(0, 0): 0.5, (1, 1): 0.5})
+    nu = JointTable(["B", "A"], {(0, 0): 0.5, (1, 1): 0.5})
+    with pytest.raises(InvalidCoordinate, match="coordinate structures differ"):
+        tvd_chain_bound_check(mu, nu)
+
+
+def test_overconditioning_refuses_a_z_value_the_other_table_lacks():
+    # the Z marginals differ by 1e-13, inside IDENTITY_TOL, so the averaged
+    # form runs, and z = 1 has no group in yz
+    xz = JointTable(["X", "Z"], {(0, 0): 1 - 1e-13, (0, 1): 1e-13})
+    yz = JointTable(["Y", "Z"], {(0, 0): 1.0})
+    with pytest.raises(InvalidDistribution,
+                       match="conditioning event has probability 0"):
+        overconditioning_check(xz, yz)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from congestlab import oracles
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     hybrid_sampler)
 from congestlab.errors import CapExceeded, InvalidDistribution
 from congestlab.graphs import LAYERS
+from congestlab.params import ParamSchedule
 from congestlab.oracles import (collision_bound, collision_rate,
                                 empirical_tvd, exact_collision_probability,
                                 exact_g0_triangle_prob,
@@ -143,3 +145,31 @@ def test_collision_bound_dominates_exact():
 def test_exact_collision_needs_single_inner_vertex():
     with pytest.raises(CapExceeded):
         exact_collision_probability(SMALL2, 1)
+
+
+def test_collision_rate_refuses_zero_trials():
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        collision_rate(LOOSE, 1, 0, seed=3)
+
+
+def test_inner_transcript_law_refuses_a_support_above_the_cap(monkeypatch):
+    # n0 = 51 has 51**3 * 8 = 1,061,208 outcomes, above the 10**6 cap
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        exact_inner_transcript_law(ParamSchedule(n=[51]), str)
+    # n0 = 2 has 64 outcomes: a cap of 64 enumerates them, 63 refuses
+    monkeypatch.setattr(oracles, "ENUMERATION_CAP", 64)
+    assert sum(exact_inner_transcript_law(ParamSchedule(n=[2]),
+                                          str).values()) == 1
+    monkeypatch.setattr(oracles, "ENUMERATION_CAP", 63)
+    with pytest.raises(CapExceeded, match="enumeration cap"):
+        exact_inner_transcript_law(ParamSchedule(n=[2]), str)
+
+
+def test_exact_collision_outside_its_range_and_when_certain():
+    # a = alpha + 2 beta + 2 gamma = 5 and k = 2d - (1 + a)
+    with pytest.raises(CapExceeded, match="outside the closed form's range"):
+        exact_collision_probability(
+            ParamSchedule(n=[1, 29], d=[2], alpha=[1], beta=[1], gamma=[1]), 1)
+    # d = 6: k = 6 completions each into bulk = 16 - 1 - 10 = 5 free slots
+    certain = ParamSchedule(n=[1, 16], d=[6], alpha=[1], beta=[1], gamma=[1])
+    assert exact_collision_probability(certain, 1) == 1

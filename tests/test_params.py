@@ -107,3 +107,36 @@ def test_restructured_gate_runs_the_shared_check_first():
         require_restructured_feasible(both, 1)
     assert "SamplingRoomViolation" in str(exc.value)
     assert "RestructuredSlotViolation" not in str(exc.value)
+
+
+@pytest.mark.parametrize("n0, r, message", [
+    (0, 1, "n0 must be >= 1"), (-2, 0, "n0 must be >= 1"),
+    (2, -1, "r must be >= 0"),
+])
+def test_canonical_refuses_n0_below_1_and_r_below_0(n0, r, message):
+    with pytest.raises(InfeasibleParams, match=message):
+        canonical_params(n0, r)
+
+
+def test_feasibility_reports_a_layer_size_and_a_count_below_1():
+    sizes = ParamSchedule(n=[0, 29], d=[6], alpha=[1], beta=[1], gamma=[1])
+    assert feasibility_check(sizes) == [
+        "LayerSizeViolation: all n_l must be >= 1"]
+    counts = ParamSchedule(n=[1, 29], d=[0], alpha=[1], beta=[1], gamma=[1])
+    assert ("PositivityViolation: all d_l must be >= 1"
+            in feasibility_check(counts))
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": [1.9, 29.7], "d": [6.5], "alpha": [True], "beta": [1],
+     "gamma": [1]},
+    {"n": [1, 29.0], "d": [6], "alpha": [1], "beta": [1], "gamma": [1]},
+    {"n": [1, 29], "d": [6], "alpha": [True], "beta": [1], "gamma": [1]},
+    {"n": ["1", 29], "d": [6], "alpha": [1], "beta": [1], "gamma": [1]},
+    {"canonical": {"n0": 2.0, "r": 1}},
+    {"canonical": {"n0": 2, "r": True}},
+], ids=["floats", "whole-float", "bool", "string", "canonical-n0",
+        "canonical-r"])
+def test_from_dict_accepts_only_json_integers(obj):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ParamSchedule.from_dict(obj)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from congestlab import protocols
 from congestlab.elimination import EliminationConfig, build_pi_r_minus_1
 from congestlab.errors import (BandwidthViolation, ChannelViolation,
                                RegimeMismatch, SupportTooLarge)
@@ -156,23 +157,19 @@ def test_round_messages_reads_the_round_cutoff():
         simulate(pi, g, RandomnessView(0))
 
 
-def test_inbox_of_cuts_at_its_round_and_returns_a_copy():
+def test_inbox_of_returns_a_copy_in_recording_order():
     t = Transcript()
     t.record(2, B1, A1, "11")
     t.record(1, B1, A1, "0")
     t.record(1, C1, A1, "1")
-    round_one = {(1, B1): "0", (1, C1): "1"}
-    both = {(2, B1): "11", **round_one}
-    assert t.inbox_of(A1, 1) == round_one
-    assert t.inbox_of(A1, 0) == {} and t.inbox_of(B1, 2) == {}
-    for upto in (2, 3):
-        got = t.inbox_of(A1, upto)
+    both = {(2, B1): "11", (1, B1): "0", (1, C1): "1"}
+    assert t.inbox_of(B1) == {}
+    for _ in range(2):
+        got = t.inbox_of(A1)
         assert got == both and list(got) == list(both)
         got.pop((1, B1))
         got[(3, C1)] = "0"
-    cut = t.inbox_of(A1, 1)
-    cut.clear()
-    assert t.inbox_of(A1, 2) == both and t.inbox_of(A1, 1) == round_one
+    assert t.inbox_of(A1) == both
 
 
 def test_judge_rules():
@@ -436,3 +433,17 @@ def test_two_round_simulate_matches_reference():
         transcript, _ = simulate(pi, g, RandomnessView(seed))
         assert {rnd for rnd, _, _ in transcript.entries} == {1, 2}
         assert_matches_reference(pi, g, seed)
+
+
+def test_wilson_interval_of_no_trials_is_the_unit_interval():
+    assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_exact_success_refuses_a_support_above_its_cap(monkeypatch):
+    # enumerate_g0(1) has 8 entries: a cap of 8 takes them, 7 refuses
+    pi = registry(rounds=0)["all-no"]
+    monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 8)
+    assert exact_success(pi, enumerate_g0(1)) == Fraction(7, 8)
+    monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 7)
+    with pytest.raises(SupportTooLarge, match="support exceeds cap 7"):
+        exact_success(pi, enumerate_g0(1))
