@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import elimination, infotheory, oracles, protocols
-from .errors import CongestLabError, InfeasibleParams
+from .errors import CongestLabError, InfeasibleParams, json_number
 from .graphs import TypedTripartiteGraph
 from .params import (ParamSchedule, canonical_spec, require_feasible,
                      require_restructured_feasible)
@@ -61,7 +61,12 @@ def _load_table(path: str) -> infotheory.JointTable:
     if not isinstance(obj, dict):
         raise ValueError(f"table {path} must be a JSON object, got "
                          f"{type(obj).__name__}")
-    table = {tuple(row[:-1]): float(row[-1]) for row in obj["entries"]}
+    table = {}
+    for row in obj["entries"]:
+        x = tuple(row[:-1])
+        if x in table:
+            raise ValueError(f"outcome {x!r} listed twice")
+        table[x] = json_number(row[-1], f"probability of outcome {x!r}")
     return infotheory.JointTable(obj["coords"], table)
 
 

@@ -1,4 +1,5 @@
-"""Exception types and the JSON integer rule shared across the package."""
+"""Exception types and the JSON integer and number rules shared across the
+package."""
 
 
 class CongestLabError(Exception):
@@ -62,3 +63,11 @@ def json_int(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def json_number(x, what: str) -> float:
+    """``x`` as a float if it is a JSON number; a bool or a string is a
+    ValueError."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)

@@ -7,17 +7,19 @@ pairs carry no type at all.
 
 Only non-default pairs are stored, in one place: a per-vertex adjacency map
 that holds each pair at both endpoints, which is the view a player has of
-the pairs at its own vertex.  ``set_type`` is the one write gate: it refuses
-a same-layer pair, an index outside ``[1, n]`` and a type outside
-``[0, r+1]``, so every stored pair is well-formed.  ``stored_pairs`` yields
-each pair once, oriented from its lower-layer endpoint.  ``type_rows`` is the
-one per-vertex view: a vertex's view of one other layer is a ``TypeRow``, a
-read-only length-n row that holds its non-default slots explicitly and
-answers the default type ``r+1`` everywhere else, so building and scanning
-it costs the vertex's stored pairs, not ``n``.  A per-type channel count is
-``row.count(t)``.  Layers order
-``A < B < C`` by their string values, and so do ``VertexId``s by (layer,
-index), which puts the A endpoint first in every canonical pair key.
+the pairs at its own vertex.  ``set_row`` is the one write gate: it writes
+one vertex's row toward one layer, and checks the whole row before it writes
+anything, refusing a same-layer row, an index outside ``[1, n]`` and a type
+outside ``[0, r+1]``, so every stored pair is well-formed; ``set_type`` is
+its one-slot call.  ``stored_pairs`` yields each pair once, oriented from
+its lower-layer endpoint.  ``type_rows`` is the one per-vertex view: a
+vertex's view of one other layer is a ``TypeRow``, a read-only length-n row
+that holds its non-default slots explicitly and answers the default type
+``r+1`` everywhere else, so building and scanning it costs the vertex's
+stored pairs, not ``n``.  A per-type channel count is ``row.count(t)``.
+Layers order ``A < B < C`` by their string values, and so do ``VertexId``s
+by (layer, index), which puts the A endpoint first in every canonical pair
+key.
 
 ``neighborhood_vector`` gives the same row as a dense list.  No library path
 calls it: it stays only as the dense reference that the tests and
@@ -124,8 +126,9 @@ class TypedTripartiteGraph:
 
     Only pairs with a non-default type are stored, in the adjacency map
     ``_adj``; every unlisted cross-layer pair has the default type ``r + 1``.
-    ``set_type`` writes and checks every pair, and ``type_rows`` reads a
-    vertex's pairs.  Instances are treated as immutable once built.
+    ``set_row`` writes and checks every pair, a row at a time, and
+    ``type_rows`` reads a vertex's pairs.  Instances are treated as immutable
+    once built.
     """
 
     def __init__(self, n: int, r: int):
@@ -144,18 +147,52 @@ class TypedTripartiteGraph:
 
     # -- construction -----------------------------------------------------
 
-    def set_type(self, u: VertexId, v: VertexId, t: int) -> None:
-        self._check_pair(u, v)
-        default = self.r + 1
-        if not 0 <= t <= default:
-            raise OutOfRange(
-                f"pair ({u}, {v}) type {t} outside [0, {default}]")
-        if t == default:
-            self._adj.get(u, {}).pop(v, None)
-            self._adj.get(v, {}).pop(u, None)
+    def set_row(self, u: VertexId, target: Layer, slots: dict) -> None:
+        """Write types on the pairs from ``u`` to layer ``target``: the one
+        write gate.
+
+        ``slots`` maps a 0-based index (slot ``j`` is the vertex of index
+        ``j + 1``) to a type, the shape of ``TypeRow.slots``; unlisted slots
+        keep their type, and a slot of the default type removes its pair.
+        The whole row is checked before anything is written: ``target`` must
+        not be ``u``'s layer, ``u`` must lie in ``[1, n]``, every slot in
+        ``[0, n-1]`` and every type in ``[0, r+1]``.  Builtin passes give the
+        verdict; a refused row is walked only to name its first bad slot.
+        """
+        if target is u.layer:
+            first = next(iter(slots), None)
+            what = (f"row of {u}" if first is None
+                    else f"pair ({u}, {VertexId(target, first + 1)})")
+            raise SameLayerPair(f"{what} lies inside layer {target.value}")
+        self._check_vertex(u)
+        if not slots:
             return
-        self._adj.setdefault(u, {})[v] = t
-        self._adj.setdefault(v, {})[u] = t
+        n, default = self.n, self.r + 1
+        types = slots.values()
+        if not (0 <= min(slots) and max(slots) < n
+                and 0 <= min(types) and max(types) <= default):
+            for j, t in slots.items():
+                v = VertexId(target, j + 1)
+                self._check_vertex(v)
+                if not 0 <= t <= default:
+                    raise OutOfRange(
+                        f"pair ({u}, {v}) type {t} outside [0, {default}]")
+        adj, new = self._adj, tuple.__new__
+        own = adj.setdefault(u, {})
+        for j, t in slots.items():
+            # the same VertexId, without the Python-level ``__new__`` that
+            # NamedTuple adds: this runs once per pair written
+            v = new(VertexId, (target, j + 1))
+            if t == default:
+                own.pop(v, None)
+                adj.get(v, {}).pop(u, None)
+            else:
+                own[v] = t
+                adj.setdefault(v, {})[u] = t
+
+    def set_type(self, u: VertexId, v: VertexId, t: int) -> None:
+        """Write one pair's type: a one-slot ``set_row``."""
+        self.set_row(u, v.layer, {v.index - 1: t})
 
     # -- queries ----------------------------------------------------------
 
@@ -167,14 +204,11 @@ class TypedTripartiteGraph:
         if not 1 <= u.index <= self.n:
             raise OutOfRange(f"vertex {u} outside [1, {self.n}]")
 
-    def _check_pair(self, u: VertexId, v: VertexId) -> None:
+    def pair_type(self, u: VertexId, v: VertexId) -> int:
         if u.layer is v.layer:
             raise SameLayerPair(f"pair ({u}, {v}) lies inside layer {u.layer.value}")
         self._check_vertex(u)
         self._check_vertex(v)
-
-    def pair_type(self, u: VertexId, v: VertexId) -> int:
-        self._check_pair(u, v)
         return self._adj.get(u, {}).get(v, self.default_type)
 
     def stored_pairs(self):
@@ -217,27 +251,31 @@ class TypedTripartiteGraph:
     def type_rows(self, u: VertexId) -> dict:
         """The sparse rows of ``u`` toward both other layers, in layer order.
 
-        A vertex with no stored pair gets the graph's shared read-only
-        empty row toward each layer.
+        A row with no stored pair is the graph's shared read-only empty row.
         """
         self._check_vertex(u)
         adj = self._adj.get(u)
         others = _OTHERS[u.layer]
+        empty = self._empty_row
         if not adj:
-            return dict.fromkeys(others, self._empty_row)
-        # one pass over the adjacency sorted by (layer, index) fills both
-        # rows, each in ascending index order
-        slots = {w: {} for w in others}
-        for v, t in sorted(adj.items()):
-            slots[v.layer][v.index - 1] = t
-        return {w: TypeRow(self.n, self.default_type, s)
+            return dict.fromkeys(others, empty)
+        # one pass over the adjacency fills both rows; each is put in
+        # ascending index order by sorting its (int index, type) items
+        slots = {w: [] for w in others}
+        for v, t in adj.items():
+            slots[v.layer].append((v.index - 1, t))
+        n, default = self.n, self.r + 1
+        return {w: TypeRow(n, default, dict(sorted(s))) if s else empty
                 for w, s in slots.items()}
 
     # -- equality / hashing ------------------------------------------------
 
     def canonical_items(self):
-        return tuple(sorted((u.layer.value, u.index, v.layer.value, v.index, t)
-                            for u, v, t in self.stored_pairs()))
+        # ``_value_`` is a plain attribute of the member, where ``value`` is
+        # a Python-level property; this runs for every pair of every
+        # instance written to a file
+        return tuple(sorted((u.layer._value_, u.index, v.layer._value_,
+                             v.index, t) for u, v, t in self.stored_pairs()))
 
     def __eq__(self, other):
         return (
@@ -268,11 +306,17 @@ class TypedTripartiteGraph:
             raise ValueError("an instance must be a JSON object, got "
                              f"{type(obj).__name__}")
         g = cls(json_int(obj["n"], "n"), json_int(obj["r"], "r"))
+        seen = set()
         for lu, iu, lv, iv, t in obj["pairs"]:
             if not (type(iu) is int and type(iv) is int and type(t) is int):
                 raise ValueError(f"each index and type of pair "
                                  f"{[lu, iu, lv, iv, t]} must be an integer")
-            g.set_type(VertexId(Layer(lu), iu), VertexId(Layer(lv), iv), t)
+            u, v = VertexId(Layer(lu), iu), VertexId(Layer(lv), iv)
+            g.set_type(u, v, t)
+            key = pair_key(u, v)
+            if key in seen:
+                raise ValueError(f"pair ({key[0]}, {key[1]}) listed twice")
+            seen.add(key)
         return g
 
     @classmethod

@@ -138,11 +138,12 @@ def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
             # pairs: the chunks go to non-starred vertices, and earlier
             # chunks of y_out carry other types
             row = inner.type_rows(y)[target]
+            slots = {}
             for t in range(level + 1):
                 chunk = sorted(islice(pool, d))
-                have = row.count(t)
-                for idx in chunk[: d - have]:
-                    g.set_type(y_out, VertexId(target, idx), t)
+                for idx in chunk[: d - row.count(t)]:
+                    slots[idx - 1] = t
+            g.set_row(y_out, target, slots)
     return g, emb
 
 
@@ -209,8 +210,7 @@ def rebuild_from_inner_views(n: int, level: int, ids: dict, views: dict):
     for v, rows in views.items():
         u = VertexId(v.layer, ids[v.layer][v.index - 1])
         for target, row in rows.items():
-            for j, t in row.slots.items():
-                g.set_type(u, VertexId(target, j + 1), t)
+            g.set_row(u, target, row.slots)
     return g
 
 

@@ -122,6 +122,18 @@ def test_simulate_malformed_instance_exit_1(tmp_path):
     assert result.stdout == ""
 
 
+def test_simulate_refuses_an_instance_with_a_pair_listed_twice(tmp_path):
+    # the last copy used to win: this file loaded with no edge at all
+    bad = tmp_path / "twice.json"
+    bad.write_text('{"n": 1, "r": 1, "pairs": [["A", 1, "B", 1, 0], '
+                   '["A", 1, "B", 1, 2]]}')
+    result = CliRunner().invoke(main, ["simulate", "--instance", str(bad),
+                                       "--protocol", "all-no"])
+    assert_one_error_line(result)
+    assert "pair (A1, B1) listed twice" in result.stderr
+    assert result.stdout == ""
+
+
 def test_simulate_unknown_protocol_exit_1(tmp_path):
     runner = CliRunner()
     runner.invoke(main, ["gen", "--level", "0", "--n0", "1",
@@ -422,6 +434,24 @@ def test_info_refuses_a_nan_probability(tmp_path):
                                        "--measure", "entropy"])
     assert_one_error_line(result)
     assert "probability at (1,) is not a number" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("entries, text", [
+    ("[[0, true]]", "probability of outcome (0,) must be a number, got True"),
+    ('[[0, "1.0"]]',
+     "probability of outcome (0,) must be a number, got '1.0'"),
+    ("[[0, 0.5], [1, 0.5], [0, 0.5]]", "outcome (0,) listed twice"),
+], ids=["bool", "string", "outcome-twice"])
+def test_info_refuses_an_entry_that_is_not_one_json_number(tmp_path, entries,
+                                                          text):
+    # each of these tables used to pass: exit 0 with a value
+    path = tmp_path / "t.json"
+    path.write_text(f'{{"coords": ["A"], "entries": {entries}}}')
+    result = CliRunner().invoke(main, ["info", "--table", str(path),
+                                       "--measure", "entropy"])
+    assert_one_error_line(result)
+    assert text in result.stderr
     assert result.stdout == ""
 
 

@@ -25,8 +25,11 @@ def test_default_type_is_r_plus_1():
 
 def test_same_layer_pair_rejected():
     g = TypedTripartiteGraph(2, 1)
-    with pytest.raises(SameLayerPair):
-        g.set_type(VertexId(Layer.A, 1), VertexId(Layer.A, 2), 0)
+    a1, a2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
+    with pytest.raises(SameLayerPair, match=r"pair \(A1, A2\) lies inside"):
+        g.set_type(a1, a2, 0)
+    with pytest.raises(SameLayerPair, match=r"pair \(A2, A1\) lies inside"):
+        g.pair_type(a2, a1)
 
 
 def test_out_of_range_rejected():
@@ -59,6 +62,47 @@ def test_set_type_refuses_a_type_outside_zero_to_r_plus_1(t):
     g.set_type(a, b, 0)
     g.set_type(a, b, 3)
     assert g.canonical_items() == before
+
+
+@pytest.mark.parametrize("u, target, slots, error, text", [
+    (VertexId(Layer.B, 1), Layer.B, {0: 0}, SameLayerPair,
+     r"pair \(B1, B1\) lies inside layer B"),
+    (VertexId(Layer.B, 1), Layer.B, {}, SameLayerPair,
+     "row of B1 lies inside layer B"),
+    (VertexId(Layer.A, 4), Layer.B, {0: 0}, OutOfRange,
+     r"vertex A4 outside \[1, 3\]"),
+    (VertexId(Layer.A, 0), Layer.C, {}, OutOfRange,
+     r"vertex A0 outside \[1, 3\]"),
+    (VertexId(Layer.A, 3), Layer.B, {0: 0, 1: 1, 3: 0}, OutOfRange,
+     r"vertex B4 outside \[1, 3\]"),
+    (VertexId(Layer.C, 2), Layer.A, {2: 0, -1: 1}, OutOfRange,
+     r"vertex A0 outside \[1, 3\]"),
+    (VertexId(Layer.A, 3), Layer.C, {0: 0, 2: 4}, OutOfRange,
+     r"pair \(A3, C3\) type 4 outside \[0, 3\]"),
+    (VertexId(Layer.B, 3), Layer.C, {1: -1, 2: 0}, OutOfRange,
+     r"pair \(B3, C2\) type -1 outside \[0, 3\]"),
+], ids=["same-layer", "same-layer-empty", "u-above", "u-below",
+        "slot-above", "slot-below", "type-above", "type-below"])
+def test_set_row_refuses_what_set_type_refuses_and_writes_nothing(
+        u, target, slots, error, text):
+    # n = 3, r = 2: slots 0 .. 2, types 0 .. 3; the row is checked whole, so
+    # the good slots of a refused row are not written either
+    g = make_triangle_graph()
+    before = g.canonical_items()
+    with pytest.raises(error, match=text):
+        g.set_row(u, target, slots)
+    assert g.canonical_items() == before
+
+
+def test_set_row_writes_both_ends_of_its_ranges():
+    # slots 0 and n-1, types 0 and r; a default type removes the pair
+    g = make_triangle_graph()
+    a1 = VertexId(Layer.A, 1)
+    g.set_row(a1, Layer.C, {0: 0, 2: 2})
+    assert g.neighborhood_vector(a1, Layer.C) == [0, 3, 2]
+    g.set_row(a1, Layer.C, {0: 3, 2: 3})
+    assert g.neighborhood_vector(a1, Layer.C) == [3, 3, 3]
+    assert g.pair_type(VertexId(Layer.C, 3), a1) == g.default_type
 
 
 def test_neighborhood_vector_refuses_the_vertex_own_layer():
@@ -232,24 +276,47 @@ CROSS_PAIRS = [(VertexId(la, i), VertexId(lb, j))
                for la, lb in ((Layer.A, Layer.B), (Layer.A, Layer.C),
                               (Layer.B, Layer.C))
                for i in range(1, 4) for j in range(1, 4)]
+ROWS = [(VertexId(layer, i), target) for layer in LAYERS
+        for i in range(1, 4) for target in layer.others]
 
 
 @st.composite
 def pair_writes(draw):
-    """A regime r and a sequence of set_type writes on a 3-per-layer graph,
-    in either endpoint order, some of them back to the default type."""
+    """A regime r and a sequence of writes on a 3-per-layer graph: set_type
+    on one pair, in either endpoint order, or set_row on some slots of one
+    vertex's row toward a layer; some of them back to the default type."""
     r = draw(st.integers(0, 2))
-    writes = draw(st.lists(st.tuples(st.sampled_from(CROSS_PAIRS),
-                                     st.booleans(), st.integers(0, r + 1)),
-                           max_size=40))
-    return r, writes
+    types = st.integers(0, r + 1)
+    one = st.tuples(st.sampled_from(CROSS_PAIRS), st.booleans(), types)
+    row = st.tuples(st.sampled_from(ROWS),
+                    st.dictionaries(st.integers(0, 2), types, max_size=3))
+    return r, draw(st.lists(st.one_of(one, row), max_size=40))
 
 
 def _written(r, writes):
     g = TypedTripartiteGraph(3, r)
-    for (u, v), flip, t in writes:
-        g.set_type(*((v, u) if flip else (u, v)), t)
+    for write in writes:
+        if len(write) == 2:
+            (u, target), slots = write
+            g.set_row(u, target, slots)
+        else:
+            (u, v), flip, t = write
+            g.set_type(*((v, u) if flip else (u, v)), t)
     return g
+
+
+def _model(writes) -> dict:
+    """The last type written to each pair, keyed by its canonical pair."""
+    final = {}
+    for write in writes:
+        if len(write) == 2:
+            (u, target), slots = write
+            for j, t in slots.items():
+                final[pair_key(u, VertexId(target, j + 1))] = t
+        else:
+            (u, v), _, t = write
+            final[(u, v)] = t
+    return final
 
 
 @settings(max_examples=200, deadline=None)
@@ -263,11 +330,11 @@ def test_stored_pairs_are_each_non_default_pair_once(drawn, rnd):
     assert all(u.layer < v.layer for u, v in keys)
     scan = {(u, v): g.pair_type(v, u) for u, v in CROSS_PAIRS
             if g.pair_type(u, v) != g.default_type}
-    assert {(u, v): t for u, v, t in stored} == scan
-    # the same pairs written in another order give an equal graph
-    final = {}
-    for (u, v), _, t in writes:
-        final[(u, v)] = t
+    final = _model(writes)
+    assert {(u, v): t for u, v, t in stored} == scan == {
+        key: t for key, t in final.items() if t != g.default_type}
+    # the same pairs written one at a time in another order give an equal
+    # graph
     items = list(final.items())
     rnd.shuffle(items)
     other = _written(r, [(key, False, t) for key, t in items])
@@ -284,4 +351,13 @@ def test_stored_pairs_are_each_non_default_pair_once(drawn, rnd):
 ], ids=["float-type", "whole-float-index", "bool-index", "float-n", "bool-r"])
 def test_from_dict_accepts_only_json_integers(obj):
     with pytest.raises(ValueError, match="must be an integer"):
+        TypedTripartiteGraph.from_dict(obj)
+
+
+@pytest.mark.parametrize("second", [["A", 1, "B", 1, 2], ["B", 1, "A", 1, 0]],
+                         ids=["same-orientation", "reversed"])
+def test_from_dict_refuses_a_pair_listed_twice(second):
+    # the last copy used to win, so a type-2 copy silently removed the edge
+    obj = {"n": 1, "r": 1, "pairs": [["A", 1, "B", 1, 0], second]}
+    with pytest.raises(ValueError, match=r"pair \(A1, B1\) listed twice"):
         TypedTripartiteGraph.from_dict(obj)
