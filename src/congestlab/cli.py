@@ -17,7 +17,8 @@ from fractions import Fraction
 import click
 
 from . import elimination, infotheory, oracles, protocols
-from .errors import CongestLabError, InfeasibleParams, json_number
+from .errors import (CongestLabError, InfeasibleParams, json_list,
+                     json_number)
 from .graphs import TypedTripartiteGraph
 from .params import (ParamSchedule, canonical_spec, require_feasible,
                      require_restructured_feasible)
@@ -27,6 +28,8 @@ from .sampling import sample_g0, sample_gr, sample_gr_tilde
 # Instances above this many vertices per layer are refused up front: the
 # canonical schedules grow as n0^(34^r) and would exhaust memory.
 MEMORY_CAP = 5_000_000
+# the types json.load gives a value that is neither an array nor an object
+JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 def _load_params(path: str) -> ParamSchedule:
@@ -61,13 +64,19 @@ def _load_table(path: str) -> infotheory.JointTable:
     if not isinstance(obj, dict):
         raise ValueError(f"table {path} must be a JSON object, got "
                          f"{type(obj).__name__}")
+    coords = json_list(obj["coords"], "coords")
+    if not all(type(c) is str for c in coords):
+        raise ValueError(f"each coordinate must be a string, got {coords!r}")
     table = {}
-    for row in obj["entries"]:
-        x = tuple(row[:-1])
+    for row in json_list(obj["entries"], "entries"):
+        x = tuple(json_list(row, "each entry")[:-1])
+        if not row or not all(type(v) in JSON_SCALARS for v in x):
+            raise ValueError(f"entry {row!r} must be an outcome of JSON "
+                             f"scalars followed by its probability")
         if x in table:
             raise ValueError(f"outcome {x!r} listed twice")
         table[x] = json_number(row[-1], f"probability of outcome {x!r}")
-    return infotheory.JointTable(obj["coords"], table)
+    return infotheory.JointTable(coords, table)
 
 
 def _laws(j: infotheory.JointTable, other: str) -> tuple:

@@ -65,6 +65,14 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_list(x, what: str) -> list:
+    """``x`` if it is a JSON array; an object, a string or a number is a
+    ValueError (a string or an object would be iterated item by item)."""
+    if type(x) is not list:
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def json_number(x, what: str) -> float:
     """``x`` as a float if it is a JSON number; a bool or a string is a
     ValueError."""

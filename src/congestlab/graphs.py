@@ -33,7 +33,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import OutOfRange, SameLayerPair, json_int
+from .errors import OutOfRange, SameLayerPair, json_int, json_list
 
 
 class Layer(str, Enum):
@@ -307,10 +307,11 @@ class TypedTripartiteGraph:
                              f"{type(obj).__name__}")
         g = cls(json_int(obj["n"], "n"), json_int(obj["r"], "r"))
         seen = set()
-        for lu, iu, lv, iv, t in obj["pairs"]:
+        for pair in json_list(obj["pairs"], "pairs"):
+            lu, iu, lv, iv, t = json_list(pair, "each pair")
             if not (type(iu) is int and type(iv) is int and type(t) is int):
                 raise ValueError(f"each index and type of pair "
-                                 f"{[lu, iu, lv, iv, t]} must be an integer")
+                                 f"{pair} must be an integer")
             u, v = VertexId(Layer(lu), iu), VertexId(Layer(lv), iv)
             g.set_type(u, v, t)
             key = pair_key(u, v)

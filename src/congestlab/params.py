@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleParams, json_int
+from .errors import InfeasibleParams, json_int, json_list
 
 
 @dataclass
@@ -69,7 +69,8 @@ class ParamSchedule:
             return canonical_params(*spec)
         lists = {"n": obj["n"], **{key: obj.get(key, []) for key in
                                    ("d", "alpha", "beta", "gamma")}}
-        return cls(**{key: [json_int(x, f"each {key} entry") for x in xs]
+        return cls(**{key: [json_int(x, f"each {key} entry")
+                            for x in json_list(xs, key)]
                       for key, xs in lists.items()})
 
     @classmethod

@@ -110,41 +110,35 @@ def _sample_ids(n: int, n_prev: int, rng: random.Random) -> dict:
     return {layer: rng.sample(range(1, n + 1), n_prev) for layer in LAYERS}
 
 
-def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
-                 p: ParamSchedule, level: int):
-    """Deterministic assembly of a level instance from inner + frame.
-
-    ``pools[X]`` yields the non-starred indices of layer X in the order the
-    disjoint reserved chunks are carved, ``d`` per chunk; each chunk is
-    consumed in index order.
+def _gr_rows(inner: TypedTripartiteGraph, ids: dict, pools: dict,
+             p: ParamSchedule, level: int):
+    """Yield each inner vertex, in vertex order, with its outer copy's rows:
+    toward layer X, the inner row at the starred slots ``ids[X]``, then per
+    type t the first slots of the next ``d``-index chunk of ``pools[X]`` (in
+    index order; the pool yields chunks as carved) that bring t up to ``d``.
     """
     lv = p.level(level)
-    n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
-    g = TypedTripartiteGraph(n, level)
-    emb = InnerEmbedding(ids=ids, inner=inner)
-
-    # inner pair types are copied verbatim; the inner default (= level) is
-    # below the outer default (= level + 1) so every inner pair is stored
-    for u, v, t in inner_cross_pairs(inner):
-        g.set_type(emb.outer(u), emb.outer(v), t)
-
-    for target in LAYERS:
-        pool = iter(pools[target])
-        for y in vertices(n_prev):
-            if y.layer is target:
-                continue
-            y_out = emb.outer(y)
-            # y_out's type-t pairs toward target so far are its copied inner
-            # pairs: the chunks go to non-starred vertices, and earlier
-            # chunks of y_out carry other types
-            row = inner.type_rows(y)[target]
-            slots = {}
+    n, d = lv["n"], lv["d"]
+    pools = {layer: iter(pool) for layer, pool in pools.items()}
+    for y in inner.vertices():
+        out = {}
+        for target, row in inner.type_rows(y).items():
+            starred, pool = ids[target], pools[target]
+            # each inner type, the inner default too, is below the outer one
+            slots = {starred[i] - 1: t for i, t in enumerate(row)}
             for t in range(level + 1):
-                chunk = sorted(islice(pool, d))
-                for idx in chunk[: d - row.count(t)]:
+                for idx in sorted(islice(pool, d))[: d - row.count(t)]:
                     slots[idx - 1] = t
-            g.set_row(y_out, target, slots)
-    return g, emb
+            out[target] = TypeRow(n, level + 1, dict(sorted(slots.items())))
+        yield y, out
+
+
+def _assemble_gr(inner: TypedTripartiteGraph, ids: dict, pools: dict,
+                 p: ParamSchedule, level: int):
+    """A level instance written from all of ``_gr_rows``, and its embedding."""
+    views = dict(_gr_rows(inner, ids, pools, p, level))
+    g = rebuild_from_inner_views(p.level(level)["n"], level, ids, views)
+    return g, InnerEmbedding(ids=ids, inner=inner)
 
 
 def inner_cross_pairs(inner: TypedTripartiteGraph):
@@ -158,8 +152,8 @@ def inner_cross_pairs(inner: TypedTripartiteGraph):
                 yield u, v, inner.pair_type(u, v)
 
 
-def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
-    """One instance of the recursive family, with its embedding."""
+def _gr_draws(p: ParamSchedule, level: int, rng: random.Random):
+    """``sample_gr``'s draws in stream order: inner instance, ids, pools."""
     require_feasible(p)
     lv = p.level(level)  # refuses a level outside [1, r]
     n, n_prev = lv["n"], lv["n_prev"]
@@ -171,7 +165,12 @@ def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
     demand = 2 * n_prev * (level + 1) * lv["d"]
     pools = {layer: _sample_missing(rng, n, ids[layer], demand)
              for layer in LAYERS}
-    return _assemble_gr(inner, ids, pools, p, level)
+    return inner, ids, pools
+
+
+def sample_gr(p: ParamSchedule, level: int, rng: random.Random):
+    """One instance of the recursive family, with its embedding."""
+    return _assemble_gr(*_gr_draws(p, level, rng), p, level)
 
 
 def build_gr_frame(inner: TypedTripartiteGraph, p: ParamSchedule, level: int):
@@ -245,7 +244,8 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
     of the construction this is the marginal of any inner vertex.  Rows are
     returned toward the two other layers in layer order.  Level 0 reads the
     rows of A1 off ``sample_g0``'s own draw, as two length-n0 lists; higher
-    levels materialize a full instance and return A1's ``TypeRow``s.
+    levels make ``sample_gr``'s draws and return A1's ``TypeRow``s from the
+    first step of its assembly, building no instance of their own level.
     """
     if level == 0:
         n0 = p.n[0]
@@ -257,8 +257,8 @@ def sample_d_in(p: ParamSchedule, level: int, rng: random.Random):
             if ca:
                 to_c[ic - 1] = 0
         return to_b, to_c
-    g, emb = sample_gr(p, level, rng)
-    return tuple(g.type_rows(emb.outer(VertexId(Layer.A, 1))).values())
+    _, rows = next(_gr_rows(*_gr_draws(p, level, rng), p, level))
+    return tuple(rows.values())
 
 
 def sample_d_in_conditioned(p: ParamSchedule, level: int, t: int,

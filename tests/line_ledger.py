@@ -13,9 +13,12 @@ the pytest process is traced, so a line that runs only in a subprocess counts
 as unreached.
 
 ``line_ledger_allow.txt``, next to this file, lists the lines left unreached
-on purpose, one ``<path>:<line> <reason>`` per line.  The exit status is
-pytest's when pytest fails, else 1 when a line is unreached but not listed or
-listed but reached, else 0.
+on purpose, one ``<path>: <source text>`` per line, with the reason in the
+``#`` lines above it.  An entry names its line by the line's stripped source
+text, so an edit above the line does not move the entry; the text must match
+exactly one executable line of the file.  The exit status is pytest's when
+pytest fails, else 1 when an entry matches no executable line or more than
+one, or a line is unreached but not listed, or listed but reached, else 0.
 """
 
 import os
@@ -30,14 +33,25 @@ SRC = ROOT / "src"
 ALLOWLIST = Path(__file__).resolve().parent / "line_ledger_allow.txt"
 
 
-def allowed_lines(text: str) -> set:
-    """The ``(path, line)`` of every entry; blank and ``#`` lines skipped."""
-    out = set()
+def allowed_lines(text: str) -> tuple:
+    """The ``(path, line)`` of every entry that matches exactly one
+    executable line, and a message for each entry that does not; blank and
+    ``#`` lines are skipped."""
+    out, problems = set(), []
     for entry in text.splitlines():
         if entry.strip() and not entry.startswith("#"):
-            path, line = entry.split(None, 1)[0].rsplit(":", 1)
-            out.add((path, int(line)))
-    return out
+            path, source = (part.strip() for part in entry.split(":", 1))
+            file, matches = ROOT / path, []
+            if file.is_file():
+                lines = file.read_text().splitlines()
+                matches = [line for line in executable_lines(file)
+                           if lines[line - 1].strip() == source]
+            if len(matches) == 1:
+                out.add((path, matches[0]))
+            else:
+                problems.append(f"listed text matches {len(matches)} "
+                                f"executable lines: {path}: {source}")
+    return out, problems
 
 
 def executable_lines(path: Path) -> set:
@@ -116,12 +130,14 @@ def main(argv: list) -> int:
               f"unreached{': ' + spans(missed) if missed else ''}")
     print(f"total: {len(unreached)} of {total} executable lines unreached "
           f"({total - len(unreached)} reached)")
-    allowed = allowed_lines(ALLOWLIST.read_text())
+    allowed, problems = allowed_lines(ALLOWLIST.read_text())
+    for problem in problems:
+        print(problem)
     for label, entries in (("unreached and not listed", unreached - allowed),
                            ("listed but reached", allowed - unreached)):
         for path, line in sorted(entries):
             print(f"{label}: {path}:{line}")
-    return code or int(unreached != allowed)
+    return code or int(bool(problems) or unreached != allowed)
 
 
 if __name__ == "__main__":

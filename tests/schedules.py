@@ -10,6 +10,8 @@
 - SPARSE2: n_prev = 2 with collisions rarer still (none in 40 draws).
 - MIXED3 and MIXED4: n_prev = 3 and 4 where about 1 restructured draw in 3
   collides, so a collision check sees both answers.
+- LEVEL2: the smallest level-2 schedule the shared check accepts: at
+  n_2 = 598820 its auxiliary budget fails.
 """
 
 from congestlab.params import ParamSchedule
@@ -26,3 +28,5 @@ MIXED3 = ParamSchedule(n=[3, 1_000_000], d=[40], alpha=[1], beta=[1],
                        gamma=[1])
 MIXED4 = ParamSchedule(n=[4, 4_000_000], d=[70], alpha=[1], beta=[1],
                        gamma=[1])
+LEVEL2 = ParamSchedule(n=[1, 29, 598821], d=[2, 30], alpha=[1, 1],
+                       beta=[1, 1], gamma=[1, 1])

@@ -455,6 +455,45 @@ def test_info_refuses_an_entry_that_is_not_one_json_number(tmp_path, entries,
     assert result.stdout == ""
 
 
+INFO = ["info", "--table", "{file}", "--measure", "entropy"]
+SIMULATE = ["simulate", "--instance", "{file}", "--protocol", "all-no"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (INFO, '{"coords": ["A"], "entries": [[[0, 1], 1.0]]}',
+     "entry [[0, 1], 1.0] must be an outcome of JSON scalars"),
+    (INFO, '{"coords": ["A"], "entries": [1.0]}',
+     "each entry must be a list, got 1.0"),
+    (["info", "--table", "{file}", "--measure", "mi", "--a", "A", "--b", "B"],
+     '{"coords": "AB", "entries": [[0, 1, 0.5], [1, 0, 0.5]]}',
+     "coords must be a list, got 'AB'"),
+    (INFO, '{"coords": ["A", 1], "entries": [[0, 0, 1.0]]}',
+     "each coordinate must be a string, got ['A', 1]"),
+    (INFO, '{"coords": ["A"], "entries": [[]]}',
+     "entry [] must be an outcome of JSON scalars"),
+    (SIMULATE, '{"n": 1, "r": 1, "pairs": 5}', "pairs must be a list, got 5"),
+    (SIMULATE, '{"n": 1, "r": 1, "pairs": [5]}',
+     "each pair must be a list, got 5"),
+    (["gen", "--level", "1", "--params", "{file}", "--out", "out"],
+     '{"n": [1, 29], "d": 6, "alpha": [1], "beta": [1], "gamma": [1]}',
+     "d must be a list, got 6"),
+], ids=["info-list-outcome", "info-bare-entry", "info-string-coords",
+        "info-int-coordinate", "info-empty-entry", "simulate-int-pairs",
+        "simulate-int-pair", "gen-int-field"])
+def test_a_file_of_the_wrong_shape_is_refused(tmp_path, monkeypatch, argv,
+                                              text, message):
+    # the string coords were split into A and B, and mi printed 1.0; the
+    # int coordinate was kept, and entropy printed 0.0; the others raised a
+    # TypeError or an IndexError past the error boundary
+    monkeypatch.chdir(tmp_path)
+    Path("input.json").write_text(text)
+    result = CliRunner().invoke(main, [a.format(file="input.json")
+                                       for a in argv])
+    assert_one_error_line(result)
+    assert message in result.stderr and result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, text", [
     (["gen", "--level", "1", "--params", "{file}", "--out", "out"],
      '{"n": [1.9, 29.7], "d": [6.5], "alpha": [true], "beta": [1], '

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from congestlab.elimination import EliminationConfig, hybrid_sampler
 from congestlab.errors import InfeasibleParams
 from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow,
                                VertexId)
 from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
                                feasibility_check,
                                restructured_feasibility_check)
+from congestlab.protocols import registry
 from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  inner_cross_pairs, inner_views,
                                  public_slots, rebuild_from_inner_views,
@@ -21,13 +23,9 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  sample_g0, sample_gr, sample_gr_tilde,
                                  sample_inner, sample_tilde_input,
                                  _sample_ids, _sample_missing)
-from schedules import LOOSE, MICRO, SMALL2, WIDE2
+from schedules import LEVEL2, LOOSE, MICRO, SMALL2, WIDE2
 
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
-# the smallest level-2 schedule the shared check accepts: at n_2 = 598820
-# its auxiliary budget fails
-LEVEL2 = ParamSchedule(n=[1, 29, 598821], d=[2, 30], alpha=[1, 1],
-                       beta=[1, 1], gamma=[1, 1])
 
 
 def test_g0_starred_pairs_are_binary():
@@ -108,10 +106,18 @@ def test_gr_level2_invariants():
 
 
 def test_inner_views_fix_graph():
-    g, emb = sample_gr(MICRO, 1, random.Random(7))
-    views = inner_views(g, emb)
-    g2 = rebuild_from_inner_views(g.n, 1, emb.ids, views)
-    assert g2 == g
+    # every way an instance is built: the recursive family at both levels
+    # and on the canonical frame, the restructured family, a staged hybrid
+    rng = random.Random(7)
+    draws = [sample_gr(p, level, rng)
+             for p, level in ((MICRO, 1), (WIDE2, 1), (LEVEL2, 2))]
+    draws.append(build_gr_frame(sample_g0(1, rng)[0], MICRO, 1))
+    draws += [sample_gr_tilde(p, 1, rng)[:2] for p in (LOOSE, WIDE2)]
+    draws.append(hybrid_sampler("dfake", registry(1, 1)["type-broadcast"],
+                                EliminationConfig(params=MICRO), 7)[:2])
+    for g, emb in draws:
+        views = inner_views(g, emb)
+        assert rebuild_from_inner_views(g.n, g.r, emb.ids, views) == g
 
 
 def test_frame_build_is_deterministic():
@@ -330,6 +336,35 @@ def test_level1_d_in_conditioned_is_the_first_matching_plain_draw():
             plain = sample_d_in(MICRO, 1, plain_rng)
         assert [list(row) for row in rows] == [list(row) for row in plain]
         assert rng.random() == plain_rng.random()
+
+
+@pytest.mark.parametrize("p, level", [(MICRO, 1), (WIDE2, 1), (LEVEL2, 2)],
+                         ids=["MICRO", "WIDE2", "LEVEL2"])
+def test_d_in_is_a1s_rows_in_sample_gr_on_the_same_seed(p, level):
+    for seed in range(3):
+        rng, gr_rng = random.Random(seed), random.Random(seed)
+        rows = sample_d_in(p, level, rng)
+        g, emb = sample_gr(p, level, gr_rng)
+        want = g.type_rows(emb.outer(VertexId(Layer.A, 1))).values()
+        assert ([(row.n, row.default, row.slots) for row in rows]
+                == [(row.n, row.default, row.slots) for row in want])
+        assert rng.random() == gr_rng.random()
+
+
+@pytest.mark.parametrize("p, level", [(MICRO, 1), (LEVEL2, 2)],
+                         ids=["MICRO", "LEVEL2"])
+def test_d_in_builds_no_instance_of_its_own_level(monkeypatch, p, level):
+    built = []
+    init = TypedTripartiteGraph.__init__
+
+    def recording_init(self, n, r):
+        built.append(r)
+        init(self, n, r)
+
+    monkeypatch.setattr(TypedTripartiteGraph, "__init__", recording_init)
+    sample_d_in(p, level, random.Random(0))
+    # the inner instance is drawn whole; the level-l instance is not built
+    assert max(built) == level - 1
 
 
 def test_aux_sets_disjoint_and_sized():

@@ -16,6 +16,10 @@ complement sequence.  The two ``infotheory`` digests, which hash the
 measures of one ``verify-info`` suite op on seeded tables and one
 ``monotonicity_checks`` report, were computed at commit 05e83f8, before
 ``infotheory`` validated rows in builtin passes and kept each law's entropy.
+The ``sample_d_in`` digests and the level-2 ``sample_gr`` digest, which
+hash a marginal draw's rows through their stored slots, were computed at
+commit 98c748e, before the recursive family built its inner vertices' rows
+and ``sample_d_in`` stopped building an instance of its own level.
 """
 
 import hashlib
@@ -31,9 +35,9 @@ from congestlab.infotheory import (JointTable, cond_entropy, cond_mutual_info,
                                    pinsker_check, random_joint,
                                    tvd_chain_bound_check)
 from congestlab.protocols import registry
-from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_gr,
-                                 sample_gr_tilde)
-from schedules import LOOSE, MICRO, SPARSE2, WIDE2
+from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_d_in,
+                                 sample_gr, sample_gr_tilde)
+from schedules import LEVEL2, LOOSE, MICRO, SPARSE2, WIDE2
 
 SEEDS = range(3)
 CFG = EliminationConfig(params=MICRO)
@@ -44,13 +48,23 @@ def _ids(ids):
     return {layer.value: list(idx) for layer, idx in ids.items()}
 
 
-def _gr(p):
+def _gr(p, level):
     out = []
     for seed in SEEDS:
         rng = random.Random(seed)
-        g, emb = sample_gr(p, 1, rng)
+        g, emb = sample_gr(p, level, rng)
         out.append((g.to_json(), _ids(emb.ids), emb.inner.to_json(),
                     rng.random()))
+    return out
+
+
+def _d_in(p, level):
+    out = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        rows = sample_d_in(p, level, rng)
+        out.append(([(row.n, row.default, list(row.slots.items()))
+                     for row in rows], rng.random()))
     return out
 
 
@@ -122,14 +136,23 @@ def _monotonicity():
 
 STREAMS = {
     "sample_gr/MICRO": (
-        lambda: _gr(MICRO),
+        lambda: _gr(MICRO, 1),
         "0330297bd67226cf402f64f5e606ece90e42551360e29f21b3dda4f896495067"),
     "sample_gr/WIDE2": (
-        lambda: _gr(WIDE2),
+        lambda: _gr(WIDE2, 1),
         "a5574857c4ec324d5f6be0cbcff6bae187786c778d367f0c05163174afbf564c"),
     "sample_gr/SPARSE2": (
-        lambda: _gr(SPARSE2),
+        lambda: _gr(SPARSE2, 1),
         "355a5e58577222d6aabfda515c95be4c3405f7129f2d7b1c05e830b222e3f94e"),
+    "sample_gr/LEVEL2": (
+        lambda: _gr(LEVEL2, 2),
+        "643e681442439a2f7dde74ebd91456b04533e6bd8fbf39862f632fbdc7232677"),
+    "sample_d_in/MICRO": (
+        lambda: _d_in(MICRO, 1),
+        "f495db1b1a23c8dbe2fecc78fd234c2328f6d0222d9b6c6bb91034ef2324f4a8"),
+    "sample_d_in/LEVEL2": (
+        lambda: _d_in(LEVEL2, 2),
+        "c457d519c1f5a7c2e937398c0605d0649bfab75c526959ea23ebadbbb379e812"),
     "sample_gr_tilde/MICRO": (
         lambda: _gr_tilde(MICRO),
         "8e416f1f44b5517282c6da2c0ff40e4bf5cd960177a1cfbe69f8787e18282966"),
