@@ -222,6 +222,9 @@ def simulate(instance, proto_name, bandwidth, seed, dump_transcript):
     """Run one registered protocol on one instance file."""
     with open(instance) as fh:
         g = TypedTripartiteGraph.from_json(fh.read())
+    if g.n > MEMORY_CAP:
+        raise InfeasibleParams(f"instance layer size {g.n} exceeds memory "
+                               f"cap {MEMORY_CAP}")
     pi = _protocol(proto_name, g.r, bandwidth)
     transcript, outputs = protocols.simulate(pi, g, RandomnessView(seed))
     if dump_transcript:

@@ -309,9 +309,8 @@ class TypedTripartiteGraph:
         seen = set()
         for pair in json_list(obj["pairs"], "pairs"):
             lu, iu, lv, iv, t = json_list(pair, "each pair")
-            if not (type(iu) is int and type(iv) is int and type(t) is int):
-                raise ValueError(f"each index and type of pair "
-                                 f"{pair} must be an integer")
+            iu, iv, t = (json_int(x, f"each index and type of pair {pair}")
+                         for x in (iu, iv, t))
             u, v = VertexId(Layer(lu), iu), VertexId(Layer(lv), iv)
             g.set_type(u, v, t)
             key = pair_key(u, v)

@@ -6,6 +6,10 @@ sizes ``alpha_l``, ``beta_l``, ``gamma_l``.  The canonical schedule uses
 ``n_l = n_0 ** (34 ** l)``, ``d_l = n_{l-1}**13``, ``alpha_l = n_{l-1}**11``,
 ``beta_l = n_{l-1}**5`` and ``gamma_l = n_{l-1}**6``; it is astronomically
 large for ``r >= 1`` and serves as a bound calculator, not a sampling target.
+
+Each family's gate states the room its sampler takes, once: the recursive
+family's rules are ``feasibility_check``'s, and the restructured family adds
+the one completion rule of ``restructured_feasibility_check``.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def canonical_params(n0: int, r: int) -> ParamSchedule:
     return ParamSchedule(n=n, d=d, alpha=alpha, beta=beta, gamma=gamma)
 
 
-def aux_draws_per_vertex_layer(n_prev: int, d: int, alpha: int, beta: int,
+def aux_draws_per_vertex_layer(n_prev: int, alpha: int, beta: int,
                                gamma: int, l: int) -> int:
     """Identities one inner vertex reserves from one other layer for auxiliaries.
 
@@ -121,10 +125,14 @@ def aux_draws_per_vertex_layer(n_prev: int, d: int, alpha: int, beta: int,
 
 
 def feasibility_check(p: ParamSchedule) -> list[str]:
-    """Check every level; empty list means the schedule is usable.
+    """Check every level against the recursive family's rules; an empty list
+    means the schedule is usable.
 
-    Violations are returned as data rather than raised so that callers can
-    report all of them at once.
+    Besides sizes, lengths and positivity, each level needs room for the
+    starred set and the per-type channel chunks, and a ``d`` that covers the
+    starred slots.  Only the restructured family reserves auxiliaries, so
+    their room is ``restructured_feasibility_check``'s.  Violations are
+    returned as data so that callers can report all of them at once.
     """
     out = []
     if any(x < 1 for x in p.n):
@@ -140,7 +148,6 @@ def feasibility_check(p: ParamSchedule) -> list[str]:
     for l in range(1, p.r + 1):
         lv = p.level(l)
         n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
-        alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
         # Room for the starred set plus the disjoint per-type channel sets.
         need = n_prev * (2 * d * (l + 1) + 1)
         if need >= n:
@@ -152,25 +159,6 @@ def feasibility_check(p: ParamSchedule) -> list[str]:
         # the degree target must cover them.
         if d < n_prev:
             out.append(f"DegreeViolation level {l}: d = {d} < n_prev = {n_prev}")
-        # Per-layer auxiliary budget (loose bound, generalizing the canonical
-        # 4*n_prev**13 count to arbitrary exponents).
-        budget = 4 * n_prev * (
-            alpha * n_prev
-            + 2 * beta * n_prev * n_prev * (l + 1)
-            + gamma * (l + 1) * n_prev
-        )
-        if budget > n - n_prev:
-            out.append(
-                f"AuxBudgetViolation level {l}: budget {budget} > n - n_prev = "
-                f"{n - n_prev}"
-            )
-        # The publicly-fixed per-type slots (the L sets) must leave room for
-        # the marginal completion to reach d channels of that type.
-        if gamma * n_prev >= d:
-            out.append(
-                f"PublicSlotViolation level {l}: gamma*n_prev = "
-                f"{gamma * n_prev} >= d = {d}"
-            )
     return out
 
 
@@ -180,8 +168,17 @@ def restructured_feasibility_check(p: ParamSchedule, level: int) -> list[str]:
     In an inner vertex's row toward another layer, the slots fixed before
     completion (n_prev starred, alpha*n_prev J, beta*(l+1)*n_prev*(2n_prev-1)
     K and gamma*n_prev L slots of one type) can all carry one type, so their
-    count must not exceed d.  The recursive family needs less, which is why
+    count F must not exceed d.  The recursive family needs less, which is why
     this check is not part of ``feasibility_check``.
+
+    With the room rule, n - n_prev > 2*(l+1)*n_prev*d, this one rule covers
+    everything the restructured sampler needs:
+
+    - term by term (l+1)*F >= ``aux_draws_per_vertex_layer``, so the
+      reservation, 2*n_prev times that count, fits the non-starred indices;
+    - a type's fixed count is at most F <= d (the L slots alone are fewer),
+      so no completion need is negative;
+    - a completed row stores (l+1)*d < n slots, so the free slots suffice.
     """
     lv = p.level(level)
     n_prev, d = lv["n_prev"], lv["d"]

@@ -357,21 +357,17 @@ def sample_aux(ids: dict, p: ParamSchedule, level: int,
     """Step-2 reservation: disjoint subsets of each layer's non-starred pool.
 
     Each layer's pool is one uniform ordered draw of exactly the indices the
-    reservation uses, carved into sets in reservation order.
+    reservation uses, carved into sets in reservation order.  The schedule
+    must pass ``require_restructured_feasible``, whose rules make it fit.
     """
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
     alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
     # every layer serves the 2 * n_prev inner vertices of the other layers
     demand = 2 * n_prev * aux_draws_per_vertex_layer(
-        n_prev, lv["d"], alpha, beta, gamma, level)
-    pools = {}
-    for layer in LAYERS:
-        if demand > n - len(ids[layer]):
-            raise InfeasibleParams(
-                f"auxiliary reservation exhausted layer {layer.value}"
-            )
-        pools[layer] = iter(_sample_missing(rng, n, ids[layer], demand))
+        n_prev, alpha, beta, gamma, level)
+    pools = {layer: iter(_sample_missing(rng, n, ids[layer], demand))
+             for layer in LAYERS}
 
     def take(layer, count):
         return list(islice(pools[layer], count))
@@ -424,7 +420,8 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
     a ``TypeRow``, read by index): the true inner input, or a phantom one
     the caller drew from the inner marginal.
     Returns {other layer: ``TypeRow`` of length n}; only the starred,
-    reserved and completed slots are ever touched.
+    reserved and completed slots are ever touched.  The schedule must pass
+    ``require_restructured_feasible``, whose rules make the completion fit.
     """
     lv = p.level(level)
     n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
@@ -467,15 +464,8 @@ def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
         for t in row.values():
             counts[t] += 1
         needs = [d - counts[t] for t in range(level + 1)]
-        if any(need < 0 for need in needs):
-            raise InfeasibleParams(
-                f"publicly fixed slots exceed degree target d={d} "
-                f"(counts {counts})"
-            )
-        total = sum(needs)
-        if total > n - len(row):
-            raise InfeasibleParams("not enough free slots for completion")
-        chosen = iter(_sample_missing(rng, n, [j + 1 for j in row], total))
+        chosen = iter(_sample_missing(rng, n, [j + 1 for j in row],
+                                      sum(needs)))
         for t, need in enumerate(needs):
             for idx in islice(chosen, need):
                 row[idx - 1] = t

@@ -16,7 +16,8 @@ run's last stdout line (the JSON object with ``correct``, ``failed`` and
 ``metrics``) and the ``provenance`` of the result file the run writes under
 ``perfbench/out/``, and writes ``BENCH_<pr>.json`` in the current directory:
 both commits, both ``src`` hashes, the seed, each metric's median and
-quartiles per side, the pairs in which the change did better, and every
+quartiles per side, the pairs in which the change did better, whether it
+is worse than its bound or unresolved (see ``workload_entry``), and every
 run's values.  Bounds and directions come from the change's
 ``BENCHMARK.json``.  Standard library only; pytest does not collect this
 file, and it writes nothing inside either checkout except what
@@ -68,18 +69,34 @@ def summary(values: list) -> dict:
 
 
 def workload_entry(name: str, runs: dict, spec: dict) -> dict:
-    """One workload's pairs: ``runs[side]`` lists run results in pair order."""
+    """One workload's pairs: ``runs[side]`` lists run results in pair order.
+
+    Per metric, ``worse_than_bound`` says whether the change's median is
+    worse than the parent's by more than the bound, as a share of the
+    parent's median.  ``unresolved`` says whether the parent's own spread,
+    (q3 - q1) / median, exceeds the bound while some change run does not
+    beat every parent run, so that the medians cannot show "no worse".
+    """
     metrics = {}
     for m in spec["end_to_end"]:
         values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
                   for side in SIDES}
         sign = 1 if m["better"] == "higher" else -1
+        stats = {side: summary(values[side]) for side in SIDES}
+        parent = stats["parent"]
+        beats_every_run = (min(sign * c for c in values["change"])
+                           > max(sign * p for p in values["parent"]))
         metrics[m["name"]] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            **{side: summary(values[side]) for side in SIDES},
+            **stats,
             "change_better_in_pairs": sum(
                 sign * (c - p) > 0
                 for p, c in zip(values["parent"], values["change"])),
+            "worse_than_bound": sign * (parent["median"]
+                                        - stats["change"]["median"])
+            > m["bound"] * parent["median"],
+            "unresolved": (parent["q3"] - parent["q1"])
+            > m["bound"] * parent["median"] and not beats_every_run,
             "values": values,
         }
     return {"workload": name, "pairs": len(runs["parent"]),

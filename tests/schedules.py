@@ -10,8 +10,10 @@
 - SPARSE2: n_prev = 2 with collisions rarer still (none in 40 draws).
 - MIXED3 and MIXED4: n_prev = 3 and 4 where about 1 restructured draw in 3
   collides, so a collision check sees both answers.
-- LEVEL2: the smallest level-2 schedule the shared check accepts: at
-  n_2 = 598820 its auxiliary budget fails.
+- LEVEL2: a level-2 schedule whose seeded streams are pinned, so it stays
+  as it is.  Its n_2 = 598821 was the least a since-removed auxiliary
+  budget admitted; the room rule alone admits n_2 = 5250 at d = [2, 30].
+  Both of its levels are too small for the restructured completion.
 """
 
 from congestlab.params import ParamSchedule

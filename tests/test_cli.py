@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from congestlab import params as params_module
-from congestlab.cli import main
+from congestlab import protocols
+from congestlab.cli import MEMORY_CAP, main
 from congestlab.params import ParamSchedule, feasibility_check
 from schedules import MICRO, SMALL2
 
@@ -192,6 +193,22 @@ def test_restructured_commands_refuse_small2(tmp_path, command):
     assert result.exit_code == 2
     assert "RestructuredSlotViolation" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--level", "1", "--family", "recursive", "--out", "out"],
+    ["gen", "--level", "1", "--family", "restructured", "--out", "out"],
+    ["round-elim", "--protocol", "type-broadcast", "--trials", "3"],
+])
+def test_both_families_serve_micro_at_its_smallest_room(tmp_path, command):
+    # n = 26 is the smallest layer size MICRO's room rule admits
+    params = str(tmp_path / "micro26.json")
+    with open(params, "w") as fh:
+        fh.write(ParamSchedule(n=[1, 26], d=[6], alpha=[1], beta=[1],
+                               gamma=[1]).to_json())
+    command = [str(tmp_path / a) if a == "out" else a for a in command]
+    result = CliRunner().invoke(main, command + ["--params", params])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("options", [
@@ -560,6 +577,20 @@ def test_an_explicit_schedule_above_the_cap_exit_2(tmp_path):
     assert_one_error_line(result, code=2)
     assert "largest layer size 6000000 exceeds memory cap" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_refuses_an_instance_above_the_cap(tmp_path, monkeypatch):
+    # refused from the file's n, before any of the 3n players is built
+    monkeypatch.setattr(protocols, "simulate", refuse_draws)
+    instance = tmp_path / "big.json"
+    instance.write_text(json.dumps({"n": MEMORY_CAP + 1, "r": 1,
+                                    "pairs": []}))
+    result = CliRunner().invoke(main, ["simulate", "--instance",
+                                       str(instance), "--protocol", "all-no"])
+    assert_one_error_line(result, code=2)
+    assert (f"instance layer size {MEMORY_CAP + 1} exceeds memory cap "
+            f"{MEMORY_CAP}" in result.stderr)
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("n0", [0, 5_000_001])

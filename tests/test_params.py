@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from congestlab.errors import InfeasibleParams
@@ -5,6 +7,7 @@ from congestlab.params import (ParamSchedule, canonical_params,
                                feasibility_check, require_feasible,
                                require_restructured_feasible,
                                restructured_feasibility_check)
+from congestlab.sampling import sample_gr_tilde
 from schedules import MICRO, SMALL2
 
 
@@ -44,9 +47,19 @@ def test_degree_violation():
 
 
 def test_public_slot_violation():
+    # gamma*n_prev = 3 L slots of one type leave no completion room at d = 3:
+    # the recursive family serves this schedule, and the restructured gate
+    # refuses it before any draw (gamma*n_prev is a term of its 7 > 3)
     p = ParamSchedule(n=[1, 2000], d=[3], alpha=[1], beta=[1], gamma=[3])
-    bad = feasibility_check(p)
-    assert any("PublicSlotViolation" in v for v in bad)
+    assert feasibility_check(p) == []
+    assert restructured_feasibility_check(p, 1) == [
+        "RestructuredSlotViolation level 1: n_prev*(1+alpha) + "
+        "beta*(l+1)*n_prev*(2*n_prev-1) + gamma*n_prev = 7 > d = 3"]
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
+        sample_gr_tilde(p, 1, rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("n, d, want", [

@@ -25,7 +25,11 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  _sample_ids, _sample_missing)
 from schedules import LEVEL2, LOOSE, MICRO, SMALL2, WIDE2
 
-SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE}
+SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE,
+             # MICRO's parameters at the smallest sizes the room rule admits
+             **{f"MICRO-n{n}": ParamSchedule(n=[1, n], d=[6], alpha=[1],
+                                             beta=[1], gamma=[1])
+                for n in (26, 27, 28)}}
 
 
 def test_g0_starred_pairs_are_binary():
@@ -473,13 +477,17 @@ def test_complement_of_a_thousand_taken_indices():
 def test_aux_reservation_is_disjoint_and_sized_on_every_schedule(name):
     p = SCHEDULES[name]
     lv = p.level(1)
-    n, n_prev = lv["n"], lv["n_prev"]
+    n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
     alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
     demand = 2 * n_prev * aux_draws_per_vertex_layer(
-        n_prev, lv["d"], alpha, beta, gamma, 1)
+        n_prev, alpha, beta, gamma, 1)
     for seed in range(5):
-        ids = _sample_ids(n, n_prev, random.Random(seed))
-        aux = sample_aux(ids, p, 1, random.Random(seed))
+        g, emb, aux, _ = sample_gr_tilde(p, 1, random.Random(seed))
+        ids = emb.ids
+        for v in emb.inner.vertices():
+            rows = g.type_rows(emb.outer(v))
+            assert all(rows[w].count(t) == d
+                       for w in v.layer.others for t in (0, 1))
         for layer in LAYERS:
             elems = aux.elements_in_layer(layer)
             assert len(elems) == demand
@@ -507,47 +515,49 @@ def test_aux_reservation_is_disjoint_and_sized_on_every_schedule(name):
 
 
 def test_aux_reservation_beyond_the_pool_is_infeasible():
-    # 2 * (20 + 2 + 2) = 48 reserved indices per layer, 28 non-starred
+    # 2 * (20 + 2 + 2) = 48 reserved indices per layer, 28 non-starred: the
+    # recursive family serves this schedule, and the restructured gate
+    # refuses it (24 > 6 fixed slots) before any draw
     greedy = ParamSchedule(n=[1, 29], d=[6], alpha=[20], beta=[1], gamma=[1])
-    ids = _sample_ids(29, 1, random.Random(0))
-    with pytest.raises(InfeasibleParams,
-                       match="auxiliary reservation exhausted layer A"):
-        sample_aux(ids, greedy, 1, random.Random(0))
+    assert feasibility_check(greedy) == []
+    assert restructured_feasibility_check(greedy, 1) == [
+        "RestructuredSlotViolation level 1: n_prev*(1+alpha) + "
+        "beta*(l+1)*n_prev*(2*n_prev-1) + gamma*n_prev = 24 > d = 6"]
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InfeasibleParams, match="RestructuredSlotViolation"):
+        sample_gr_tilde(greedy, 1, rng)
+    assert rng.getstate() == state
 
 
 @settings(max_examples=300, deadline=None)
-@given(n_prev=st.integers(1, 4), d=st.integers(1, 40),
+@given(l=st.integers(1, 3), n_prev=st.integers(1, 4), d=st.integers(1, 80),
        alpha=st.integers(1, 3), beta=st.integers(1, 3),
        gamma=st.integers(1, 3), slack=st.integers(-50, 3000))
-def test_feasible_schedules_leave_room_for_every_pool(n_prev, d, alpha, beta,
-                                                      gamma, slack):
-    # layer sizes around the room threshold n_prev*(4d+1), on both sides
-    n = max(2, n_prev * (4 * d + 1) + slack)
-    p = ParamSchedule(n=[n_prev, n], d=[d], alpha=[alpha], beta=[beta],
-                      gamma=[gamma])
-    assume(not feasibility_check(p))
+def test_feasible_schedules_leave_room_for_every_pool(l, n_prev, d, alpha,
+                                                      beta, gamma, slack):
+    # level l's sizes around its room threshold n_prev*(2d(l+1)+1), on both
+    # sides; the levels below repeat n_prev, and their violations are not
+    # level l's
+    n = max(2, n_prev * (2 * d * (l + 1) + 1) + slack)
+    p = ParamSchedule(n=[n_prev] * l + [n], d=[1] * (l - 1) + [d],
+                      alpha=[1] * (l - 1) + [alpha],
+                      beta=[1] * (l - 1) + [beta],
+                      gamma=[1] * (l - 1) + [gamma])
+    assume(not [v for v in feasibility_check(p) if f" level {l}:" in v])
     free = n - n_prev
-    assert 2 * n_prev * 2 * d <= free  # sample_gr's pool at level 1
+    assert 2 * n_prev * (l + 1) * d <= free  # sample_gr's pool
+    if restructured_feasibility_check(p, l):
+        return
     assert 2 * n_prev * aux_draws_per_vertex_layer(
-        n_prev, d, alpha, beta, gamma, 1) <= free  # sample_aux's pool
-
-
-@pytest.mark.parametrize("p, match", [
-    (SMALL2, "publicly fixed slots exceed degree target d=8"),
-    (ParamSchedule(n=[1, 12], d=[7], alpha=[1], beta=[1], gamma=[1]),
-     "not enough free slots for completion"),
-], ids=["SMALL2", "n12-d7"])
-def test_tilde_input_refuses_a_completion_the_gate_would_refuse(p, match):
-    # the gate refuses both schedules, so only a direct call reaches the
-    # completion's own refusals: too many fixed slots of one type, and too
-    # few free slots for the 2d channels
-    assert restructured_feasibility_check(p, 1) or feasibility_check(p)
-    rng = random.Random(0)
-    inner = sample_inner(p, 0, rng)
-    ids, aux = sample_frame(p, 1, rng)
-    for x in inner.vertices():
-        with pytest.raises(InfeasibleParams, match=match):
-            sample_tilde_input(x, ids, aux, p, 1, rng, inner.type_rows(x))
+        n_prev, alpha, beta, gamma, l) <= free  # sample_aux's reservation
+    # a row before completion: starred, J and K slots of any type, then per
+    # type the n_prev buckets of gamma L slots
+    drawn = n_prev + alpha * n_prev + beta * (l + 1) * n_prev * (
+        (n_prev - 1) + n_prev)
+    assert d - (drawn + gamma * n_prev) >= 0  # each completion need
+    stored = drawn + (l + 1) * gamma * n_prev
+    assert (l + 1) * d - stored <= n - stored  # the completion's free slots
 
 
 def test_gr_tilde_refuses_small2_before_any_draw():
