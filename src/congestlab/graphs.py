@@ -69,9 +69,12 @@ class VertexId(NamedTuple):
 def vertices(n: int):
     """Every vertex of a graph with ``n`` vertices per layer, by layer and
     then index."""
+    # the same VertexId, without the Python-level ``__new__`` that
+    # NamedTuple adds: this runs once per player of every simulation
+    new = tuple.__new__
     for layer in LAYERS:
         for i in range(1, n + 1):
-            yield VertexId(layer, i)
+            yield new(VertexId, (layer, i))
 
 
 def pair_key(u: VertexId, v: VertexId) -> tuple[VertexId, VertexId]:
@@ -255,18 +258,20 @@ class TypedTripartiteGraph:
         """
         self._check_vertex(u)
         adj = self._adj.get(u)
-        others = _OTHERS[u.layer]
-        empty = self._empty_row
+        rows = dict.fromkeys(_OTHERS[u.layer], self._empty_row)
         if not adj:
-            return dict.fromkeys(others, empty)
-        # one pass over the adjacency fills both rows; each is put in
-        # ascending index order by sorting its (int index, type) items
-        slots = {w: [] for w in others}
-        for v, t in adj.items():
-            slots[v.layer].append((v.index - 1, t))
+            return rows
+        # one sorted pass fills both rows: ``VertexId``s sort by (layer,
+        # index), so the pairs come split by layer and in ascending index
+        # order, the order ``TypeRow.slots`` keeps
         n, default = self.n, self.r + 1
-        return {w: TypeRow(n, default, dict(sorted(s))) if s else empty
-                for w, s in slots.items()}
+        layer = None
+        for (w, index), t in sorted(adj.items()):
+            if w is not layer:
+                layer, slots = w, {}
+                rows[w] = TypeRow(n, default, slots)
+            slots[index - 1] = t
+        return rows
 
     # -- equality / hashing ------------------------------------------------
 

@@ -12,9 +12,13 @@ player per round, one ``output_fn`` call per player and the graph's stored
 pairs: no ``n`` slots per vertex, no scan of all messages per vertex, and
 no per-player work beyond a player's input, view and inbox.
 
+``VertexInput.channels_at_round`` is the one cutoff rule: one walk of a
+player's stored slots lists its round-``i`` channels, the pairs of type
+``<= r+1-i``, each with its type, and the registry protocols send from it.
 ``round_messages`` is the one round-``i`` message rule.  It checks every
-message against the sender's own rows and the bandwidth, and ``simulate``
-and the staged sampler of ``elimination`` both send through it.
+message against the sender's own rows and the bandwidth, refusing a target
+that ``channels_at_round`` would not list, and ``simulate`` and the staged
+sampler of ``elimination`` both send through it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BandwidthViolation, ChannelViolation, RegimeMismatch,
-                     SupportTooLarge)
+from .errors import (BandwidthViolation, ChannelViolation, OutOfRange,
+                     RegimeMismatch, SameLayerPair, SupportTooLarge)
 from .graphs import TypedTripartiteGraph, VertexId
 from .randomness import RandomnessView
 
@@ -50,17 +54,34 @@ class VertexInput:
     r: int
 
     def pair_type(self, other: VertexId) -> int:
-        return self.vectors[other.layer][other.index - 1]
+        """The type of the pair with ``other``, refused as the graph's
+        ``pair_type`` refuses it: a vertex of this vertex's own layer raises
+        ``SameLayerPair``, an index outside ``[1, n]`` ``OutOfRange``."""
+        row = self.vectors.get(other.layer)
+        if row is None:
+            raise SameLayerPair(f"pair ({self.identity}, {other}) lies "
+                                f"inside layer {other.layer.value}")
+        if not 1 <= other.index <= len(row):
+            raise OutOfRange(f"vertex {other} outside [1, {len(row)}]")
+        return row[other.index - 1]
+
+    def channels_at_round(self, i: int) -> list:
+        """(partner, type) for each channel of round i >= 1, in layer and
+        then index order: the one rule that lists a round's channels, the
+        pairs of type <= r+1-i.  Default slots never qualify, so one walk of
+        the stored slots gives them."""
+        cutoff = self.r + 1 - i
+        # the same VertexId, without the Python-level ``__new__`` that
+        # NamedTuple adds: this runs once per channel of every player
+        new = tuple.__new__
+        return [(new(VertexId, (layer, j + 1)), t)
+                for layer, row in self.vectors.items()
+                for j, t in row.slots.items() if t <= cutoff]
 
     def partners_at_round(self, i: int):
-        """Vertices reachable in round i >= 1 (pairs of type <= r+1-i), in
-        layer and then index order.  Default slots never qualify, so only
-        the stored slots are walked."""
-        cutoff = self.r + 1 - i
-        for layer, row in self.vectors.items():
-            for j, t in row.slots.items():
-                if t <= cutoff:
-                    yield VertexId(layer, j + 1)
+        """The partners of ``channels_at_round(i)``, in its order."""
+        for v, _ in self.channels_at_round(i):
+            yield v
 
 
 def vertex_input(g: TypedTripartiteGraph, v: VertexId) -> VertexInput:
@@ -124,8 +145,9 @@ def round_messages(p: ProtocolSpec, i: int, inp: VertexInput, inbox: dict,
                    view) -> dict:
     """The round-``i`` messages of the player ``inp``, checked.
 
-    Every target must be a ``VertexId`` stored in the sender's own rows
-    with a type <= r+1-i, or ``ChannelViolation`` is raised: a same-layer
+    Every target must be a ``VertexId`` that ``inp.channels_at_round(i)``
+    lists, a stored slot of a type <= r+1-i looked up target by target, or
+    ``ChannelViolation`` is raised: a same-layer
     target, an index outside [1, n] and a default-type slot never qualify.
     Every message must be a bit string of at most ``p.bandwidth`` bits, or
     ``BandwidthViolation`` is raised.  Returns ``message_fn``'s dict.
@@ -259,8 +281,7 @@ def _broadcast(name, rounds, bandwidth, bits_of_type, output_fn):
     """A protocol that sends ``bits_of_type(t)`` over each channel of type t,
     which is then also its ``message_given_type``."""
     def fn(i, inp, inbox, view):
-        return {v: bits_of_type(inp.pair_type(v))
-                for v in inp.partners_at_round(i)}
+        return {v: bits_of_type(t) for v, t in inp.channels_at_round(i)}
     return ProtocolSpec(name, rounds, bandwidth, fn, output_fn,
                         message_given_type=bits_of_type)
 
@@ -274,14 +295,15 @@ def _all_yes(inp, inbox, view):
 
 
 def _probe_first_slot(i, inp, inbox, view):
-    return {v: _edge_bit(inp.vectors[v.layer][0])
-            for v in inp.partners_at_round(i)}
+    # each row's first slot is read once, not once per partner
+    bits = {layer: _edge_bit(row[0]) for layer, row in inp.vectors.items()}
+    return {v: bits[v.layer] for v, _ in inp.channels_at_round(i)}
 
 
 def _parity_messages(i, inp, inbox, view):
     count = sum(vec.count(0) for vec in inp.vectors.values())
     bit = "1" if count % 2 else "0"
-    return {v: bit for v in inp.partners_at_round(i)}
+    return {v: bit for v, _ in inp.channels_at_round(i)}
 
 
 def _edge_witness_output(inp, inbox, view):

@@ -342,6 +342,21 @@ def test_stored_pairs_are_each_non_default_pair_once(drawn, rnd):
     assert TypedTripartiteGraph.from_dict(g.to_dict()) == g
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair_writes())
+def test_type_rows_keep_their_slots_in_ascending_order(drawn):
+    # ``TypeRow`` takes its slots as given, so ``type_rows`` must sort them
+    # whatever order the pairs were written and removed in
+    r, writes = drawn
+    g = _written(r, writes)
+    for v in g.vertices():
+        for w, row in g.type_rows(v).items():
+            keys = list(row.slots)
+            assert all(a < b for a, b in zip(keys, keys[1:])), (v, w, keys)
+            assert g.default_type not in row.slots.values()
+            assert list(row) == g.neighborhood_vector(v, w)
+
+
 @pytest.mark.parametrize("obj", [
     {"n": 2, "r": 1, "pairs": [["A", 1, "B", 1, 0.7]]},
     {"n": 2, "r": 1, "pairs": [["A", 1.0, "B", 1, 0]]},

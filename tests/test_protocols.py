@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 from congestlab import protocols
 from congestlab.elimination import EliminationConfig, build_pi_r_minus_1
 from congestlab.errors import (BandwidthViolation, ChannelViolation,
-                               RegimeMismatch, SupportTooLarge)
-from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId, pair_key
+                               OutOfRange, RegimeMismatch, SameLayerPair,
+                               SupportTooLarge)
+from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, VertexId,
+                               pair_key)
 from congestlab.params import ParamSchedule
 from congestlab.protocols import (ProtocolSpec, Transcript, VertexInput,
                                   exact_success, estimate_success, judge,
@@ -18,9 +21,10 @@ from congestlab.protocols import (ProtocolSpec, Transcript, VertexInput,
 from congestlab.randomness import RandomnessView
 from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
                                  sample_gr_tilde)
-from schedules import MICRO, WIDE2
+from schedules import LOOSE, MICRO, WIDE2
 
 SCHEDULES = Path(__file__).resolve().parents[1] / "perfbench" / "schedules"
+N200 = ParamSchedule.from_json((SCHEDULES / "level1-n200.json").read_text())
 
 
 def triangle_instance():
@@ -108,6 +112,22 @@ def a1_with_two_channels():
     g.set_type(A1, B1, 0)
     g.set_type(A1, C1, 1)
     return g
+
+
+def test_vertex_input_pair_type_refuses_what_the_graph_refuses():
+    # B0 used to wrap to the type of B2, the row's last slot, and an
+    # own-layer vertex raised a bare KeyError
+    g = a1_with_two_channels()
+    inp = vertex_input(g, A1)
+    for v in (B1, B2, C1, VertexId(Layer.C, 2)):
+        assert inp.pair_type(v) == g.pair_type(A1, v)
+    for v, error in ((VertexId(Layer.B, 0), OutOfRange),
+                     (VertexId(Layer.C, 3), OutOfRange),
+                     (A1, SameLayerPair), (A2, SameLayerPair)):
+        with pytest.raises(error) as want:
+            g.pair_type(A1, v)
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            inp.pair_type(v)
 
 
 @pytest.mark.parametrize("bits", ["0x1", "10 ", 1, None, b"0", "1010"],
@@ -273,12 +293,59 @@ def test_wilson_interval_bounds():
 
 
 class DenseInput(VertexInput):
-    """A vertex input over dense length-n lists, scanned slot by slot."""
+    """A vertex input over dense length-n lists, scanned slot by slot, so
+    that its channels do not come from the sparse walk."""
 
-    def partners_at_round(self, i):
+    def channels_at_round(self, i):
         cutoff = self.r + 1 - i
-        return [VertexId(w, j) for w, vec in self.vectors.items()
+        return [(VertexId(w, j), t) for w, vec in self.vectors.items()
                 for j, t in enumerate(vec, start=1) if t <= cutoff]
+
+
+def assert_channels_match_the_dense_scan(g, vertices):
+    """``channels_at_round`` of each vertex, in every round, against the
+    dense scan of ``neighborhood_vector`` and against ``partners_at_round``
+    with ``pair_type``."""
+    for v in vertices:
+        inp = vertex_input(g, v)
+        dense = DenseInput(v, {w: g.neighborhood_vector(v, w)
+                               for w in v.layer.others}, g.r)
+        for i in range(1, g.r + 1):
+            got = inp.channels_at_round(i)
+            assert got == dense.channels_at_round(i), (v, i)
+            assert got == [(w, inp.pair_type(w))
+                           for w in inp.partners_at_round(i)]
+            assert all(type(w) is VertexId for w, _ in got)
+
+
+@pytest.mark.parametrize("p, family", [
+    (MICRO, sample_gr), (MICRO, sample_gr_tilde), (WIDE2, sample_gr),
+    (WIDE2, sample_gr_tilde), (LOOSE, sample_gr), (LOOSE, sample_gr_tilde),
+    (N200, sample_gr),
+], ids=["MICRO-gr", "MICRO-tilde", "WIDE2-gr", "WIDE2-tilde", "LOOSE-gr",
+        "LOOSE-tilde", "level1-n200-gr"])
+def test_channels_at_round_match_the_dense_scan(p, family):
+    # every vertex with a stored pair, and the first channel-free vertex of
+    # each layer; level1-n200 (d = 8) is too small for the restructured
+    # completion, whose gate refuses it
+    for seed in range(2):
+        g = family(p, 1, random.Random(seed))[0]
+        touched = sorted({w for u, v, _ in g.stored_pairs() for w in (u, v)})
+        free = [next(v for v in g.vertices()
+                     if v.layer is layer and v not in touched)
+                for layer in LAYERS]
+        assert_channels_match_the_dense_scan(g, touched + free)
+
+
+def test_channels_at_round_match_the_dense_scan_in_both_rounds():
+    # at r = 2, a type-2 pair is a channel in round 1 only, and pairs of
+    # types 0 and 1 in both rounds
+    for seed in range(5):
+        g = random_two_round_instance(random.Random(seed))
+        assert_channels_match_the_dense_scan(g, g.vertices())
+        for i, want in ((1, {0, 1, 2}), (2, {0, 1})):
+            assert {t for v in g.vertices()
+                    for _, t in vertex_input(g, v).channels_at_round(i)} == want
 
 
 def dense_inputs(g):
@@ -421,15 +488,21 @@ def _echo_output(inp, inbox, view):
     return sum(bits.count("1") for bits in inbox.values()) % 2 == 1
 
 
+def random_two_round_instance(rng):
+    """An r = 2 instance on 5 vertices per layer, each cross-layer pair
+    given a random type in [0, 2] with probability 1/2."""
+    g = TypedTripartiteGraph(5, 2)
+    for u in g.vertices():
+        for v in g.vertices():
+            if u.layer < v.layer and rng.random() < 0.5:
+                g.set_type(u, v, rng.randrange(3))
+    return g
+
+
 def test_two_round_simulate_matches_reference():
     pi = ProtocolSpec("echo", 2, 2, _echo_messages, _echo_output)
     for seed in range(5):
-        rng = random.Random(seed)
-        g = TypedTripartiteGraph(5, 2)
-        for u in g.vertices():
-            for v in g.vertices():
-                if u.layer < v.layer and rng.random() < 0.5:
-                    g.set_type(u, v, rng.randrange(3))
+        g = random_two_round_instance(random.Random(seed))
         transcript, _ = simulate(pi, g, RandomnessView(seed))
         assert {rnd for rnd, _, _ in transcript.entries} == {1, 2}
         assert_matches_reference(pi, g, seed)

@@ -19,29 +19,41 @@ measures of one ``verify-info`` suite op on seeded tables and one
 The ``sample_d_in`` digests and the level-2 ``sample_gr`` digest, which
 hash a marginal draw's rows through their stored slots, were computed at
 commit 98c748e, before the recursive family built its inner vertices' rows
-and ``sample_d_in`` stopped building an instance of its own level.
+and ``sample_d_in`` stopped building an instance of its own level.  The
+two ``simulate`` digests, which hash every registry protocol's transcript
+entries in recording order and its outputs on ``level1-n200`` draws, and the
+same of two compiled protocols on base instances, were computed at commit
+9cc049b, before ``VertexInput.channels_at_round`` became the one walk that
+lists a round's channels.
 """
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
-                                    hybrid_sampler, run_elimination_trials)
+                                    build_pi_r_minus_1, hybrid_sampler,
+                                    run_elimination_trials)
 from congestlab.infotheory import (JointTable, cond_entropy, cond_mutual_info,
                                    entropy, mi_kl_identity_check,
                                    monotonicity_checks, overconditioning_check,
                                    pinsker_check, random_joint,
                                    tvd_chain_bound_check)
-from congestlab.protocols import registry
+from congestlab.params import ParamSchedule
+from congestlab.protocols import registry, simulate
+from congestlab.randomness import RandomnessView
 from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_d_in,
-                                 sample_gr, sample_gr_tilde)
+                                 sample_g0, sample_gr, sample_gr_tilde)
 from schedules import LEVEL2, LOOSE, MICRO, SPARSE2, WIDE2
 
 SEEDS = range(3)
 CFG = EliminationConfig(params=MICRO)
 REG = registry(rounds=1, bandwidth=1)
+N200 = ParamSchedule.from_json(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "schedules"
+     / "level1-n200.json").read_text())
 
 
 def _ids(ids):
@@ -92,6 +104,30 @@ def _hybrids():
                 which, REG["type-broadcast"], CFG, seed)
             out.append((which, seed, g.to_json(), _ids(emb.ids),
                         repr(aux), transcript.to_jsonl()))
+    return out
+
+
+def _simulated(pi, g, seed):
+    transcript, outputs = simulate(pi, g, RandomnessView(seed))
+    return list(transcript.entries.items()), list(outputs.items())
+
+
+def _simulate_n200():
+    out = []
+    for seed in SEEDS:
+        g, _ = sample_gr(N200, 1, random.Random(seed))
+        out += [(name, seed, _simulated(pi, g, seed))
+                for name, pi in REG.items()]
+    return out
+
+
+def _simulate_compiled():
+    out = []
+    for name in ("constant-message", "probe-first-slot"):
+        pi = build_pi_r_minus_1(REG[name], CFG)
+        for seed in SEEDS:
+            g, _ = sample_g0(1, random.Random(seed))
+            out.append((name, seed, _simulated(pi, g, seed)))
     return out
 
 
@@ -171,6 +207,12 @@ STREAMS = {
     "hybrid_sampler/type-broadcast/MICRO": (
         _hybrids,
         "8db575db4ff33b60d9d1543652a5b41c5cc7d1b5077d3faddead7d68fca98ba8"),
+    "simulate/level1-n200": (
+        _simulate_n200,
+        "d2493a21d6a8f362e64eb75fdae143e19b87ebd888373c8cb039d4da75ae5169"),
+    "simulate/compiled-MICRO": (
+        _simulate_compiled,
+        "8b33529328d8ff989db590e5040ee9719f6236c3522596e56e7cdc0fb07777e2"),
     "build_gr_frame/MICRO": (
         _frames,
         "929e598e6afc153e5f13e3298101b63a0e26fa901c83b8d2859dd1300502e974"),
