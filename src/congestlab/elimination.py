@@ -283,8 +283,47 @@ class StagedRun:
         return {u: bits for (u, v), bits in self.m_in.items() if v == x}
 
 
+class StageMemo:
+    """The stages of one execution that read only tapes, shared by its
+    players.
+
+    Under ``dfake`` the public stage is a function of the public tape alone,
+    and the message over an inner pair a function of that pair's tape, its
+    type and the public stage, so every player of one execution draws the
+    same stage-1 state and both endpoints of a pair the same stage-2
+    message.  ``public`` is the state of the public tape ``st1`` was drawn
+    from; ``pairs`` maps ``(x, y, pair type, pair-tape state)`` to the
+    stage-2 message of x to y and its attempts.  A new public tape replaces
+    both, so the memo holds one execution at a time.  A pair stage that
+    raises is not kept.
+    """
+
+    def __init__(self):
+        self.public = None
+        self.st1 = None
+        self.pairs = {}
+
+    def public_stage(self, pi: ProtocolSpec, cfg: EliminationConfig,
+                     rng: random.Random) -> StageOneState:
+        tape = rng.getstate()
+        if tape != self.public:
+            st1 = sample_public_stage(pi, cfg, rng)
+            self.public, self.st1, self.pairs = tape, st1, {}
+        return self.st1
+
+    def pair_stage(self, pi: ProtocolSpec, cfg: EliminationConfig,
+                   x: VertexId, y: VertexId, pair_type: int,
+                   rng: random.Random):
+        key = (x, y, pair_type, rng.getstate())
+        drawn = self.pairs.get(key)
+        if drawn is None:
+            drawn = self.pairs[key] = sample_pair_stage(
+                pi, cfg, self.st1, x, y, pair_type, rng)
+        return drawn
+
+
 def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
-               rung: str, view) -> StagedRun:
+               rung: str, view, memo: StageMemo | None = None) -> StagedRun:
     """Stage 1, then the pair stages, then the private stages.
 
     ``inputs`` maps inner vertices to their true inner input, one
@@ -297,21 +336,35 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     ``view.restrict(v)``, where ``v`` is the vertex of ``inputs`` drawn for
     (of a pair, its endpoint in ``inputs``), so ``view`` is a
     ``RandomnessView`` (trials, hybrids) or that one vertex's
-    ``RestrictedView`` (the compiled protocol).  A protocol outside the
-    regime, a vertex past ``n_prev``, a row whose length is not ``n_prev``,
-    a vertex whose tapes ``view`` cannot restrict to (``ValueError``), a
-    rung outside ``LADDER``, and a rung that keeps the true inner input
-    (``h1``, ``h2``) without the input of every inner vertex are refused
-    before any draw.
+    ``RestrictedView`` (the compiled protocol).  With ``memo`` given, a run
+    on the ``dfake`` rung takes its public stage and its pair stages from
+    it (``StageMemo``), drawing only those it lacks; every other rung keeps
+    the true inner input in a stage and ignores it.  A protocol outside the
+    regime, a vertex past ``n_prev``, a row set that is not the vertex's two
+    other layers, a row whose length is not ``n_prev`` or which holds a type
+    outside ``[0, 1]``, a vertex whose tapes ``view`` cannot restrict to
+    (``ValueError``), a rung outside ``LADDER``, and a rung that keeps the
+    true inner input (``h1``, ``h2``) without the input of every inner
+    vertex are refused before any draw and before ``memo`` is read.
     """
     _require_one_round_regime(pi)
     n_prev = cfg.params.level(LEVEL)["n_prev"]
+    inner_types = set(range(LEVEL + 1))
     for x, rows in inputs.items():
+        if rows.keys() != set(x.layer.others):
+            raise InfeasibleParams(
+                f"input of {x!r} has rows for layers "
+                f"{sorted(map(str, rows))}, not for its two other layers")
         lengths = sorted({len(row) for row in rows.values()})
         if x.index > n_prev or lengths != [n_prev]:
             raise InfeasibleParams(
                 f"input of {x!r} (rows of length {lengths}) does not fit "
                 f"inner layers of size n_prev = {n_prev}")
+        types = {t for row in rows.values() for t in row}
+        if not types <= inner_types:
+            raise InfeasibleParams(
+                f"input of {x!r} holds types {sorted(types - inner_types)}, "
+                f"outside [0, {LEVEL}]")
         view.restrict(x)  # refuses a view that cannot see x's tapes
     if rung not in LADDER:
         raise InfeasibleParams(f"unknown rung {rung!r}, not one of "
@@ -321,9 +374,12 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
         raise InfeasibleParams(
             f"rung {rung!r} keeps the true inner input, so it needs the "
             f"input of every inner vertex, got {sorted(inputs)}")
+    # only a rung that keeps no true inner input reads tapes alone
+    memo = None if keep else memo
+    public = view.public_rng("stage1")
     run = StagedRun(sample_public_stage(
-        pi, cfg, view.public_rng("stage1"),
-        inputs if "public" in keep else None))
+        pi, cfg, public, inputs if "public" in keep else None)
+        if memo is None else memo.public_stage(pi, cfg, public))
     try:
         for x in vertices(n_prev):
             for y in vertices(n_prev):
@@ -331,10 +387,13 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
                 u, v = (x, y) if x in inputs else (y, x)
                 if y.layer is x.layer or u not in inputs:
                     continue
-                run.m_in[(x, y)], attempts = sample_pair_stage(
-                    pi, cfg, run.st1, x, y, inputs[u][v.layer][v.index - 1],
-                    view.restrict(u).pair_rng(v, f"m_in:{x!r}->{y!r}"),
-                    inputs[x] if "pair" in keep else None)
+                t = inputs[u][v.layer][v.index - 1]
+                rng = view.restrict(u).pair_rng(v, f"m_in:{x!r}->{y!r}")
+                run.m_in[(x, y)], attempts = (
+                    sample_pair_stage(pi, cfg, run.st1, x, y, t, rng,
+                                      inputs[x] if "pair" in keep else None)
+                    if memo is None else
+                    memo.pair_stage(pi, cfg, x, y, t, rng))
                 run.pair_attempts += attempts
     except EmptyOrRareSupport as exc:
         run.failure = exc
@@ -398,15 +457,22 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     runs all three stages communication-free and answers directly.  Deeper
     regimes would additionally relay the original protocol's rounds 2..r
     over the input instance's own channels.
+
+    Each player runs the stages on its own input and its restricted view.
+    The compiled protocol owns one ``StageMemo``, so the players of one
+    execution draw the public stage once and each pair stage once, from
+    tapes that every player who reads them sees; a player's run equals the
+    one it would make alone.
     """
     _require_one_round_regime(pi)
+    memo = StageMemo()
 
     def message_fn(i, inp, inbox, view):
         return {}
 
     def output_fn(inp, inbox, view):
         x = inp.identity
-        run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", view)
+        run = run_stages(pi, cfg, {x: inp.vectors}, "dfake", view, memo)
         return run.failure is None and _pi_r_output(pi, cfg, run, x, view)
 
     return ProtocolSpec(
@@ -427,8 +493,10 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     every inner vertex with the trial's randomness (the tapes agree across
     vertices, so each vertex's share equals the compiled protocol's run at
     that vertex), and judges the compiled protocol's answers against the
-    inner instance.  A run that stops is a failed trial and is not judged,
-    and ``bandwidth_used`` reads only the judged runs.
+    inner instance.  One run already draws each public and pair stage once,
+    so trials pass ``run_stages`` no ``StageMemo``.  A run that stops is a
+    failed trial and is not judged, and ``bandwidth_used`` reads only the
+    judged runs.
     """
     _require_one_round_regime(pi)
     if trials < 1:

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from congestlab import elimination
-from congestlab.elimination import (HYBRIDS, EliminationConfig,
+from congestlab.elimination import (HYBRIDS, EliminationConfig, StageMemo,
                                     build_pi_r_minus_1, degradation_bound,
                                     dreal_sampler, hybrid_sampler,
                                     result1_chain, run_elimination_trials,
@@ -147,24 +147,33 @@ def test_run_stages_refuses_inputs_larger_than_the_inner_layers(monkeypatch):
         raise AssertionError("the public stage drew")
 
     monkeypatch.setattr(elimination, "sample_public_stage", no_draw)
+    monkeypatch.setattr(StageMemo, "public_stage", no_draw)
     a1, a2 = VertexId(Layer.A, 1), VertexId(Layer.A, 2)
     short = {w: [1] for w in Layer.A.others}
     every = {x: {w: [1] for w in x.layer.others} for x in vertices(1)}
     full = RandomnessView(0)
-    # a rung that keeps the true inner input needs every inner vertex's
-    # input, a rung outside the ladder names no stages at all, and a view
-    # restricted to B1 cannot read A1's tapes
+    # rows for other layers than A1's two, or with a type outside the inner
+    # instance's [0, 1], are no inner input; a rung that keeps the true
+    # inner input needs every inner vertex's input, a rung outside the
+    # ladder names no stages at all, and a view restricted to B1 cannot
+    # read A1's tapes
     for inputs, rung, view, error, match in (
             ({a1: g.type_rows(a1)}, "dfake", full, InfeasibleParams,
              "n_prev = 1"),
             ({a2: short}, "dfake", full, InfeasibleParams, "n_prev = 1"),
+            ({a1: {Layer.B: [1]}}, "dfake", full, InfeasibleParams,
+             "not for its two other layers"),
+            ({a1: {w: [1] for w in Layer}}, "dfake", full, InfeasibleParams,
+             "not for its two other layers"),
+            ({a1: {Layer.B: [5], Layer.C: [1]}}, "dfake", full,
+             InfeasibleParams, r"types \[5\], outside \[0, 1\]"),
             ({a1: short}, "h2", full, InfeasibleParams, "every inner vertex"),
             ({a1: short}, "h1", full, InfeasibleParams, "every inner vertex"),
             (every, "dtilde_real", full, InfeasibleParams, "unknown rung"),
             ({a1: short}, "dfake", full.restrict(VertexId(Layer.B, 1)),
              ValueError, "cannot read the tapes of A1")):
         with pytest.raises(error, match=match):
-            run_stages(pi, CFG, inputs, rung, view)
+            run_stages(pi, CFG, inputs, rung, view, StageMemo())
 
 
 def test_build_rounds_and_bandwidth():
@@ -443,6 +452,145 @@ def test_shared_run_equals_compiled_protocol(monkeypatch, p, names, seeds):
             _, outputs = simulate(built, inner, RandomnessView(seed))
             assert outputs == shared
             assert seen == {x: _drawn(run, x) for x in run.s3}
+
+
+def _staged(run):
+    """Everything a staged run drew, in a form that compares by value."""
+    return (run.st1, run.m_in, run.pair_attempts, run.private_attempts,
+            repr(run.failure), {x: _drawn(run, x) for x in run.s3})
+
+
+def _compiled(monkeypatch, built, g, seed):
+    """Each player's staged run in one compiled execution, and the
+    answers."""
+    real, runs = elimination.run_stages, {}
+
+    def spy(pi, cfg, inputs, rung, view, memo=None):
+        (x,) = inputs
+        runs[x] = real(pi, cfg, inputs, rung, view, memo)
+        return runs[x]
+
+    with monkeypatch.context() as m:
+        m.setattr(elimination, "run_stages", spy)
+        _, outputs = simulate(built, g, RandomnessView(seed))
+    return {x: _staged(run) for x, run in runs.items()}, outputs
+
+
+@pytest.mark.parametrize("p, seeds", [(MICRO, 3), (WIDE2, 1)],
+                         ids=["MICRO", "WIDE2"])
+def test_compiled_players_run_as_they_would_alone(monkeypatch, p, seeds):
+    # the players of a compiled execution share its public and pair stages;
+    # each one's run and answer equal those of a run with no memo
+    cfg = EliminationConfig(params=p, level=1, cap=3000)
+    for name, pi in REG.items():
+        built = build_pi_r_minus_1(pi, cfg)
+        for seed in range(seeds):
+            g, _ = sample_g0(p.n[0], random.Random(seed))
+            runs, outputs = _compiled(monkeypatch, built, g, seed)
+            assert runs.keys() == set(g.vertices())
+            for x, shared in runs.items():
+                view = RandomnessView(seed).restrict(x)
+                alone = run_stages(pi, cfg, {x: vertex_input(g, x).vectors},
+                                   "dfake", view)
+                assert shared == _staged(alone), (name, seed, x)
+                assert outputs[x] == (alone.failure is None and (
+                    elimination._pi_r_output(pi, cfg, alone, x, view)))
+
+
+@pytest.mark.parametrize("p", [MICRO, WIDE2], ids=["MICRO", "WIDE2"])
+def test_a_compiled_execution_draws_each_tape_stage_once(monkeypatch, p):
+    # one public stage per execution, one pair stage per ordered inner pair
+    calls = []
+    for name in ("sample_public_stage", "sample_pair_stage"):
+        def counted(*args, real=getattr(elimination, name), name=name):
+            calls.append(name if name == "sample_public_stage"
+                         else args[3:5])
+            return real(*args)
+        monkeypatch.setattr(elimination, name, counted)
+    n_prev = p.n[0]
+    pairs = sorted((x, y) for x in vertices(n_prev) for y in vertices(n_prev)
+                   if x.layer is not y.layer)
+    cfg = EliminationConfig(params=p, level=1, cap=3000)
+    for name in ("type-broadcast", "probe-first-slot"):
+        built = build_pi_r_minus_1(REG[name], cfg)
+        for seed in (0, 1):
+            g, _ = sample_g0(n_prev, random.Random(seed))
+            calls.clear()
+            simulate(built, g, RandomnessView(seed))
+            assert calls.count("sample_public_stage") == 1
+            assert sorted(c for c in calls
+                          if c != "sample_public_stage") == pairs
+
+
+def test_each_execution_equals_a_freshly_compiled_protocol(monkeypatch):
+    # a new public tape replaces the memo: seeds 0, 1 and 0 again through
+    # one compiled protocol run as through a new one each
+    pi = REG["probe-first-slot"]
+    built = build_pi_r_minus_1(pi, CFG)
+    for seed in (0, 1, 0):
+        g, _ = sample_g0(1, random.Random(seed))
+        assert _compiled(monkeypatch, built, g, seed) == _compiled(
+            monkeypatch, build_pi_r_minus_1(pi, CFG), g, seed), seed
+
+
+def test_runs_sharing_a_memo_draw_their_own_pair_of_another_type(
+        monkeypatch):
+    # two inputs of A1 that disagree on the type of A1B1, under one tape:
+    # the second run reuses the public stage and the A1C1 pairs, and draws
+    # both A1B1 messages anew (type-broadcast sends the pair's type)
+    pi = REG["type-broadcast"]
+    a1, b1 = VertexId(Layer.A, 1), VertexId(Layer.B, 1)
+    rows = {Layer.B: [0], Layer.C: [1]}
+    view, memo = RandomnessView(0).restrict(a1), StageMemo()
+    real, drawn = elimination.sample_pair_stage, []
+
+    def counted(*args):
+        drawn.append(args[3:6])
+        return real(*args)
+
+    monkeypatch.setattr(elimination, "sample_pair_stage", counted)
+    runs = []
+    for t in (0, 1):
+        inputs = {a1: {**rows, Layer.B: [t]}}
+        runs.append(run_stages(pi, CFG, inputs, "dfake", view, memo))
+        assert _staged(runs[-1]) == _staged(
+            run_stages(pi, CFG, inputs, "dfake", view)), t
+    assert runs[0].m_in[(a1, b1)] != runs[1].m_in[(a1, b1)]
+    # each run with the memo, then each without it
+    assert [args[:2] for args in drawn].count((a1, b1)) == 4
+    assert len(drawn) == 4 + 4 + 2 + 4
+
+
+@pytest.mark.parametrize("rung", ["h1", "h2"])
+def test_a_rung_that_keeps_the_inner_input_reads_no_memo(rung):
+    # the memo holds the dfake stages of the same tapes; a rung that keeps
+    # the true inner input in a stage must not take that stage from it
+    pi = REG["probe-first-slot"]
+    view, memo = RandomnessView(0), StageMemo()
+    for seed in (1, 2):
+        inner = sample_inner(MICRO, 0, random.Random(seed))
+        inputs = {x: inner.type_rows(x) for x in inner.vertices()}
+        run_stages(pi, CFG, inputs, "dfake", view, memo)
+        assert _staged(run_stages(pi, CFG, inputs, rung, view, memo)) == (
+            _staged(run_stages(pi, CFG, inputs, rung, view))), seed
+
+
+def test_a_pair_stage_without_a_draw_is_not_kept(monkeypatch):
+    calls = []
+
+    def rare(*args):
+        calls.append(args[3:5])
+        raise EmptyOrRareSupport("no phantom input", pair=args[3:5])
+
+    monkeypatch.setattr(elimination, "sample_pair_stage", rare)
+    a1 = VertexId(Layer.A, 1)
+    inputs = {a1: {w: [1] for w in Layer.A.others}}
+    view, memo = RandomnessView(0).restrict(a1), StageMemo()
+    for _ in range(2):
+        run = run_stages(REG["type-broadcast"], CFG, inputs, "dfake", view,
+                         memo)
+        assert isinstance(run.failure, EmptyOrRareSupport)
+    assert len(calls) == 2 and calls[0] == calls[1]
 
 
 @pytest.mark.parametrize("count", [1, 0], ids=["outer-partner",

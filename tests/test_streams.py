@@ -24,7 +24,12 @@ two ``simulate`` digests, which hash every registry protocol's transcript
 entries in recording order and its outputs on ``level1-n200`` draws, and the
 same of two compiled protocols on base instances, were computed at commit
 9cc049b, before ``VertexInput.channels_at_round`` became the one walk that
-lists a round's channels.
+lists a round's channels.  The ``simulate/compiled-stages`` digest, which
+hashes each player's staged run in compiled executions at MICRO and WIDE2
+(its public stage, its pair-stage messages and its private stage, read off
+the run ``_pi_r_output`` is handed), and the ``probe-first-slot`` hybrid
+digest on every rung were computed at commit 3def091, before the players of
+one compiled execution shared the stages that read only tapes.
 """
 
 import hashlib
@@ -33,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+from congestlab import elimination
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     build_pi_r_minus_1, hybrid_sampler,
                                     run_elimination_trials)
@@ -96,12 +102,12 @@ def _trials():
             for name, pi in REG.items() for seed in (0, 1)]
 
 
-def _hybrids():
+def _hybrids(name):
     out = []
     for which in HYBRIDS:
         for seed in (0, 1):
-            g, emb, aux, transcript = hybrid_sampler(
-                which, REG["type-broadcast"], CFG, seed)
+            g, emb, aux, transcript = hybrid_sampler(which, REG[name], CFG,
+                                                     seed)
             out.append((which, seed, g.to_json(), _ids(emb.ids),
                         repr(aux), transcript.to_jsonl()))
     return out
@@ -128,6 +134,43 @@ def _simulate_compiled():
         for seed in SEEDS:
             g, _ = sample_g0(1, random.Random(seed))
             out.append((name, seed, _simulated(pi, g, seed)))
+    return out
+
+
+def _row(row):
+    return row.n, row.default, list(row.slots.items())
+
+
+def _compiled_stages():
+    """Each player's staged run in compiled executions, read off the run
+    ``_pi_r_output`` is handed: the public stage, the pair-stage messages,
+    and the private stage's rows, traffic, attempts and fallback."""
+    real, runs, out = elimination._pi_r_output, [], []
+
+    def spy(pi, cfg, run, x, view):
+        st1, s3 = run.st1, run.s3[x]
+        runs.append((x, _ids(st1.ids), repr(st1.aux), list(st1.m_pub.items()),
+                     list(run.m_in.items()),
+                     [(layer.value, _row(row))
+                      for layer, row in s3.vecs.items()],
+                     list(s3.outgoing.items()), list(s3.incoming.items()),
+                     s3.attempts, s3.fallback_used))
+        return real(pi, cfg, run, x, view)
+
+    elimination._pi_r_output = spy
+    try:
+        for p in (MICRO, WIDE2):
+            cfg = EliminationConfig(params=p)
+            for name in ("probe-first-slot", "type-broadcast"):
+                pi = build_pi_r_minus_1(REG[name], cfg)
+                for seed in SEEDS:
+                    g, _ = sample_g0(p.n[0], random.Random(seed))
+                    runs.clear()
+                    _, outputs = simulate(pi, g, RandomnessView(seed))
+                    out.append((name, seed, list(runs),
+                                list(outputs.items())))
+    finally:
+        elimination._pi_r_output = real
     return out
 
 
@@ -205,7 +248,7 @@ STREAMS = {
         _trials,
         "0c11a541ad806c8b3bd64e3a76040b8b92b11562f31e2fd1f26d9e4cfd66cbc1"),
     "hybrid_sampler/type-broadcast/MICRO": (
-        _hybrids,
+        lambda: _hybrids("type-broadcast"),
         "8db575db4ff33b60d9d1543652a5b41c5cc7d1b5077d3faddead7d68fca98ba8"),
     "simulate/level1-n200": (
         _simulate_n200,
@@ -213,6 +256,12 @@ STREAMS = {
     "simulate/compiled-MICRO": (
         _simulate_compiled,
         "8b33529328d8ff989db590e5040ee9719f6236c3522596e56e7cdc0fb07777e2"),
+    "simulate/compiled-stages": (
+        _compiled_stages,
+        "c404bf17781ec55e12dbd1ff9b48cb15392d3b4b68a2275101f257c7ad2516b9"),
+    "hybrid_sampler/probe-first-slot/MICRO": (
+        lambda: _hybrids("probe-first-slot"),
+        "7c2eaf9956339b75ca780177518dee799f63082985b4d9c4b9e800d2518449de"),
     "build_gr_frame/MICRO": (
         _frames,
         "929e598e6afc153e5f13e3298101b63a0e26fa901c83b8d2859dd1300502e974"),
