@@ -355,9 +355,13 @@ def info(table_path, measure, of, given, a_coords, b_coords, other):
     if unused:
         raise ValueError(f"--measure {measure} does not take "
                          f"{', '.join(unused)}")
+    # --given may be empty, and entropy's --of defaults to every coordinate
+    empty = [f"--{name}" for name in takes if name != "given"
+             and measure != "entropy" and not _coords(options[name])]
+    if empty:
+        raise ValueError(f"--measure {measure} needs a non-empty "
+                         f"{' and '.join(empty)}")
     j = _load_table(table_path)
-    if "other" in takes and other is None:
-        raise ValueError(f"--other is required for {measure}")
     value = fn(j, *(options[name] for name in takes))
     _emit({"config": {"table": table_path, "measure": measure, **options},
            "value": value}, None)

@@ -284,41 +284,37 @@ class StagedRun:
 
 
 class StageMemo:
-    """The stages of one execution that read only tapes, shared by its
-    players.
+    """The public stage and the pair stages of one execution.
 
-    Under ``dfake`` the public stage is a function of the public tape alone,
-    and the message over an inner pair a function of that pair's tape, its
-    type and the public stage, so every player of one execution draws the
-    same stage-1 state and both endpoints of a pair the same stage-2
-    message.  ``public`` is the state of the public tape ``st1`` was drawn
-    from; ``pairs`` maps ``(x, y, pair type, pair-tape state)`` to the
-    stage-2 message of x to y and its attempts.  A new public tape replaces
-    both, so the memo holds one execution at a time.  A pair stage that
-    raises is not kept.
+    Within one execution (``view.execution``, compared by identity), the
+    public stage is fixed by the public tape, and x's message to y by the
+    pair's tape and type and the public stage (and, on a rung that keeps
+    the true inner input, by it).  ``pairs`` maps ``(x, y, pair type)`` to
+    that message and its attempts, drawn from ``tapes.pair_rng(v, ...)``
+    and only on a miss.  A view of another execution replaces ``st1`` and
+    ``pairs``: the memo holds one execution of one protocol, config and
+    rung.  A pair stage that raises is not kept.
     """
 
     def __init__(self):
-        self.public = None
-        self.st1 = None
+        self.execution = self.st1 = None
         self.pairs = {}
 
-    def public_stage(self, pi: ProtocolSpec, cfg: EliminationConfig,
-                     rng: random.Random) -> StageOneState:
-        tape = rng.getstate()
-        if tape != self.public:
-            st1 = sample_public_stage(pi, cfg, rng)
-            self.public, self.st1, self.pairs = tape, st1, {}
+    def public_stage(self, pi: ProtocolSpec, cfg: EliminationConfig, view,
+                     inputs) -> StageOneState:
+        if view.execution is not self.execution:
+            self.st1 = sample_public_stage(pi, cfg, view.public_rng("stage1"),
+                                           inputs)
+            self.execution, self.pairs = view.execution, {}
         return self.st1
 
-    def pair_stage(self, pi: ProtocolSpec, cfg: EliminationConfig,
-                   x: VertexId, y: VertexId, pair_type: int,
-                   rng: random.Random):
-        key = (x, y, pair_type, rng.getstate())
-        drawn = self.pairs.get(key)
+    def pair_stage(self, pi: ProtocolSpec, cfg: EliminationConfig, tapes, v,
+                   x: VertexId, y: VertexId, pair_type: int, n_in):
+        drawn = self.pairs.get((x, y, pair_type))
         if drawn is None:
-            drawn = self.pairs[key] = sample_pair_stage(
-                pi, cfg, self.st1, x, y, pair_type, rng)
+            drawn = self.pairs[(x, y, pair_type)] = sample_pair_stage(
+                pi, cfg, self.st1, x, y, pair_type,
+                tapes.pair_rng(v, f"m_in:{x!r}->{y!r}"), n_in)
         return drawn
 
 
@@ -336,10 +332,10 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
     ``view.restrict(v)``, where ``v`` is the vertex of ``inputs`` drawn for
     (of a pair, its endpoint in ``inputs``), so ``view`` is a
     ``RandomnessView`` (trials, hybrids) or that one vertex's
-    ``RestrictedView`` (the compiled protocol).  With ``memo`` given, a run
-    on the ``dfake`` rung takes its public stage and its pair stages from
-    it (``StageMemo``), drawing only those it lacks; every other rung keeps
-    the true inner input in a stage and ignores it.  A protocol outside the
+    ``RestrictedView`` (the compiled protocol).  The public and pair stages
+    are drawn through a ``StageMemo``: ``memo`` on the ``dfake`` rung, which
+    draws only the stages it lacks, and a fresh one without ``memo`` or on a
+    rung that keeps the true inner input in a stage.  A protocol outside the
     regime, a vertex past ``n_prev``, a row set that is not the vertex's two
     other layers, a row whose length is not ``n_prev`` or which holds a type
     outside ``[0, 1]``, a vertex whose tapes ``view`` cannot restrict to
@@ -374,12 +370,10 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
         raise InfeasibleParams(
             f"rung {rung!r} keeps the true inner input, so it needs the "
             f"input of every inner vertex, got {sorted(inputs)}")
-    # only a rung that keeps no true inner input reads tapes alone
-    memo = None if keep else memo
-    public = view.public_rng("stage1")
-    run = StagedRun(sample_public_stage(
-        pi, cfg, public, inputs if "public" in keep else None)
-        if memo is None else memo.public_stage(pi, cfg, public))
+    # a run draws each stage once, so a fresh memo is exact within it
+    memo = StageMemo() if memo is None or keep else memo
+    run = StagedRun(memo.public_stage(
+        pi, cfg, view, inputs if "public" in keep else None))
     try:
         for x in vertices(n_prev):
             for y in vertices(n_prev):
@@ -387,13 +381,10 @@ def run_stages(pi: ProtocolSpec, cfg: EliminationConfig, inputs: dict,
                 u, v = (x, y) if x in inputs else (y, x)
                 if y.layer is x.layer or u not in inputs:
                     continue
-                t = inputs[u][v.layer][v.index - 1]
-                rng = view.restrict(u).pair_rng(v, f"m_in:{x!r}->{y!r}")
-                run.m_in[(x, y)], attempts = (
-                    sample_pair_stage(pi, cfg, run.st1, x, y, t, rng,
-                                      inputs[x] if "pair" in keep else None)
-                    if memo is None else
-                    memo.pair_stage(pi, cfg, x, y, t, rng))
+                run.m_in[(x, y)], attempts = memo.pair_stage(
+                    pi, cfg, view.restrict(u), v, x, y,
+                    inputs[u][v.layer][v.index - 1],
+                    inputs[x] if "pair" in keep else None)
                 run.pair_attempts += attempts
     except EmptyOrRareSupport as exc:
         run.failure = exc
@@ -459,10 +450,10 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     over the input instance's own channels.
 
     Each player runs the stages on its own input and its restricted view.
-    The compiled protocol owns one ``StageMemo``, so the players of one
-    execution draw the public stage once and each pair stage once, from
-    tapes that every player who reads them sees; a player's run equals the
-    one it would make alone.
+    The compiled protocol owns one ``StageMemo``, keyed by the execution
+    token its players' views share, so the players of one execution draw
+    the public stage once and each pair stage once, each from its tape
+    derived once; a player's run equals the one it would make alone.
     """
     _require_one_round_regime(pi)
     memo = StageMemo()
@@ -493,8 +484,8 @@ def run_elimination_trials(pi: ProtocolSpec, cfg: EliminationConfig,
     every inner vertex with the trial's randomness (the tapes agree across
     vertices, so each vertex's share equals the compiled protocol's run at
     that vertex), and judges the compiled protocol's answers against the
-    inner instance.  One run already draws each public and pair stage once,
-    so trials pass ``run_stages`` no ``StageMemo``.  A run that stops is a
+    inner instance.  One run draws each public and pair stage once, through
+    the fresh ``StageMemo`` of ``run_stages``.  A run that stops is a
     failed trial and is not judged, and ``bandwidth_used`` reads only the
     judged runs.
     """
@@ -554,8 +545,9 @@ def hybrid_sampler(which: str, pi: ProtocolSpec, cfg: EliminationConfig,
     Returns (graph, embedding, auxiliaries-or-None, Transcript).  The
     ``dtilde_real`` route samples the restructured family jointly and reads
     the transcript off the actual inputs; the staged routes run the stages
-    on the ``which`` rung and assemble the instance from each vertex's
-    completed input, raising the error of a run that stops.
+    on the ``which`` rung, through a fresh ``StageMemo``, and assemble the
+    instance from each vertex's completed input, raising the error of a run
+    that stops.
     """
     _require_one_round_regime(pi)
     if which not in HYBRIDS:

@@ -26,10 +26,13 @@ def derive_rng(seed: int, *parts) -> random.Random:
 
 
 class RandomnessView:
-    """Full randomness state of one execution, keyed by a single seed."""
+    """Full randomness state of one execution, keyed by a single seed.
+    ``execution`` is an opaque token of it, shared by its restricted views
+    and by no other view of an equal seed; it reads no tape."""
 
     def __init__(self, seed: int):
         self.seed = seed
+        self.execution = object()
 
     def public_rng(self, label: str) -> random.Random:
         return _derive(self.seed, "public", label)
@@ -49,14 +52,15 @@ class RestrictedView:
     """What a single vertex is allowed to see.
 
     Public tape, pair tapes of pairs containing the owner, and the owner's
-    private tape only.  It restricts only to its owner, so code that reads
-    a vertex's tapes through ``view.restrict(v)`` takes a full view and a
-    restricted one alike.
+    private tape only, and the full view's ``execution`` token.  It
+    restricts only to its owner, so code that reads a vertex's tapes through
+    ``view.restrict(v)`` takes a full view and a restricted one alike.
     """
 
     def __init__(self, full: RandomnessView, owner: VertexId):
         self._full = full
         self.owner = owner
+        self.execution = full.execution
 
     def public_rng(self, label: str) -> random.Random:
         return self._full.public_rng(label)

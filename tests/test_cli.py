@@ -423,6 +423,39 @@ def test_info_rejects_options_its_measure_ignores(tmp_path):
         assert f"does not take {unused}" in result.output
 
 
+def test_info_refuses_a_measure_without_its_targets(tmp_path):
+    # an empty target list would answer 0.0 to a question nobody asked
+    table = write_abc_table(tmp_path / "t.json")
+    runner = CliRunner()
+    for argv, empty in (
+            (["--measure", "mi", "--a", "A"], "--b"),
+            (["--measure", "mi", "--a", ",", "--b", "B"], "--a"),
+            (["--measure", "cond-entropy", "--given", "B"], "--of"),
+            (["--measure", "cond-entropy", "--of", ","], "--of"),
+            (["--measure", "cmi", "--given", "C"], "--a and --b"),
+            (["--measure", "cmi", "--a", "A", "--b", ",,"], "--b"),
+            (["--measure", "kl"], "--other")):
+        result = runner.invoke(main, ["info", "--table", table] + argv)
+        assert_one_error_line(result, code=1)
+        measure = argv[1]
+        assert result.stderr == (f"error: --measure {measure} needs a "
+                                 f"non-empty {empty}\n"), argv
+        assert result.stdout == ""
+
+
+def test_info_reads_an_empty_given_as_unconditional(tmp_path):
+    # and entropy without --of is the entropy of every coordinate
+    table = write_abc_table(tmp_path / "t.json")
+    runner = CliRunner()
+    for argv, value in ((["--measure", "cond-entropy", "--of", "A"], 1.0),
+                        (["--measure", "cmi", "--a", "A", "--b", "B",
+                          "--given", ","], 0.0),
+                        (["--measure", "entropy"], 3.0)):
+        result = runner.invoke(main, ["info", "--table", table] + argv)
+        assert result.exit_code == 0, (argv, result.output)
+        assert json.loads(result.stdout)["value"] == pytest.approx(value)
+
+
 def readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)

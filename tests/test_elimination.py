@@ -499,31 +499,65 @@ def test_compiled_players_run_as_they_would_alone(monkeypatch, p, seeds):
 
 @pytest.mark.parametrize("p", [MICRO, WIDE2], ids=["MICRO", "WIDE2"])
 def test_a_compiled_execution_draws_each_tape_stage_once(monkeypatch, p):
-    # one public stage per execution, one pair stage per ordered inner pair
-    calls = []
+    # one public stage per execution, one pair stage per ordered inner pair,
+    # and a memo hit derives no tape: one stage1 tape, one tape per pair
+    calls, derived = [], []
     for name in ("sample_public_stage", "sample_pair_stage"):
         def counted(*args, real=getattr(elimination, name), name=name):
             calls.append(name if name == "sample_public_stage"
                          else args[3:5])
             return real(*args)
         monkeypatch.setattr(elimination, name, counted)
+    for name in ("public_rng", "pair_rng"):
+        def derive(view, *args, real=getattr(RandomnessView, name)):
+            derived.append(args[-1])
+            return real(view, *args)
+        monkeypatch.setattr(RandomnessView, name, derive)
     n_prev = p.n[0]
     pairs = sorted((x, y) for x in vertices(n_prev) for y in vertices(n_prev)
                    if x.layer is not y.layer)
+    tapes = sorted(["stage1", *(f"m_in:{x!r}->{y!r}" for x, y in pairs)])
     cfg = EliminationConfig(params=p, level=1, cap=3000)
     for name in ("type-broadcast", "probe-first-slot"):
         built = build_pi_r_minus_1(REG[name], cfg)
         for seed in (0, 1):
             g, _ = sample_g0(n_prev, random.Random(seed))
             calls.clear()
+            derived.clear()
             simulate(built, g, RandomnessView(seed))
             assert calls.count("sample_public_stage") == 1
             assert sorted(c for c in calls
                           if c != "sample_public_stage") == pairs
+            assert sorted(derived) == tapes, (name, seed)
+
+
+def test_a_memo_tells_apart_executions_of_an_equal_seed(monkeypatch):
+    # an execution is its view's token, not its seed: a second view of seed
+    # 0 draws its own public stage, and each run equals its unshared run
+    pi = REG["probe-first-slot"]
+    a1 = VertexId(Layer.A, 1)
+    inputs = {a1: {w: [1] for w in Layer.A.others}}
+    real, drawn = elimination.sample_public_stage, []
+
+    def counted(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(elimination, "sample_public_stage", counted)
+    memo, shared = StageMemo(), []
+    for view in (RandomnessView(0).restrict(a1),
+                 RandomnessView(0).restrict(a1)):
+        shared.append(run_stages(pi, CFG, inputs, "dfake", view, memo))
+        assert _staged(shared[-1]) == _staged(
+            run_stages(pi, CFG, inputs, "dfake", view))
+        assert memo.st1 is shared[-1].st1
+    assert shared[0].st1 is not shared[1].st1
+    # each run with the memo, then each without it
+    assert len(drawn) == 4
 
 
 def test_each_execution_equals_a_freshly_compiled_protocol(monkeypatch):
-    # a new public tape replaces the memo: seeds 0, 1 and 0 again through
+    # a new execution replaces the memo: seeds 0, 1 and 0 again through
     # one compiled protocol run as through a new one each
     pi = REG["probe-first-slot"]
     built = build_pi_r_minus_1(pi, CFG)

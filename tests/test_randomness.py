@@ -47,3 +47,19 @@ def test_restricted_view_routes_to_owner():
     # a pair tape is the same from either endpoint
     assert (v.restrict(B1).pair_rng(A1, "m").random()
             == rv.pair_rng(B1, "m").random())
+
+
+def test_an_execution_token_names_its_view_and_reads_no_tape():
+    v, w = RandomnessView(5), RandomnessView(5)
+    # every restricted view of one view carries its token
+    for owner in (A1, B1, C2):
+        assert v.restrict(owner).execution is v.execution
+    assert v.restrict(A1).restrict(A1).execution is v.execution
+    # an equal seed is another execution
+    assert w.execution is not v.execution
+    assert w.execution != v.execution
+    # the token reads no tape, and a restricted view shows no seed
+    token = v.execution
+    assert [name for name in dir(token) if not name.startswith("_")] == []
+    assert not hasattr(token, "__dict__")
+    assert not hasattr(v.restrict(A1), "seed")
