@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
 
 from .errors import EmptyOrRareSupport, InfeasibleParams
 from .graphs import TypeRow, VertexId, vertices
@@ -35,7 +36,8 @@ from .randomness import RandomnessView, derive_rng
 from .sampling import (InnerEmbedding, outer_channels, public_slots,
                        rebuild_from_inner_views, sample_d_in,
                        sample_d_in_conditioned, sample_frame, sample_gr,
-                       sample_gr_tilde, sample_inner, sample_tilde_input)
+                       sample_gr_tilde, sample_inner, sample_tilde_input,
+                       tilde_plan)
 
 # the stages that keep the true inner input, per rung of the hybrid ladder;
 # written in HYBRIDS' order, the order seeded runs draw the hybrids in
@@ -99,11 +101,15 @@ class EliminationReport:
 
 @dataclass
 class StageOneState:
-    """Everything fixed by the public tape."""
+    """Everything fixed by the public tape, and the plans of the inner
+    vertices' restructured draws in its frame."""
 
     ids: dict
     aux: object
     m_pub: dict  # inner vertex -> {outer VertexId: bits or None}
+    # inner vertex -> its tilde_plan, built on its first draw; derived from
+    # ids and aux, so left out of equality and repr
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def outer(self, x: VertexId) -> VertexId:
         """The outer identity of inner vertex ``x``."""
@@ -137,9 +143,13 @@ def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
     """One restructured input of x around the inner rows ``n_in`` (true or
     phantom), with the round-1 messages x sends on it, checked by
     ``round_messages``: a message that breaks the channel or bandwidth rule
-    raises, on a phantom input as on the true one."""
-    vecs = sample_tilde_input(x, st1.ids, st1.aux, cfg.params, LEVEL, rng,
-                              n_in)
+    raises, on a phantom input as on the true one.  The draw fills x's plan
+    in ``st1.plans``, built on x's first draw."""
+    plan = st1.plans.get(x)
+    if plan is None:
+        plan = st1.plans[x] = tilde_plan(x, st1.ids, st1.aux, cfg.params,
+                                         LEVEL)
+    vecs = sample_tilde_input(plan, rng, n_in)
     inp = VertexInput(identity=st1.outer(x), vectors=vecs, r=LEVEL)
     return vecs, round_messages(pi, 1, inp, {}, None)
 
@@ -219,14 +229,19 @@ def sample_pair_stage(pi: ProtocolSpec, cfg: EliminationConfig,
 def _outer_partners(cfg: EliminationConfig, st1: StageOneState, x: VertexId,
                     vecs: dict):
     """Each outer channel partner w of x (``outer_channels``), with the full
-    input of w, whose single channel goes to x."""
+    input of w, whose single channel goes to x.  Every partner's row toward
+    its third layer is one shared read-only empty row."""
     n = cfg.params.level(LEVEL)["n"]
     x_out = st1.outer(x)
+    empty = TypeRow(n, LEVEL + 1, MappingProxyType({}))
+    # the same VertexId, without the Python-level ``__new__`` that
+    # NamedTuple adds: this runs once per outer partner of every private
+    # stage
+    new = tuple.__new__
     for w_layer, index, t in outer_channels(vecs, st1.ids):
-        w = VertexId(w_layer, index)
-        vectors = {layer: TypeRow(n, LEVEL + 1, {x_out.index - 1: t}
-                                  if layer is x.layer else None)
-                   for layer in w_layer.others}
+        w = new(VertexId, (w_layer, index))
+        vectors = dict.fromkeys(w_layer.others, empty)
+        vectors[x.layer] = TypeRow(n, LEVEL + 1, {x_out.index - 1: t})
         yield w, VertexInput(identity=w, vectors=vectors, r=LEVEL)
 
 
@@ -291,9 +306,11 @@ class StageMemo:
     pair's tape and type and the public stage (and, on a rung that keeps
     the true inner input, by it).  ``pairs`` maps ``(x, y, pair type)`` to
     that message and its attempts, drawn from ``tapes.pair_rng(v, ...)``
-    and only on a miss.  A view of another execution replaces ``st1`` and
-    ``pairs``: the memo holds one execution of one protocol, config and
-    rung.  A pair stage that raises is not kept.
+    and only on a miss.  The players that share ``st1`` share its plans
+    too, so each inner vertex's restructured draw is planned once per
+    execution.  A view of another execution replaces ``st1`` and ``pairs``:
+    the memo holds one execution of one protocol, config and rung.  A pair
+    stage that raises is not kept.
     """
 
     def __init__(self):
@@ -453,7 +470,8 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     The compiled protocol owns one ``StageMemo``, keyed by the execution
     token its players' views share, so the players of one execution draw
     the public stage once and each pair stage once, each from its tape
-    derived once; a player's run equals the one it would make alone.
+    derived once, and plan each inner vertex's draw once; a player's run
+    equals the one it would make alone.
     """
     _require_one_round_regime(pi)
     memo = StageMemo()

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .errors import InfeasibleParams
 from .graphs import (LAYERS, Layer, TypedTripartiteGraph, TypeRow, VertexId,
@@ -29,18 +29,34 @@ from .params import (ParamSchedule, aux_draws_per_vertex_layer,
                      require_feasible, require_restructured_feasible)
 
 
+def _offsets(taken, first: int) -> list:
+    """The bisection offsets of the distinct positions ``taken`` of a range
+    that starts at ``first``: the count of free positions under each, in
+    ascending order."""
+    return [t - first - i for i, t in enumerate(sorted(taken))]
+
+
+def _sample_free(rng: random.Random, below: list, free: int, k: int,
+                 first: int) -> list:
+    """The ``k`` positions ``rng.sample`` draws from the ``free`` ascending
+    positions, from ``first`` on, outside a taken set with offsets ``below``
+    (``_offsets``), without listing them.
+
+    ``random.sample`` picks its draws from the population's length alone,
+    so a ``range`` of that length yields the same draws.  The position of
+    draw ``j`` skips every taken position whose offset (the free positions
+    under it) is at most ``j``.
+    """
+    return [j + first + bisect_right(below, j)
+            for j in rng.sample(range(free), k)]
+
+
 def _sample_missing(rng: random.Random, n: int, taken, k: int) -> list:
     """The ``k`` indices ``rng.sample`` draws from the ascending indices of
-    ``[1, n]`` missing from the distinct ``taken``, without listing them.
-
-    ``random.sample`` picks its positions from the population's length
-    alone, so a ``range`` of that length yields the same positions.  The
-    index at position ``j`` skips every taken index whose ``below`` (the
-    missing indices under it) is at most ``j``.
-    """
-    below = [t - i - 1 for i, t in enumerate(sorted(taken))]
-    return [j + 1 + bisect_right(below, j)
-            for j in rng.sample(range(n - len(below)), k)]
+    ``[1, n]`` missing from the distinct ``taken``: ``_sample_free`` over
+    the indices from 1."""
+    below = _offsets(taken, 1)
+    return _sample_free(rng, below, n - len(below), k, 1)
 
 
 # -- base family ----------------------------------------------------------
@@ -335,22 +351,6 @@ class Auxiliaries:
     K: dict = field(default_factory=dict)
     L: dict = field(default_factory=dict)
 
-    def elements_in_layer(self, layer: Layer):
-        """All reserved indices of one layer: every J set's, then every K
-        set's, then every L set's, which is not ``sample_aux``'s order (one
-        inner vertex's J, K and L sets, then the next vertex's)."""
-        out = []
-        for sets in self.J.values():
-            for s in sets:
-                out.extend(s.members.get(layer, []))
-        for sets in self.K.values():
-            for s in sets:
-                out.extend(s.members.get(layer, []))
-        for (x, target, t, i), idxs in self.L.items():
-            if target is layer:
-                out.extend(idxs)
-        return out
-
 
 def sample_aux(ids: dict, p: ParamSchedule, level: int,
                rng: random.Random) -> Auxiliaries:
@@ -411,66 +411,124 @@ def public_slots(x: VertexId, aux: Auxiliaries, level: int, n_prev: int):
                     yield target, t, i, idx
 
 
-def sample_tilde_input(x: VertexId, ids: dict, aux: Auxiliaries,
-                       p: ParamSchedule, level: int, rng: random.Random,
-                       n_in: dict):
-    """Step-3 per-vertex input: auxiliary draws plus uniform completion.
+@dataclass(slots=True)
+class TildePlan:
+    """What the public frame fixes of one inner vertex x's restructured
+    input, built once per frame by ``tilde_plan``: every slot that
+    ``sample_tilde_input`` writes, except the completion's.
 
-    ``n_in`` maps each other layer to x's length-n_prev inner row (a list or
-    a ``TypeRow``, read by index): the true inner input, or a phantom one
-    the caller drew from the inner marginal.
-    Returns {other layer: ``TypeRow`` of length n}; only the starred,
-    reserved and completed slots are ever touched.  The schedule must pass
-    ``require_restructured_feasible``, whose rules make the completion fit.
+    A draw reads its values off one concatenation of vectors, each
+    ``n_prev`` long: x's inner rows toward ``others`` (its two other
+    layers, in layer order), then the two rows drawn for each of the
+    ``j_draws`` J sets, then the two drawn for each K set under its
+    condition in ``k_draws``, ``(t, slot position, i)``.  ``rows`` holds,
+    per layer ``w`` of ``others``, ``(w, slots, picks, forced, below,
+    free)``, with 0-based slots:
+
+    - ``slots``: the starred slots and the J and K members;
+    - ``picks``: the position of each slot's value in the concatenation,
+      where a K set's target row skips the conditioned entry ``i - 1``;
+    - ``forced``: the L slots, mapped to their types;
+    - ``below`` and ``free``: the completion's bisection offsets over all
+      the slots above, and the count of the slots left free.
     """
-    lv = p.level(level)
-    n, n_prev, d = lv["n"], lv["n_prev"], lv["d"]
-    default = level + 1
-    others = x.layer.others
 
-    # {0-based slot: type} per other layer; every type stored below is an
-    # inner, forced or completed type, at most level, so never the default
-    slots = {w: {} for w in others}
-    # starred slots copy the inner input
-    for w in others:
-        for i in range(1, n_prev + 1):
-            slots[w][ids[w][i - 1] - 1] = n_in[w][i - 1]
-    # J sets carry independent draws of the full inner marginal
-    for s in aux.J[x]:
-        v1, v2 = sample_d_in(p, level - 1, rng)
-        draws = {others[0]: v1, others[1]: v2}
-        for w in others:
-            for k, idx in enumerate(s.members[w]):
-                slots[w][idx - 1] = draws[w][k]
-    # K sets carry inner-marginal draws conditioned on one starred slot
-    # type; the target row's members skip that slot
-    for slot_position, target in enumerate(others):
+    p: ParamSchedule
+    level: int
+    n: int
+    n_prev: int
+    d: int
+    others: tuple
+    j_draws: int
+    k_draws: list
+    rows: list
+
+
+def tilde_plan(x: VertexId, ids: dict, aux: Auxiliaries, p: ParamSchedule,
+               level: int) -> TildePlan:
+    """The plan of x's restructured input in the frame ``(ids, aux)``: one
+    walk of x's starred ids and its J, K and L reservations."""
+    lv = p.level(level)
+    n, n_prev = lv["n"], lv["n_prev"]
+    others = x.layer.others
+    slots, picks, forced = ([], []), ([], []), ({}, {})
+    # x's inner rows, then each J set's draw: a row's e-th member copies
+    # entry e of its vector
+    start = 0
+    for members in (ids, *[s.members for s in aux.J[x]]):
+        for k, w in enumerate(others):
+            for e, idx in enumerate(members[w]):
+                slots[k].append(idx - 1)
+                picks[k].append(start + e)
+            start += n_prev
+    # then each K set's draw, whose target row skips the conditioned entry
+    # (the other row's skip, n_prev, lies past its last entry); the L set
+    # under the same key holds the slots forced to the key's type
+    k_draws = []
+    for position, target in enumerate(others):
         for t in range(level + 1):
             for i in range(1, n_prev + 1):
-                for s in aux.K[(x, target, t, i)]:
-                    draws = sample_d_in_conditioned(
-                        p, level - 1, t, slot_position, i, rng)
-                    for w, row in zip(others, draws):
-                        for k, idx in enumerate(s.members[w]):
-                            slots[w][idx - 1] = row[
-                                k + (w is target and k >= i - 1)]
-    # L sets are forced to their bucket's type
-    for target, t, _, idx in public_slots(x, aux, level, n_prev):
-        slots[target][idx - 1] = t
-    # uniform completion to exact per-type degree d
-    for w in others:
-        row = slots[w]
-        counts = [0] * (level + 1)
-        for t in row.values():
-            counts[t] += 1
-        needs = [d - counts[t] for t in range(level + 1)]
-        chosen = iter(_sample_missing(rng, n, [j + 1 for j in row],
-                                      sum(needs)))
-        for t, need in enumerate(needs):
-            for idx in islice(chosen, need):
-                row[idx - 1] = t
-    return {w: TypeRow(n, default, dict(sorted(row.items())))
-            for w, row in slots.items()}
+                key = (x, target, t, i)
+                for s in aux.K[key]:
+                    k_draws.append((t, position, i))
+                    for k, w in enumerate(others):
+                        skip = i - 1 if k == position else n_prev
+                        for e, idx in enumerate(s.members[w]):
+                            slots[k].append(idx - 1)
+                            picks[k].append(start + e + (e >= skip))
+                        start += n_prev
+                for idx in aux.L[key]:
+                    forced[position][idx - 1] = t
+    rows = []
+    for k, w in enumerate(others):
+        below = _offsets([*slots[k], *forced[k]], 0)
+        rows.append((w, slots[k], picks[k], forced[k], below, n - len(below)))
+    return TildePlan(p, level, n, n_prev, lv["d"], others, len(aux.J[x]),
+                     k_draws, rows)
+
+
+def sample_tilde_input(plan: TildePlan, rng: random.Random, n_in: dict):
+    """Step-3 per-vertex input: auxiliary draws plus uniform completion, in
+    the slots of ``plan`` (``tilde_plan``).
+
+    ``n_in`` maps each other layer to x's length-n_prev inner row (a list or
+    a ``TypeRow``): the true inner input, or a phantom one the caller drew
+    from the inner marginal; rows of another length are refused before any
+    draw.  The rng is read in one order: each J set's draw of the full
+    inner marginal, each K set's draw of the inner marginal conditioned on
+    one starred slot type, then each layer's completion.  Returns {other
+    layer: ``TypeRow`` of length n}; only the starred, reserved and
+    completed slots are ever touched.  The schedule must pass
+    ``require_restructured_feasible``, whose rules make the completion fit.
+    """
+    p, level, d = plan.p, plan.level, plan.d
+    values = []
+    for w in plan.others:
+        values += n_in[w]
+    if len(values) != 2 * plan.n_prev:
+        raise InfeasibleParams(
+            f"inner rows of lengths {[len(n_in[w]) for w in plan.others]} "
+            f"do not fit n_prev = {plan.n_prev}")
+    drawn = []
+    for _ in range(plan.j_draws):
+        drawn += sample_d_in(p, level - 1, rng)
+    for t, position, i in plan.k_draws:
+        drawn += sample_d_in_conditioned(p, level - 1, t, position, i, rng)
+    values += chain.from_iterable(drawn)
+    out = {}
+    for w, slots, picks, forced, below, free in plan.rows:
+        # {0-based slot: type}; every type stored is an inner, forced or
+        # completed type, at most level, so never the default
+        row = forced.copy()
+        row.update(zip(slots, map(values.__getitem__, picks)))
+        # uniform completion to exact per-type degree d
+        types = list(row.values())
+        kinds = []
+        for t in range(level + 1):
+            kinds += [t] * (d - types.count(t))
+        row.update(zip(_sample_free(rng, below, free, len(kinds), 0), kinds))
+        out[w] = TypeRow(plan.n, level + 1, dict(sorted(row.items())))
+    return out
 
 
 def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
@@ -483,8 +541,8 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     inner = sample_inner(p, level - 1, rng)
     ids, aux = sample_frame(p, level, rng)
     emb = InnerEmbedding(ids=ids, inner=inner)
-    views = {v: sample_tilde_input(v, ids, aux, p, level, rng,
-                                   n_in=inner.type_rows(v))
+    views = {v: sample_tilde_input(tilde_plan(v, ids, aux, p, level), rng,
+                                   inner.type_rows(v))
              for v in inner.vertices()}
     g = rebuild_from_inner_views(p.level(level)["n"], level, ids, views)
     return g, emb, aux, has_collision(views, ids)

@@ -3,18 +3,21 @@
 Usage, from the repository root::
 
     python tests/bench_pairs.py --parent DIR --change DIR --pr N \
-        [--workload W ...]
+        [--workload W ...] [--seed S]
 
 For each workload (every one in the change's ``BENCHMARK.json`` unless
 ``--workload`` names some) it runs, 10 times on each checkout::
 
-    python3 perfbench/run.py --workload W --trace 0
+    python3 perfbench/run.py --workload W [--seed S] --trace 0
 
-inside that checkout, at perfbench's default seed and run length, one run of
-each side back to back, alternating which side runs first.  It reads each
-run's last stdout line (the JSON object with ``correct``, ``failed`` and
-``metrics``) and the ``provenance`` of the result file the run writes under
-``perfbench/out/``, and writes ``BENCH_<pr>.json`` in the current directory:
+inside that checkout, at perfbench's run length and at its default seed
+unless ``--seed`` gives one (the held-out confirmation of a claim is the
+same command with ``--seed 7919``), one run of each side back to back,
+alternating which side runs first.  It reads each run's last stdout line
+(the JSON object with ``correct``, ``failed`` and ``metrics``) and the
+``provenance`` of the result file the run writes under ``perfbench/out/``
+for that seed, and writes ``BENCH_<pr>.json`` (``BENCH_<pr>-seed<S>.json``
+with ``--seed``) in the current directory:
 both commits, both ``src`` hashes, the seed, each metric's median and
 quartiles per side, the pairs in which the change did better, whether it
 is worse than its bound or unresolved (see ``workload_entry``), and every
@@ -35,17 +38,25 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def run_once(root: Path, workload: str) -> tuple:
-    """The run's stdout summary and the provenance perfbench recorded."""
+def seed_args(seed: int | None) -> list:
+    """The ``perfbench/run.py`` arguments that pick ``seed``; none picks its
+    default seed."""
+    return [] if seed is None else ["--seed", str(seed)]
+
+
+def run_once(root: Path, workload: str, seed: int | None = None) -> tuple:
+    """The run's stdout summary and the provenance perfbench recorded in
+    the result file of ``seed`` (the newest of any seed without one)."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--trace", "0"], cwd=root, capture_output=True, text=True)
+         *seed_args(seed), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"error: {root}: perfbench exited "
                          f"{done.returncode}: {done.stderr[-2000:]}")
     written = max((root / "perfbench" / "out").glob(
-        f"result-{workload}-seed*-trace0.json"),
-        key=lambda path: path.stat().st_mtime)
+        f"result-{workload}-seed{'*' if seed is None else seed}"
+        "-trace0.json"), key=lambda path: path.stat().st_mtime)
     provenance = json.loads(written.read_text())["provenance"]
     return json.loads(done.stdout.strip().splitlines()[-1]), provenance
 
@@ -113,6 +124,7 @@ def main(argv: list) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--workload", action="append", dest="workloads")
+    ap.add_argument("--seed", type=int)
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
@@ -121,7 +133,7 @@ def main(argv: list) -> int:
         runs = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result, provenance = run_once(roots[side], name)
+                result, provenance = run_once(roots[side], name, args.seed)
                 runs[side].append(result)
                 provenances[side].append(provenance)
                 print(f"{name} pair {i + 1}/{PAIRS} {side}: "
@@ -144,7 +156,8 @@ def main(argv: list) -> int:
         "src_sha256": recorded["src_sha256"],
         "host": {"python": recorded["python"], "nproc": recorded["nproc"],
                  "note": "times scaled by perfbench/hostprobe.py"},
-        "command": "python3 perfbench/run.py --workload <workload> --trace 0",
+        "command": " ".join(["python3 perfbench/run.py --workload <workload>",
+                             *seed_args(args.seed), "--trace 0"]),
         "seed": recorded["seed"],
         "run_seconds": recorded["seconds"],
         "pairing": "parent and change run back to back, alternating which "
@@ -153,7 +166,9 @@ def main(argv: list) -> int:
                      "runs of one side",
         "runs": entries,
     }
-    path = Path(f"BENCH_{args.pr}.json")
+    # a held-out seed's pairs do not overwrite the default seed's
+    path = Path(f"BENCH_{args.pr}.json" if args.seed is None
+                else f"BENCH_{args.pr}-seed{args.seed}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0

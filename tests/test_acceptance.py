@@ -24,6 +24,7 @@ from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  inner_cross_pairs, sample_g0, sample_gr,
                                  sample_gr_tilde)
+from reserved import elements_in_layer
 from schedules import LOOSE, MICRO, MIXED4, SMALL2, SPARSE2, SPARSE3
 
 
@@ -81,7 +82,7 @@ def test_criterion_3_recursive_family_invariants():
 
 def _aux_well_formed(aux, ids, level, n_prev, alpha, beta, gamma):
     for layer in LAYERS:
-        elems = aux.elements_in_layer(layer)
+        elems = elements_in_layer(aux, layer)
         if len(elems) != len(set(elems)) or set(elems) & set(ids[layer]):
             return False
     for x, sets in aux.J.items():

@@ -1,7 +1,15 @@
 """``bench_pairs.workload_entry`` computes each metric's no-regression
-verdict from the runs, so no BENCH file is read by hand."""
+verdict from the runs, so no BENCH file is read by hand, and ``run_once``
+reads the result file of the seed it runs."""
 
-from bench_pairs import workload_entry
+import json
+import os
+import textwrap
+import time
+
+import pytest
+
+from bench_pairs import run_once, workload_entry
 
 SPEC = {"end_to_end": [
     {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.2},
@@ -43,3 +51,37 @@ def test_workload_entry_computes_each_verdict():
         "unit", "better", "bound", "parent", "change",
         "change_better_in_pairs", "values"}
 
+
+
+# a stand-in for perfbench/run.py: it records its arguments, writes the
+# result file of its seed (1 without --seed) and prints a summary line
+FAKE_RUN = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    args = sys.argv[1:]
+    seed = args[args.index("--seed") + 1] if "--seed" in args else "1"
+    out = Path("perfbench/out")
+    out.mkdir(exist_ok=True)
+    (out / f"result-w-seed{seed}-trace0.json").write_text(
+        json.dumps({"provenance": {"seed": int(seed), "args": args}}))
+    print(json.dumps({"correct": True, "failed": 0, "metrics": {}}))
+""")
+
+
+@pytest.mark.parametrize("seed, want", [(7919, 7919), (None, 1)])
+def test_run_once_passes_its_seed_and_reads_that_seed_s_result(tmp_path,
+                                                               seed, want):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    if seed is not None:
+        # a result file of another seed, dated after the run's own
+        decoy = tmp_path / "perfbench" / "out" / "result-w-seed1-trace0.json"
+        decoy.parent.mkdir()
+        decoy.write_text(json.dumps({"provenance": {"seed": 1}}))
+        os.utime(decoy, (time.time() + 1000,) * 2)
+    result, provenance = run_once(tmp_path, "w", seed)
+    assert result == {"correct": True, "failed": 0, "metrics": {}}
+    assert provenance["seed"] == want
+    assert provenance["args"] == ["--workload", "w",
+                                  *([] if seed is None else
+                                    ["--seed", str(seed)]), "--trace", "0"]

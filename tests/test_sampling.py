@@ -22,7 +22,8 @@ from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  sample_d_in_conditioned, sample_frame,
                                  sample_g0, sample_gr, sample_gr_tilde,
                                  sample_inner, sample_tilde_input,
-                                 _sample_ids, _sample_missing)
+                                 tilde_plan, _sample_ids, _sample_missing)
+from reserved import elements_in_layer
 from schedules import LEVEL2, LOOSE, MICRO, SMALL2, WIDE2
 
 SCHEDULES = {"MICRO": MICRO, "WIDE2": WIDE2, "LOOSE": LOOSE,
@@ -375,7 +376,7 @@ def test_aux_sets_disjoint_and_sized():
     ids = _sample_ids(29, 1, random.Random(12))
     aux = sample_aux(ids, MICRO, 1, random.Random(12))
     for layer in LAYERS:
-        elems = aux.elements_in_layer(layer)
+        elems = elements_in_layer(aux, layer)
         assert len(elems) == len(set(elems))
         assert not set(elems) & set(ids[layer])
     x = VertexId(Layer.A, 1)
@@ -394,7 +395,7 @@ def test_tilde_input_per_type_degree_exact():
     x = VertexId(Layer.B, 1)
     rng = random.Random(13)
     phantom = dict(zip(x.layer.others, sample_d_in(MICRO, 0, rng)))
-    vecs = sample_tilde_input(x, ids, aux, MICRO, 1, rng, phantom)
+    vecs = sample_tilde_input(tilde_plan(x, ids, aux, MICRO, 1), rng, phantom)
     for w in (Layer.A, Layer.C):
         assert vecs[w].count(0) == 6
         assert vecs[w].count(1) == 6
@@ -405,10 +406,20 @@ def test_tilde_input_keeps_given_inner_slot():
     aux = sample_aux(ids, MICRO, 1, random.Random(14))
     x = VertexId(Layer.A, 1)
     n_in = {Layer.B: [0], Layer.C: [1]}
-    vecs = sample_tilde_input(x, ids, aux, MICRO, 1, random.Random(14),
-                              n_in=n_in)
+    vecs = sample_tilde_input(tilde_plan(x, ids, aux, MICRO, 1),
+                              random.Random(14), n_in)
     assert vecs[Layer.B][ids[Layer.B][0] - 1] == 0
     assert vecs[Layer.C][ids[Layer.C][0] - 1] == 1
+
+
+def test_tilde_input_refuses_inner_rows_of_another_length():
+    ids, aux = sample_frame(MICRO, 1, random.Random(14))
+    plan = tilde_plan(VertexId(Layer.A, 1), ids, aux, MICRO, 1)
+    for n_in in ({Layer.B: [0, 1], Layer.C: [1]}, {Layer.B: [], Layer.C: []}):
+        rng = random.Random(14)
+        with pytest.raises(InfeasibleParams, match="do not fit n_prev = 1"):
+            sample_tilde_input(plan, rng, n_in)
+        assert rng.random() == random.Random(14).random()
 
 
 def test_gr_tilde_flags_and_degrees():
@@ -489,7 +500,7 @@ def test_aux_reservation_is_disjoint_and_sized_on_every_schedule(name):
             assert all(rows[w].count(t) == d
                        for w in v.layer.others for t in (0, 1))
         for layer in LAYERS:
-            elems = aux.elements_in_layer(layer)
+            elems = elements_in_layer(aux, layer)
             assert len(elems) == demand
             assert len(set(elems)) == demand
             assert not set(elems) & set(ids[layer])
@@ -666,14 +677,26 @@ def test_sparse_tilde_input_equals_dense_reference(name):
                 actual = {w: [inner.pair_type(x, VertexId(w, j))
                               for j in range(1, n_prev + 1)]
                           for w in layer.others}
+                # one plan serves both fills, as it serves every draw of x in
+                # an execution; each fill equals one through a fresh plan
+                plan = tilde_plan(x, ids, aux, p, 1)
                 # with n_in None the dense reference draws the phantom inner
                 # input itself, where the sparse call's phantom is drawn
                 for n_in in (None, actual):
                     state = rng.getstate()
                     given = n_in or dict(zip(layer.others,
                                              sample_d_in(p, 0, rng)))
-                    rows = sample_tilde_input(x, ids, aux, p, 1, rng, given)
+                    rows = sample_tilde_input(plan, rng, given)
                     after = rng.random()
+                    rng.setstate(state)
+                    given = n_in or dict(zip(layer.others,
+                                             sample_d_in(p, 0, rng)))
+                    fresh = sample_tilde_input(tilde_plan(x, ids, aux, p, 1),
+                                               rng, given)
+                    assert rng.random() == after
+                    assert {w: list(row.slots.items())
+                            for w, row in fresh.items()} == {
+                        w: list(row.slots.items()) for w, row in rows.items()}
                     rng.setstate(state)
                     dense = _dense_tilde_input_reference(x, ids, aux, p, 1,
                                                          rng, n_in=n_in)

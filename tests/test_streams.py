@@ -29,7 +29,11 @@ hashes each player's staged run in compiled executions at MICRO and WIDE2
 (its public stage, its pair-stage messages and its private stage, read off
 the run ``_pi_r_output`` is handed), and the ``probe-first-slot`` hybrid
 digest on every rung were computed at commit 3def091, before the players of
-one compiled execution shared the stages that read only tapes.
+one compiled execution shared the stages that read only tapes.  The
+``probe-first-slot`` hybrid digest at WIDE2, where a K set's target row has
+a member, so its draw skips the conditioned slot, and where each of these
+runs redraws once in a pair stage, was computed at commit 18cd14a, before
+each inner vertex's restructured draw was planned once per frame.
 """
 
 import hashlib
@@ -102,11 +106,11 @@ def _trials():
             for name, pi in REG.items() for seed in (0, 1)]
 
 
-def _hybrids(name):
+def _hybrids(name, cfg=CFG):
     out = []
     for which in HYBRIDS:
         for seed in (0, 1):
-            g, emb, aux, transcript = hybrid_sampler(which, REG[name], CFG,
+            g, emb, aux, transcript = hybrid_sampler(which, REG[name], cfg,
                                                      seed)
             out.append((which, seed, g.to_json(), _ids(emb.ids),
                         repr(aux), transcript.to_jsonl()))
@@ -262,6 +266,9 @@ STREAMS = {
     "hybrid_sampler/probe-first-slot/MICRO": (
         lambda: _hybrids("probe-first-slot"),
         "7c2eaf9956339b75ca780177518dee799f63082985b4d9c4b9e800d2518449de"),
+    "hybrid_sampler/probe-first-slot/WIDE2": (
+        lambda: _hybrids("probe-first-slot", EliminationConfig(params=WIDE2)),
+        "145d2c3fd9447e0b478a4c2f1fc2678ae5ba2dd7ecaa3d9a4c18af0c5b17d486"),
     "build_gr_frame/MICRO": (
         _frames,
         "929e598e6afc153e5f13e3298101b63a0e26fa901c83b8d2859dd1300502e974"),
