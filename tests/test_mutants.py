@@ -14,7 +14,11 @@ from bisect import bisect_left
 import pytest
 
 import test_elimination
+import test_tapes
 from congestlab import elimination, sampling
+from congestlab.graphs import VertexId
+from congestlab.randomness import RestrictedView
+from schedules import MICRO
 from test_streams import STREAMS, digest
 
 
@@ -22,11 +26,12 @@ def _moved(stream: str) -> bool:
     return digest(stream) != STREAMS[stream][1]
 
 
-def _rewritten(module, name: str, old: str, new: str):
-    """``module.name`` compiled from its source with the one occurrence of
-    ``old`` replaced by ``new``, reading the module's globals."""
+def _rewritten(module, name: str, old: str, new: str, count: int = 1):
+    """``module.name`` compiled from its source with the ``count``
+    occurrences of ``old`` replaced by ``new``, reading the module's
+    globals."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, f"{old!r} is not once in {name}"
+    assert source.count(old) == count, f"{old!r} is not {count}x in {name}"
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"),
          namespace)
@@ -64,3 +69,55 @@ def test_a_free_slot_that_lands_on_a_taken_one(monkeypatch):
     # slot, in the completion as in every pool and reservation
     monkeypatch.setattr(sampling, "bisect_right", bisect_left)
     assert _moved("sample_d_in/MICRO")
+
+
+def _memo(monkeypatch, old: str, new: str, count: int = 1):
+    """``StageMemo`` rewritten, in the library and in the tests that make
+    one."""
+    mutant = _rewritten(elimination, "StageMemo", old, new, count)
+    for module in (elimination, test_elimination):
+        monkeypatch.setattr(module, "StageMemo", mutant)
+
+
+def test_a_memo_that_never_replaces_its_public_stage(monkeypatch):
+    # the first execution's public stage and pairs serve every later one
+    _memo(monkeypatch, "view.execution is not self.execution",
+          "self.st1 is None")
+    with pytest.raises(AssertionError):
+        test_elimination.test_a_memo_tells_apart_executions_of_an_equal_seed(
+            monkeypatch)
+
+
+def test_a_pair_key_without_the_pair_type(monkeypatch):
+    # two inputs that disagree on a pair's type share its message
+    _memo(monkeypatch, "(x, y, pair_type)", "(x, y)", count=2)
+    with pytest.raises(AssertionError):
+        test_elimination.\
+            test_runs_sharing_a_memo_draw_their_own_pair_of_another_type(
+                monkeypatch)
+
+
+def test_a_memo_key_without_y(monkeypatch):
+    # a player is handed the stage of another pair of x with the same type
+    _memo(monkeypatch, "(x, y, pair_type)", "(x, pair_type)", count=2)
+    with pytest.raises(AssertionError, match="from the memo"):
+        test_tapes.audit(monkeypatch, MICRO)
+
+
+def test_a_private_stage_on_another_vertex_s_tape(monkeypatch):
+    def private_rng(self, label):
+        other = VertexId(self.owner.layer.others[0], self.owner.index)
+        return self._full.private_rng(other, label)
+
+    monkeypatch.setattr(RestrictedView, "private_rng", private_rng)
+    with pytest.raises(AssertionError, match="private tape"):
+        test_tapes.audit(monkeypatch, MICRO, names=["all-no"], seeds=[0])
+
+
+def test_a_pair_tape_without_the_player(monkeypatch):
+    def pair_rng(self, other, label):
+        return self._full.pair_rng(other, other, label)
+
+    monkeypatch.setattr(RestrictedView, "pair_rng", pair_rng)
+    with pytest.raises(AssertionError, match="tape of pair"):
+        test_tapes.audit(monkeypatch, MICRO, names=["all-no"], seeds=[0])
