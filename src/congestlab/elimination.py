@@ -33,11 +33,10 @@ from .params import ParamSchedule, require_restructured_feasible
 from .protocols import (ProtocolSpec, Transcript, VertexInput, judge,
                         round_messages, simulate)
 from .randomness import RandomnessView, derive_rng
-from .sampling import (InnerEmbedding, outer_channels, public_slots,
+from .sampling import (InnerEmbedding, outer_channels,
                        rebuild_from_inner_views, sample_d_in,
                        sample_d_in_conditioned, sample_frame, sample_gr,
-                       sample_gr_tilde, sample_inner, sample_tilde_input,
-                       tilde_plan)
+                       sample_gr_tilde, sample_inner, sample_tilde_input)
 
 # the stages that keep the true inner input, per rung of the hybrid ladder;
 # written in HYBRIDS' order, the order seeded runs draw the hybrids in
@@ -101,15 +100,14 @@ class EliminationReport:
 
 @dataclass
 class StageOneState:
-    """Everything fixed by the public tape, and the plans of the inner
-    vertices' restructured draws in its frame."""
+    """Everything fixed by the public tape: the frame (``sample_frame``),
+    with the plan of each inner vertex's restructured draw in it, and the
+    public messages."""
 
     ids: dict
     aux: object
+    plans: dict  # inner vertex -> its TildePlan
     m_pub: dict  # inner vertex -> {outer VertexId: bits or None}
-    # inner vertex -> its tilde_plan, built on its first draw; derived from
-    # ids and aux, so left out of equality and repr
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def outer(self, x: VertexId) -> VertexId:
         """The outer identity of inner vertex ``x``."""
@@ -138,18 +136,14 @@ def _require_one_round_regime(pi: ProtocolSpec):
             f"rounds={pi.rounds}, deterministic={pi.deterministic}")
 
 
-def _draw(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
-          x: VertexId, n_in, rng: random.Random):
+def _draw(pi: ProtocolSpec, st1: StageOneState, x: VertexId, n_in,
+          rng: random.Random):
     """One restructured input of x around the inner rows ``n_in`` (true or
     phantom), with the round-1 messages x sends on it, checked by
     ``round_messages``: a message that breaks the channel or bandwidth rule
     raises, on a phantom input as on the true one.  The draw fills x's plan
-    in ``st1.plans``, built on x's first draw."""
-    plan = st1.plans.get(x)
-    if plan is None:
-        plan = st1.plans[x] = tilde_plan(x, st1.ids, st1.aux, cfg.params,
-                                         LEVEL)
-    vecs = sample_tilde_input(plan, rng, n_in)
+    in the frame, ``st1.plans[x]``."""
+    vecs = sample_tilde_input(st1.plans[x], rng, n_in)
     inp = VertexInput(identity=st1.outer(x), vectors=vecs, r=LEVEL)
     return vecs, round_messages(pi, 1, inp, {}, None)
 
@@ -161,18 +155,19 @@ def _reproduce(pi: ProtocolSpec, cfg: EliminationConfig, st1: StageOneState,
     Returns the last draw's rows and messages, the attempts made and
     whether the messages match."""
     for attempts in range(1, cfg.cap + 1):
-        vecs, msgs = _draw(pi, cfg, st1, x, inner(), rng)
+        vecs, msgs = _draw(pi, st1, x, inner(), rng)
         if all(msgs.get(w) == bits for w, bits in record.items()):
             return vecs, msgs, attempts, True
     return vecs, msgs, attempts, False
 
 
-def _m_pub_targets(x: VertexId, st_ids: dict, aux, n_prev: int) -> list:
+def _m_pub_targets(st1: StageOneState, x: VertexId) -> list:
     """The predecessor slots of the public singleton sets: members of
-    L_{t,i}^{x->Y} whose index precedes the i-th starred identity of Y."""
+    L_{t,i}^{x->Y} (x's plan's ``public`` slots) whose index precedes the
+    i-th starred identity of Y."""
     return [VertexId(target, idx)
-            for target, _, i, idx in public_slots(x, aux, LEVEL, n_prev)
-            if idx < st_ids[target][i - 1]]
+            for target, _, i, idx in st1.plans[x].public
+            if idx < st1.ids[target][i - 1]]
 
 
 def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
@@ -192,9 +187,8 @@ def sample_public_stage(pi: ProtocolSpec, cfg: EliminationConfig,
             n_in = dict(zip(x.layer.others, sample_d_in(p, LEVEL - 1, rng)))
         else:
             n_in = inputs[x]
-        _, msgs = _draw(pi, cfg, st1, x, n_in, rng)
-        st1.m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(
-            x, st1.ids, st1.aux, n_prev)}
+        _, msgs = _draw(pi, st1, x, n_in, rng)
+        st1.m_pub[x] = {w: msgs.get(w) for w in _m_pub_targets(st1, x)}
     return st1
 
 
@@ -306,9 +300,10 @@ class StageMemo:
     pair's tape and type and the public stage (and, on a rung that keeps
     the true inner input, by it).  ``pairs`` maps ``(x, y, pair type)`` to
     that message and its attempts, drawn from ``tapes.pair_rng(v, ...)``
-    and only on a miss.  The players that share ``st1`` share its plans
-    too, so each inner vertex's restructured draw is planned once per
-    execution.  A view of another execution replaces ``st1`` and ``pairs``:
+    and only on a miss.  The players that share ``st1`` share the plans
+    its frame holds, one per inner vertex, so each inner vertex's
+    restructured draw is planned once per execution; the memo builds no
+    plan.  A view of another execution replaces ``st1`` and ``pairs``:
     the memo holds one execution of one protocol, config and rung.  A pair
     stage that raises is not kept.
     """
@@ -470,8 +465,8 @@ def build_pi_r_minus_1(pi: ProtocolSpec, cfg: EliminationConfig) -> ProtocolSpec
     The compiled protocol owns one ``StageMemo``, keyed by the execution
     token its players' views share, so the players of one execution draw
     the public stage once and each pair stage once, each from its tape
-    derived once, and plan each inner vertex's draw once; a player's run
-    equals the one it would make alone.
+    derived once, and fill the frame's one plan of each inner vertex's
+    draw; a player's run equals the one it would make alone.
     """
     _require_one_round_regime(pi)
     memo = StageMemo()

@@ -352,69 +352,10 @@ class Auxiliaries:
     L: dict = field(default_factory=dict)
 
 
-def sample_aux(ids: dict, p: ParamSchedule, level: int,
-               rng: random.Random) -> Auxiliaries:
-    """Step-2 reservation: disjoint subsets of each layer's non-starred pool.
-
-    Each layer's pool is one uniform ordered draw of exactly the indices the
-    reservation uses, carved into sets in reservation order.  The schedule
-    must pass ``require_restructured_feasible``, whose rules make it fit.
-    """
-    lv = p.level(level)
-    n, n_prev = lv["n"], lv["n_prev"]
-    alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
-    # every layer serves the 2 * n_prev inner vertices of the other layers
-    demand = 2 * n_prev * aux_draws_per_vertex_layer(
-        n_prev, alpha, beta, gamma, level)
-    pools = {layer: iter(_sample_missing(rng, n, ids[layer], demand))
-             for layer in LAYERS}
-
-    def take(layer, count):
-        return list(islice(pools[layer], count))
-
-    aux = Auxiliaries()
-    for x in vertices(n_prev):
-        others = x.layer.others
-        aux.J[x] = [
-            AuxSet({w: take(w, n_prev) for w in others})
-            for _ in range(alpha)
-        ]
-        for target in others:
-            other = others[0] if target is others[1] else others[1]
-            for t in range(level + 1):
-                for j in range(1, n_prev + 1):
-                    aux.K[(x, target, t, j)] = [
-                        AuxSet({target: take(target, n_prev - 1),
-                                other: take(other, n_prev)})
-                        for _ in range(beta)
-                    ]
-                    aux.L[(x, target, t, j)] = take(target, gamma)
-    return aux
-
-
-def sample_frame(p: ParamSchedule, level: int, rng: random.Random):
-    """The public frame of a restructured instance: the starred outer ids of
-    each layer, then the auxiliaries reserved around them."""
-    lv = p.level(level)
-    ids = _sample_ids(lv["n"], lv["n_prev"], rng)
-    return ids, sample_aux(ids, p, level, rng)
-
-
-def public_slots(x: VertexId, aux: Auxiliaries, level: int, n_prev: int):
-    """The publicly forced input slots of one inner vertex, the members of
-    its L sets, as (target layer, forced type, starred position i, outer
-    index) in reservation order."""
-    for target in x.layer.others:
-        for t in range(level + 1):
-            for i in range(1, n_prev + 1):
-                for idx in aux.L[(x, target, t, i)]:
-                    yield target, t, i, idx
-
-
 @dataclass(slots=True)
 class TildePlan:
     """What the public frame fixes of one inner vertex x's restructured
-    input, built once per frame by ``tilde_plan``: every slot that
+    input, built by ``sample_aux`` as it reserves x's sets: every slot that
     ``sample_tilde_input`` writes, except the completion's.
 
     A draw reads its values off one concatenation of vectors, each
@@ -431,6 +372,10 @@ class TildePlan:
     - ``forced``: the L slots, mapped to their types;
     - ``below`` and ``free``: the completion's bisection offsets over all
       the slots above, and the count of the slots left free.
+
+    ``public`` lists the L slots as ``(target layer, forced type, starred
+    position i, outer index)`` in reservation order: the slots the public
+    messages are read at.
     """
 
     p: ParamSchedule
@@ -442,54 +387,93 @@ class TildePlan:
     j_draws: int
     k_draws: list
     rows: list
+    public: list
 
 
-def tilde_plan(x: VertexId, ids: dict, aux: Auxiliaries, p: ParamSchedule,
-               level: int) -> TildePlan:
-    """The plan of x's restructured input in the frame ``(ids, aux)``: one
-    walk of x's starred ids and its J, K and L reservations."""
+def sample_aux(ids: dict, p: ParamSchedule, level: int,
+               rng: random.Random):
+    """Step-2 reservation: disjoint subsets of each layer's non-starred pool,
+    and each inner vertex's ``TildePlan``, built in the same walk.
+
+    Each layer's pool is one uniform ordered draw of exactly the indices the
+    reservation uses, carved into sets in reservation order: per inner vertex
+    x, its J sets, then per target layer, type t and starred position i, the
+    K sets and the L set of key ``(x, target, t, i)``.  The schedule must
+    pass ``require_restructured_feasible``, whose rules make it fit.
+    Returns ``(Auxiliaries, {inner vertex: TildePlan})``.
+    """
     lv = p.level(level)
     n, n_prev = lv["n"], lv["n_prev"]
-    others = x.layer.others
-    slots, picks, forced = ([], []), ([], []), ({}, {})
-    # x's inner rows, then each J set's draw: a row's e-th member copies
-    # entry e of its vector
-    start = 0
-    for members in (ids, *[s.members for s in aux.J[x]]):
+    alpha, beta, gamma = lv["alpha"], lv["beta"], lv["gamma"]
+    # every layer serves the 2 * n_prev inner vertices of the other layers
+    demand = 2 * n_prev * aux_draws_per_vertex_layer(
+        n_prev, alpha, beta, gamma, level)
+    pools = {layer: iter(_sample_missing(rng, n, ids[layer], demand))
+             for layer in LAYERS}
+
+    def take(layer, count):
+        return list(islice(pools[layer], count))
+
+    def planned(members, position=None, i=0):
+        # the members' set, with x's slots at them planned: a row's e-th
+        # member copies entry e of the next vector drawn, except that the
+        # row at ``position`` skips the conditioned entry i - 1 (a J set's
+        # and the starred ids' rows skip none)
+        nonlocal start
         for k, w in enumerate(others):
+            skip = i - 1 if k == position else n_prev
             for e, idx in enumerate(members[w]):
                 slots[k].append(idx - 1)
-                picks[k].append(start + e)
+                picks[k].append(start + e + (e >= skip))
             start += n_prev
-    # then each K set's draw, whose target row skips the conditioned entry
-    # (the other row's skip, n_prev, lies past its last entry); the L set
-    # under the same key holds the slots forced to the key's type
-    k_draws = []
-    for position, target in enumerate(others):
-        for t in range(level + 1):
-            for i in range(1, n_prev + 1):
-                key = (x, target, t, i)
-                for s in aux.K[key]:
-                    k_draws.append((t, position, i))
-                    for k, w in enumerate(others):
-                        skip = i - 1 if k == position else n_prev
-                        for e, idx in enumerate(s.members[w]):
-                            slots[k].append(idx - 1)
-                            picks[k].append(start + e + (e >= skip))
-                        start += n_prev
-                for idx in aux.L[key]:
-                    forced[position][idx - 1] = t
-    rows = []
-    for k, w in enumerate(others):
-        below = _offsets([*slots[k], *forced[k]], 0)
-        rows.append((w, slots[k], picks[k], forced[k], below, n - len(below)))
-    return TildePlan(p, level, n, n_prev, lv["d"], others, len(aux.J[x]),
-                     k_draws, rows)
+        return AuxSet(members)
+
+    aux, plans = Auxiliaries(), {}
+    for x in vertices(n_prev):
+        others = x.layer.others
+        slots, picks, forced = ([], []), ([], []), ({}, {})
+        k_draws, public, start = [], [], 0
+        planned(ids)  # x's own inner rows come first in the values
+        aux.J[x] = [planned({w: take(w, n_prev) for w in others})
+                    for _ in range(alpha)]
+        for position, target in enumerate(others):
+            other = others[1 - position]
+            for t in range(level + 1):
+                for i in range(1, n_prev + 1):
+                    key = (x, target, t, i)
+                    aux.K[key] = [
+                        planned({target: take(target, n_prev - 1),
+                                 other: take(other, n_prev)}, position, i)
+                        for _ in range(beta)
+                    ]
+                    k_draws += [(t, position, i)] * beta
+                    aux.L[key] = take(target, gamma)
+                    for idx in aux.L[key]:
+                        forced[position][idx - 1] = t
+                        public.append((target, t, i, idx))
+        rows = []
+        for k, w in enumerate(others):
+            below = _offsets([*slots[k], *forced[k]], 0)
+            rows.append((w, slots[k], picks[k], forced[k], below,
+                         n - len(below)))
+        plans[x] = TildePlan(p, level, n, n_prev, lv["d"], others, alpha,
+                             k_draws, rows, public)
+    return aux, plans
+
+
+def sample_frame(p: ParamSchedule, level: int, rng: random.Random):
+    """The public frame of a restructured instance: the starred outer ids of
+    each layer, the auxiliaries reserved around them, and the plan of each
+    inner vertex's input in the frame (``sample_aux``), as ``(ids, aux,
+    plans)``."""
+    lv = p.level(level)
+    ids = _sample_ids(lv["n"], lv["n_prev"], rng)
+    return (ids, *sample_aux(ids, p, level, rng))
 
 
 def sample_tilde_input(plan: TildePlan, rng: random.Random, n_in: dict):
     """Step-3 per-vertex input: auxiliary draws plus uniform completion, in
-    the slots of ``plan`` (``tilde_plan``).
+    the slots of x's ``plan`` (``sample_frame``).
 
     ``n_in`` maps each other layer to x's length-n_prev inner row (a list or
     a ``TypeRow``): the true inner input, or a phantom one the caller drew
@@ -539,10 +523,9 @@ def sample_gr_tilde(p: ParamSchedule, level: int, rng: random.Random):
     """
     require_restructured_feasible(p, level)
     inner = sample_inner(p, level - 1, rng)
-    ids, aux = sample_frame(p, level, rng)
+    ids, aux, plans = sample_frame(p, level, rng)
     emb = InnerEmbedding(ids=ids, inner=inner)
-    views = {v: sample_tilde_input(tilde_plan(v, ids, aux, p, level), rng,
-                                   inner.type_rows(v))
+    views = {v: sample_tilde_input(plans[v], rng, inner.type_rows(v))
              for v in inner.vertices()}
     g = rebuild_from_inner_views(p.level(level)["n"], level, ids, views)
     return g, emb, aux, has_collision(views, ids)

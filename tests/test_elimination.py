@@ -20,8 +20,8 @@ from congestlab.params import ParamSchedule
 from congestlab.protocols import (ProtocolSpec, registry, simulate,
                                   vertex_input)
 from congestlab.randomness import RandomnessView, derive_rng
-from congestlab.sampling import (public_slots, sample_g0, sample_gr,
-                                 sample_gr_tilde, sample_inner)
+from congestlab.sampling import (sample_g0, sample_gr, sample_gr_tilde,
+                                 sample_inner)
 from schedules import LOOSE, MICRO, SMALL2, SPARSE3, WIDE2
 
 CFG = EliminationConfig(params=MICRO, level=1, cap=3000)
@@ -32,7 +32,7 @@ def test_public_stage_shapes_and_forced_slots():
     pi = REG["type-broadcast"]
     st1 = sample_public_stage(pi, CFG, random.Random(0))
     for x in vertices(1):
-        for target, t, _, idx in public_slots(x, st1.aux, 1, 1):
+        for target, t, _, idx in st1.plans[x].public:
             assert t in (0, 1)
             assert idx not in st1.ids[target]
         # public messages live on predecessor slots only
@@ -557,83 +557,78 @@ def test_a_memo_tells_apart_executions_of_an_equal_seed(monkeypatch):
 
 
 def _count_plans(monkeypatch):
-    """Patch the plan builder and the fill in ``elimination``; return the
-    lists the vertex of each plan built and the plan of each fill go to."""
-    planned, filled = [], []
-    build, fill = elimination.tilde_plan, elimination.sample_tilde_input
+    """Patch the frame sampler and the fill in ``elimination``; return the
+    lists the plans of each frame drawn and the plan of each fill go to."""
+    frames, filled = [], []
+    draw, fill = elimination.sample_frame, elimination.sample_tilde_input
 
-    def counted_build(x, *args):
-        planned.append(x)
-        return build(x, *args)
+    def counted_draw(*args):
+        frame = draw(*args)
+        frames.append(frame[2])
+        return frame
 
     def counted_fill(plan, *args):
         filled.append(plan)
         return fill(plan, *args)
 
-    monkeypatch.setattr(elimination, "tilde_plan", counted_build)
+    monkeypatch.setattr(elimination, "sample_frame", counted_draw)
     monkeypatch.setattr(elimination, "sample_tilde_input", counted_fill)
-    return planned, filled
+    return frames, filled
+
+
+def _ids(plans) -> set:
+    return {id(plan) for plan in plans}
 
 
 @pytest.mark.parametrize("p, draws", [(MICRO, [12, 12, 69, 21]),
                                       (WIDE2, [36, 36, 37, 37])],
                          ids=["MICRO", "WIDE2"])
 def test_an_execution_plans_each_inner_vertex_once(monkeypatch, p, draws):
-    # a trial and a compiled execution each build one plan per inner vertex,
-    # and every draw, retries included, fills one of them; the draws of a
-    # compiled execution are as many as at commit 18cd14a, before plans, and
-    # a trial draws each inner vertex once in its public stage, then once
-    # per pair and private attempt
-    planned, filled = _count_plans(monkeypatch)
+    # a trial and a compiled execution each draw one frame, which holds one
+    # plan per inner vertex, and every draw, retries included, fills one of
+    # them; the draws of a compiled execution are as many as at commit
+    # 18cd14a, before plans, and a trial draws each inner vertex once in its
+    # public stage, then once per pair and private attempt
+    frames, filled = _count_plans(monkeypatch)
     cfg = EliminationConfig(params=p, level=1, cap=3000)
     inner = sorted(vertices(p.n[0]))
     compiled = []
     for name in ("type-broadcast", "probe-first-slot"):
         built = build_pi_r_minus_1(REG[name], cfg)
         for seed in (0, 1):
-            planned.clear()
+            frames.clear()
             filled.clear()
             rep = run_elimination_trials(REG[name], cfg, 1, seed)
-            assert sorted(planned) == inner
+            (plans,) = frames
+            assert sorted(plans) == inner
             assert len(filled) == (len(inner) + rep.pair_attempts
                                    + rep.private_attempts)
-            assert len({id(plan) for plan in filled}) == len(inner)
+            assert _ids(filled) == _ids(plans.values())
             g, _ = sample_g0(p.n[0], random.Random(seed))
-            planned.clear()
+            frames.clear()
             filled.clear()
             simulate(built, g, RandomnessView(seed))
-            assert sorted(planned) == inner, (name, seed)
-            assert len({id(plan) for plan in filled}) == len(inner)
+            (plans,) = frames
+            assert sorted(plans) == inner, (name, seed)
+            assert _ids(filled) == _ids(plans.values())
             compiled.append(len(filled))
     assert compiled == draws
 
 
 def test_the_next_execution_builds_new_plans(monkeypatch):
-    # a plan is derived from one frame: a second execution of an equal seed
-    # through the same compiled protocol plans every inner vertex anew
-    planned, filled = _count_plans(monkeypatch)
+    # a plan belongs to one frame: a second execution of an equal seed
+    # through the same compiled protocol draws a new frame, and fills only
+    # its new plans
+    frames, filled = _count_plans(monkeypatch)
     built = build_pi_r_minus_1(REG["probe-first-slot"], CFG)
     g, _ = sample_g0(1, random.Random(0))
-    plans = []
-    for _ in range(2):
-        planned.clear()
+    for count in (1, 2):
         filled.clear()
         simulate(built, g, RandomnessView(0))
-        assert sorted(planned) == sorted(vertices(1))
-        plans.append({id(plan): plan for plan in filled})
-    assert len(plans[0]) == len(plans[1]) == 3
-    assert not plans[0].keys() & plans[1].keys()
-
-
-def test_plans_stay_out_of_the_stage_state_s_equality_and_repr():
-    # a plan is derived from the frame, which the stage state holds; the
-    # stream pins hash the state's repr
-    st1 = sample_public_stage(REG["probe-first-slot"], CFG, random.Random(0))
-    assert st1.plans.keys() == set(vertices(1))
-    bare = dataclasses.replace(st1, plans={})
-    assert bare == st1
-    assert repr(bare) == repr(st1)
-    assert "plans" not in repr(st1)
+        assert len(frames) == count
+        assert sorted(frames[-1]) == sorted(vertices(1))
+        assert _ids(filled) == _ids(frames[-1].values())
+    assert not _ids(frames[0].values()) & _ids(frames[1].values())
 
 
 def test_each_execution_equals_a_freshly_compiled_protocol(monkeypatch):

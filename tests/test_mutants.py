@@ -42,26 +42,10 @@ def test_a_k_set_that_copies_its_conditioned_entry(monkeypatch):
     # the target row of a K set copies the drawn row's entries from 0, the
     # conditioned entry included; at MICRO that row has no members, so only
     # a schedule with n_prev >= 2 can show it
-    mutant = _rewritten(sampling, "tilde_plan", "(e >= skip)", "0")
-    for module in (sampling, elimination):
-        monkeypatch.setattr(module, "tilde_plan", mutant)
+    monkeypatch.setattr(sampling, "sample_aux", _rewritten(
+        sampling, "sample_aux", "(e >= skip)", "0"))
     assert not _moved("sample_gr_tilde/MICRO")
     assert _moved("sample_gr_tilde/WIDE2")
-
-
-def test_plans_kept_across_executions(monkeypatch):
-    # one plan per inner vertex for good, where a plan holds one frame
-    kept, build = {}, elimination.tilde_plan
-
-    def mutant(x, *args):
-        if x not in kept:
-            kept[x] = build(x, *args)
-        return kept[x]
-
-    monkeypatch.setattr(elimination, "tilde_plan", mutant)
-    with pytest.raises(AssertionError):
-        test_elimination.test_the_next_execution_builds_new_plans(
-            monkeypatch)
 
 
 def test_a_free_slot_that_lands_on_a_taken_one(monkeypatch):

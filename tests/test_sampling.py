@@ -17,12 +17,12 @@ from congestlab.params import (ParamSchedule, aux_draws_per_vertex_layer,
 from congestlab.protocols import registry
 from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  inner_cross_pairs, inner_views,
-                                 public_slots, rebuild_from_inner_views,
+                                 rebuild_from_inner_views,
                                  sample_aux, sample_d_in,
                                  sample_d_in_conditioned, sample_frame,
                                  sample_g0, sample_gr, sample_gr_tilde,
                                  sample_inner, sample_tilde_input,
-                                 tilde_plan, _sample_ids, _sample_missing)
+                                 _sample_ids, _sample_missing)
 from reserved import elements_in_layer
 from schedules import LEVEL2, LOOSE, MICRO, SMALL2, WIDE2
 
@@ -374,7 +374,7 @@ def test_d_in_builds_no_instance_of_its_own_level(monkeypatch, p, level):
 
 def test_aux_sets_disjoint_and_sized():
     ids = _sample_ids(29, 1, random.Random(12))
-    aux = sample_aux(ids, MICRO, 1, random.Random(12))
+    aux, _ = sample_aux(ids, MICRO, 1, random.Random(12))
     for layer in LAYERS:
         elems = elements_in_layer(aux, layer)
         assert len(elems) == len(set(elems))
@@ -391,11 +391,11 @@ def test_aux_sets_disjoint_and_sized():
 
 def test_tilde_input_per_type_degree_exact():
     ids = _sample_ids(29, 1, random.Random(13))
-    aux = sample_aux(ids, MICRO, 1, random.Random(13))
+    _, plans = sample_aux(ids, MICRO, 1, random.Random(13))
     x = VertexId(Layer.B, 1)
     rng = random.Random(13)
     phantom = dict(zip(x.layer.others, sample_d_in(MICRO, 0, rng)))
-    vecs = sample_tilde_input(tilde_plan(x, ids, aux, MICRO, 1), rng, phantom)
+    vecs = sample_tilde_input(plans[x], rng, phantom)
     for w in (Layer.A, Layer.C):
         assert vecs[w].count(0) == 6
         assert vecs[w].count(1) == 6
@@ -403,18 +403,17 @@ def test_tilde_input_per_type_degree_exact():
 
 def test_tilde_input_keeps_given_inner_slot():
     ids = _sample_ids(29, 1, random.Random(14))
-    aux = sample_aux(ids, MICRO, 1, random.Random(14))
+    _, plans = sample_aux(ids, MICRO, 1, random.Random(14))
     x = VertexId(Layer.A, 1)
     n_in = {Layer.B: [0], Layer.C: [1]}
-    vecs = sample_tilde_input(tilde_plan(x, ids, aux, MICRO, 1),
-                              random.Random(14), n_in)
+    vecs = sample_tilde_input(plans[x], random.Random(14), n_in)
     assert vecs[Layer.B][ids[Layer.B][0] - 1] == 0
     assert vecs[Layer.C][ids[Layer.C][0] - 1] == 1
 
 
 def test_tilde_input_refuses_inner_rows_of_another_length():
-    ids, aux = sample_frame(MICRO, 1, random.Random(14))
-    plan = tilde_plan(VertexId(Layer.A, 1), ids, aux, MICRO, 1)
+    _, _, plans = sample_frame(MICRO, 1, random.Random(14))
+    plan = plans[VertexId(Layer.A, 1)]
     for n_in in ({Layer.B: [0, 1], Layer.C: [1]}, {Layer.B: [], Layer.C: []}):
         rng = random.Random(14)
         with pytest.raises(InfeasibleParams, match="do not fit n_prev = 1"):
@@ -605,6 +604,16 @@ def test_restructured_check_accepts_only_completable_schedules(
 # -- sparse tilde inputs against the dense construction --------------------
 
 
+def _public_reference(x, aux, level, n_prev) -> list:
+    """The L sets of x in reservation order, as (target layer, forced type,
+    starred position i, outer index)."""
+    return [(target, t, i, idx)
+            for target in x.layer.others
+            for t in range(level + 1)
+            for i in range(1, n_prev + 1)
+            for idx in aux.L[(x, target, t, i)]]
+
+
 def _dense_tilde_input_reference(x, ids, aux, p, level, rng, n_in=None):
     """The dense construction: six length-n lists filled slot by slot and
     scanned in full for the completion."""
@@ -640,7 +649,7 @@ def _dense_tilde_input_reference(x, ids, aux, p, level, rng, n_in=None):
                         vecs[target][idx - 1] = kept[k]
                     for k, idx in enumerate(s.members[other]):
                         vecs[other][idx - 1] = rest[k]
-    for target, t, _, idx in public_slots(x, aux, level, n_prev):
+    for target, t, _, idx in _public_reference(x, aux, level, n_prev):
         vecs[target][idx - 1] = t
     for w in others:
         counts = [0] * (level + 1)
@@ -670,7 +679,8 @@ def test_sparse_tilde_input_equals_dense_reference(name):
     for seed in range(12 if n < 1000 else 4):
         rng = random.Random(seed)
         inner = sample_inner(p, 0, rng)
-        ids, aux = sample_frame(p, 1, rng)
+        frame = rng.getstate()
+        ids, aux, plans = sample_frame(p, 1, rng)
         for layer in LAYERS:
             for i in range(1, n_prev + 1):
                 x = VertexId(layer, i)
@@ -678,8 +688,10 @@ def test_sparse_tilde_input_equals_dense_reference(name):
                               for j in range(1, n_prev + 1)]
                           for w in layer.others}
                 # one plan serves both fills, as it serves every draw of x in
-                # an execution; each fill equals one through a fresh plan
-                plan = tilde_plan(x, ids, aux, p, 1)
+                # an execution; each fill equals one through a fresh plan,
+                # from the frame redrawn at the same rng state
+                plan = plans[x]
+                assert plan.public == _public_reference(x, aux, 1, n_prev)
                 # with n_in None the dense reference draws the phantom inner
                 # input itself, where the sparse call's phantom is drawn
                 for n_in in (None, actual):
@@ -688,11 +700,14 @@ def test_sparse_tilde_input_equals_dense_reference(name):
                                              sample_d_in(p, 0, rng)))
                     rows = sample_tilde_input(plan, rng, given)
                     after = rng.random()
+                    redrawn = random.Random()
+                    redrawn.setstate(frame)
+                    again = sample_frame(p, 1, redrawn)
+                    assert again[:2] == (ids, aux) and again[2][x] is not plan
                     rng.setstate(state)
                     given = n_in or dict(zip(layer.others,
                                              sample_d_in(p, 0, rng)))
-                    fresh = sample_tilde_input(tilde_plan(x, ids, aux, p, 1),
-                                               rng, given)
+                    fresh = sample_tilde_input(again[2][x], rng, given)
                     assert rng.random() == after
                     assert {w: list(row.slots.items())
                             for w, row in fresh.items()} == {
