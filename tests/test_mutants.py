@@ -3,8 +3,9 @@
 A mutant replaces one module attribute through ``monkeypatch``, so it is
 undone when its test ends, and runs that check, which must fail under it: a
 mutant that passes every check it names shows a hole in the suite.  A
-mutant of a function's body recompiles the function's source with one
-expression replaced, and asserts that the expression is there.
+mutant of a function's or a class's body recompiles its source with one
+expression replaced, at each of its occurrences, and asserts that the
+expression occurs there as often as the mutant expects.
 """
 
 import inspect

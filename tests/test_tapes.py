@@ -45,6 +45,7 @@ def audit(monkeypatch, p, names=tuple(REG), seeds=(0, 1, 2)) -> list:
                 f"{player[0]!r} took the stage of "
                 f"{origin[id(drawn)][1]} from the memo")
         else:
+            # kept with the stage, so that its id is not reused
             origin[id(drawn)] = drawn, (x, y)
         return drawn
 
