@@ -259,22 +259,20 @@ def overconditioning_check(xz: JointTable, yz: JointTable):
 # -- randomized property tables -------------------------------------------
 
 
-def random_joint(coords, sizes, rng: random.Random) -> JointTable:
-    keys = list(itertools.product(*[range(s) for s in sizes]))
-    weights = [rng.random() for _ in keys]
-    total = sum(weights)
-    return JointTable(coords, {k: w / total for k, w in zip(keys, weights)})
-
-
-def random_distribution(size, rng: random.Random) -> FiniteDistribution:
-    weights = [rng.random() for _ in range(size)]
-    total = sum(weights)
-    return FiniteDistribution({i: w / total for i, w in enumerate(weights)})
-
-
 def _normalized(weights):
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def random_joint(coords, sizes, rng: random.Random) -> JointTable:
+    keys = list(itertools.product(*[range(s) for s in sizes]))
+    return JointTable(coords, dict(zip(
+        keys, _normalized([rng.random() for _ in keys]))))
+
+
+def random_distribution(size, rng: random.Random) -> FiniteDistribution:
+    return FiniteDistribution(dict(enumerate(
+        _normalized([rng.random() for _ in range(size)]))))
 
 
 def table_with_a_indep_d_given_c(sizes, rng: random.Random) -> JointTable:
@@ -301,12 +299,8 @@ def table_with_a_indep_d_given_c(sizes, rng: random.Random) -> JointTable:
 def table_with_a_indep_d_given_bc(sizes, rng: random.Random) -> JointTable:
     """A four-coordinate table factored as p(b,c) p(a|b,c) p(d|b,c)."""
     sa, sb, sc, sd = sizes
-    pbc = {}
-    for b in range(sb):
-        for c in range(sc):
-            pbc[(b, c)] = rng.random()
-    total = sum(pbc.values())
-    pbc = {k: v / total for k, v in pbc.items()}
+    keys = list(itertools.product(range(sb), range(sc)))
+    pbc = dict(zip(keys, _normalized([rng.random() for _ in keys])))
     pa = {k: _normalized([rng.random() for _ in range(sa)]) for k in pbc}
     pd = {k: _normalized([rng.random() for _ in range(sd)]) for k in pbc}
     table = {}

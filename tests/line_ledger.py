@@ -13,12 +13,14 @@ the pytest process is traced, so a line that runs only in a subprocess counts
 as unreached.
 
 ``line_ledger_allow.txt``, next to this file, lists the lines left unreached
-on purpose, one ``<path>: <source text>`` per line, with the reason in the
-``#`` lines above it.  An entry names its line by the line's stripped source
-text, so an edit above the line does not move the entry; the text must match
-exactly one executable line of the file.  The exit status is pytest's when
-pytest fails, else 1 when an entry matches no executable line or more than
-one, or a line is unreached but not listed, or listed but reached, else 0.
+on purpose, one ``<path>: <source text>`` per line, in blocks separated by
+blank lines, with the reason in the ``#`` lines at the top of each block; it
+is read as ``tests/names.py`` reads its allowlist.  An entry names its line
+by the line's stripped source text, so an edit above the line does not move
+the entry; the text must match exactly one executable line of the file.  The
+exit status is pytest's when pytest fails, else 1 when a block gives no
+reason, an entry matches no executable line or more than one, or a line is
+unreached but not listed, or listed but reached, else 0.
 """
 
 import os
@@ -28,6 +30,8 @@ from pathlib import Path
 
 import pytest
 
+from names import listed
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ALLOWLIST = Path(__file__).resolve().parent / "line_ledger_allow.txt"
@@ -35,22 +39,21 @@ ALLOWLIST = Path(__file__).resolve().parent / "line_ledger_allow.txt"
 
 def allowed_lines(text: str) -> tuple:
     """The ``(path, line)`` of every entry that matches exactly one
-    executable line, and a message for each entry that does not; blank and
-    ``#`` lines are skipped."""
-    out, problems = set(), []
-    for entry in text.splitlines():
-        if entry.strip() and not entry.startswith("#"):
-            path, source = (part.strip() for part in entry.split(":", 1))
-            file, matches = ROOT / path, []
-            if file.is_file():
-                lines = file.read_text().splitlines()
-                matches = [line for line in executable_lines(file)
-                           if lines[line - 1].strip() == source]
-            if len(matches) == 1:
-                out.add((path, matches[0]))
-            else:
-                problems.append(f"listed text matches {len(matches)} "
-                                f"executable lines: {path}: {source}")
+    executable line, and a message for each entry that does not and for
+    each block that gives no reason."""
+    out = set()
+    entries, problems = listed(text)
+    for path, source in sorted(entries):
+        file, matches = ROOT / path, []
+        if file.is_file():
+            lines = file.read_text().splitlines()
+            matches = [line for line in executable_lines(file)
+                       if lines[line - 1].strip() == source]
+        if len(matches) == 1:
+            out.add((path, matches[0]))
+        else:
+            problems.append(f"listed text matches {len(matches)} "
+                            f"executable lines: {path}: {source}")
     return out, problems
 
 

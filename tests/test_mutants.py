@@ -14,10 +14,16 @@ from bisect import bisect_left
 
 import pytest
 
+import test_cli
 import test_elimination
+import test_graphs
+import test_protocols
+import test_randomness
 import test_tapes
-from congestlab import elimination, sampling
-from congestlab.graphs import VertexId
+from congestlab import cli, elimination, errors, sampling
+from congestlab.errors import OutOfRange
+from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId
+from congestlab.protocols import VertexInput
 from congestlab.randomness import RestrictedView
 from schedules import MICRO
 from test_streams import STREAMS, digest
@@ -27,15 +33,18 @@ def _moved(stream: str) -> bool:
     return digest(stream) != STREAMS[stream][1]
 
 
-def _rewritten(module, name: str, old: str, new: str, count: int = 1):
-    """``module.name`` compiled from its source with the ``count``
-    occurrences of ``old`` replaced by ``new``, reading the module's
-    globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def _rewritten(owner, name: str, old: str, new: str, count: int = 1):
+    """``owner.name``, a function, a class or a method of the class
+    ``owner``, compiled from its source with the ``count`` occurrences of
+    ``old`` replaced by ``new``, reading its module's globals.  It is
+    compiled under a file name of its own, so that a line trace does not
+    count its lines as lines of the module."""
+    module = inspect.getmodule(owner)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == count, f"{old!r} is not {count}x in {name}"
     namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"),
-         namespace)
+    exec(compile(source.replace(old, new),
+                 f"<mutant of {module.__name__}.{name}>", "exec"), namespace)
     return namespace[name]
 
 
@@ -106,3 +115,53 @@ def test_a_pair_tape_without_the_player(monkeypatch):
     monkeypatch.setattr(RestrictedView, "pair_rng", pair_rng)
     with pytest.raises(AssertionError, match="tape of pair"):
         test_tapes.audit(monkeypatch, MICRO, names=["all-no"], seeds=[0])
+
+
+def test_a_trial_pair_tape_read_at_the_other_endpoint(monkeypatch):
+    # a trial's run reads the tape of x's pair with y through y's view,
+    # which names the pair (y, y)
+    monkeypatch.setattr(elimination, "run_stages", _rewritten(
+        elimination, "run_stages", "view.restrict(u), v",
+        "view.restrict(v), v"))
+    with pytest.raises(AssertionError, match="tape of pair"):
+        test_tapes.audit_trials(monkeypatch, MICRO, names=["all-no"],
+                                seeds=[0])
+
+
+def test_a_restrict_without_its_owner_check(monkeypatch):
+    # a vertex's restricted view hands out another vertex's tapes
+    monkeypatch.setattr(RestrictedView, "restrict", _rewritten(
+        RestrictedView, "restrict", "v != self.owner", "False"))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_randomness.test_restricted_view_routes_to_owner()
+
+
+def test_a_round_cutoff_that_drops_its_last_type(monkeypatch):
+    # the channels of round i stop below type r+1-i
+    monkeypatch.setattr(VertexInput, "channels_at_round", _rewritten(
+        VertexInput, "channels_at_round", "t <= cutoff", "t < cutoff"))
+    with pytest.raises(AssertionError):
+        test_protocols.\
+            test_channels_at_round_match_the_dense_scan_in_both_rounds()
+
+
+def test_a_row_check_that_lets_slot_n_through(monkeypatch):
+    # set_row's builtin pass admits slot n, the vertex of index n + 1
+    monkeypatch.setattr(TypedTripartiteGraph, "set_row", _rewritten(
+        TypedTripartiteGraph, "set_row", "max(slots) < n", "max(slots) <= n"))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_graphs.\
+            test_set_row_refuses_what_set_type_refuses_and_writes_nothing(
+                VertexId(Layer.A, 3), Layer.B, {0: 0, 1: 1, 3: 0},
+                OutOfRange, r"vertex B4 outside \[1, 3\]")
+
+
+def test_a_json_number_that_accepts_a_bool(monkeypatch, tmp_path):
+    # an info table's probability `true` is read as 1.0
+    monkeypatch.setattr(cli, "json_number", _rewritten(
+        errors, "json_number", "type(x) not in (int, float)",
+        "not isinstance(x, (int, float))"))
+    with pytest.raises(AssertionError):
+        test_cli.test_info_refuses_an_entry_that_is_not_one_json_number(
+            tmp_path, "[[0, true]]",
+            "probability of outcome (0,) must be a number, got True")

@@ -33,7 +33,11 @@ one compiled execution shared the stages that read only tapes.  The
 ``probe-first-slot`` hybrid digest at WIDE2, where a K set's target row has
 a member, so its draw skips the conditioned slot, and where each of these
 runs redraws once in a pair stage, was computed at commit 18cd14a, before
-each inner vertex's restructured draw was planned once per frame.
+each inner vertex's restructured draw was planned once per frame.  The
+``sample_d_in_conditioned/level1`` digest, which hashes level-1 conditioned
+draws at MICRO and WIDE2 (every type, both slot positions), was computed at
+commit f7064dc, before ``infotheory`` normalized its random tables through
+one helper and before any other ``src/`` edit of that change.
 """
 
 import hashlib
@@ -55,7 +59,8 @@ from congestlab.params import ParamSchedule
 from congestlab.protocols import registry, simulate
 from congestlab.randomness import RandomnessView
 from congestlab.sampling import (build_gr_frame, enumerate_g0, sample_d_in,
-                                 sample_g0, sample_gr, sample_gr_tilde)
+                                 sample_d_in_conditioned, sample_g0, sample_gr,
+                                 sample_gr_tilde)
 from schedules import LEVEL2, LOOSE, MICRO, SPARSE2, WIDE2
 
 SEEDS = range(3)
@@ -87,6 +92,24 @@ def _d_in(p, level):
         rows = sample_d_in(p, level, rng)
         out.append(([(row.n, row.default, list(row.slots.items()))
                      for row in rows], rng.random()))
+    return out
+
+
+def _d_in_conditioned():
+    """Level-1 conditioned draws at MICRO and WIDE2: every type, both slot
+    positions, two slots per schedule and three seeds, each draw's rows with
+    the generator's next ``random()``."""
+    out = []
+    for p, slots in ((MICRO, (1, 29)), (WIDE2, (2, 17))):
+        for t in range(3):
+            for position in (0, 1):
+                for slot in slots:
+                    for seed in SEEDS:
+                        rng = random.Random(seed)
+                        rows = sample_d_in_conditioned(p, 1, t, position,
+                                                       slot, rng)
+                        out.append(([_row(row) for row in rows],
+                                    rng.random()))
     return out
 
 
@@ -236,6 +259,9 @@ STREAMS = {
     "sample_d_in/LEVEL2": (
         lambda: _d_in(LEVEL2, 2),
         "c457d519c1f5a7c2e937398c0605d0649bfab75c526959ea23ebadbbb379e812"),
+    "sample_d_in_conditioned/level1": (
+        _d_in_conditioned,
+        "0e20a2efe49b04b8134baac92570513eeecef0d333ce56c5af5abb63a2dcde28"),
     "sample_gr_tilde/MICRO": (
         lambda: _gr_tilde(MICRO),
         "8e416f1f44b5517282c6da2c0ff40e4bf5cd960177a1cfbe69f8787e18282966"),

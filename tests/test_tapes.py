@@ -6,7 +6,10 @@ audit runs ``simulate`` of the compiled protocol with the player whose
 ``output_fn`` runs recorded, every tape derivation (``randomness._derive``)
 spied on, and every pair stage that a player takes from the shared
 ``StageMemo`` without drawing it (a hit derives no tape) traced to the pair
-it was drawn for.
+it was drawn for.  The trial audit runs ``run_elimination_trials``, whose
+per-vertex runs read the pair and private tapes through
+``view.restrict(u)`` of a full view, with the owner of the restricted view
+that derives each tape recorded.
 """
 
 import dataclasses
@@ -15,8 +18,10 @@ import random
 import pytest
 
 from congestlab import elimination, randomness
-from congestlab.elimination import EliminationConfig, build_pi_r_minus_1
+from congestlab.elimination import (EliminationConfig, build_pi_r_minus_1,
+                                    run_elimination_trials)
 from congestlab.protocols import registry, simulate
+from congestlab.randomness import RestrictedView
 from congestlab.sampling import sample_g0
 from schedules import MICRO, WIDE2
 
@@ -71,17 +76,63 @@ def audit(monkeypatch, p, names=tuple(REG), seeds=(0, 1, 2)) -> list:
             simulate(built, g, randomness.RandomnessView(seed))
             for who, parts in derived:
                 assert who is not None, f"{parts} derived outside a player"
-                kind, own = parts[0], repr(who)
-                if kind == "pair":
-                    assert own in parts[1:3], (
-                        f"{who!r} read the tape of pair {parts[1:3]}")
-                elif kind == "private":
-                    assert parts[1] == own, (
-                        f"{who!r} read the private tape of {parts[1]}")
-                else:
-                    assert kind == "public", parts
+                assert parts[0] in ("public", "pair", "private"), parts
+                _check_own(who, parts)
             counts.append(len(derived))
     return counts
+
+
+def audit_trials(monkeypatch, p, names=tuple(REG), seeds=(0, 1, 2)) -> list:
+    """Run one elimination trial of each registry protocol in ``names`` on
+    ``p`` for each seed, and return, per trial, the number of pair and
+    private tapes it derived.  Asserts that each is derived through a
+    restricted view, and that a pair tape contains the view's owner and a
+    private tape is the owner's own."""
+    owners, derived = [], []
+    derive = randomness._derive
+
+    def spied(seed, *parts):
+        derived.append((owners[-1] if owners else None, parts))
+        return derive(seed, *parts)
+
+    def owned(method):
+        def run(self, *args):
+            owners.append(self.owner)
+            try:
+                return method(self, *args)
+            finally:
+                owners.pop()
+        return run
+
+    monkeypatch.setattr(randomness, "_derive", spied)
+    for name in ("pair_rng", "private_rng"):
+        monkeypatch.setattr(RestrictedView, name,
+                            owned(getattr(RestrictedView, name)))
+    cfg = EliminationConfig(params=p, level=1, cap=3000)
+    counts = []
+    for name in names:
+        for seed in seeds:
+            derived.clear()
+            run_elimination_trials(REG[name], cfg, 1, seed)
+            own = [(who, parts) for who, parts in derived
+                   if parts[0] in ("pair", "private")]
+            for who, parts in own:
+                assert who is not None, f"{parts} derived on the full view"
+                _check_own(who, parts)
+            counts.append(len(own))
+    return counts
+
+
+def _check_own(who, parts):
+    """Assert that a pair tape ``parts`` names is of two vertices, ``who``
+    one of them, and that a private one is ``who``'s own; any other tape
+    passes."""
+    kind, own = parts[0], repr(who)
+    if kind == "pair":
+        assert own in parts[1:3] and parts[1] != parts[2], (
+            f"{who!r} read the tape of pair {parts[1:3]}")
+    elif kind == "private":
+        assert parts[1] == own, f"{who!r} read the private tape of {parts[1]}"
 
 
 @pytest.mark.parametrize("p, tapes", [(MICRO, 10), (WIDE2, 31)],
@@ -92,3 +143,11 @@ def test_a_compiled_player_reads_only_its_own_tapes(monkeypatch, p, tapes):
     n0 = p.n[0]
     assert tapes == 1 + 3 * n0 * 2 * n0 + 3 * n0
     assert audit(monkeypatch, p) == [tapes] * (len(REG) * 3)
+
+
+@pytest.mark.parametrize("p, tapes", [(MICRO, 9), (WIDE2, 30)],
+                         ids=["MICRO", "WIDE2"])
+def test_a_trial_s_runs_read_their_own_tapes(monkeypatch, p, tapes):
+    # one tape per ordered inner pair of two layers and one private tape
+    # per inner vertex, as in a compiled execution less its public tape
+    assert audit_trials(monkeypatch, p) == [tapes] * (len(REG) * 3)
