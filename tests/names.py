@@ -6,16 +6,17 @@ Usage, from the repository root::
     python tests/names.py
 
 It uses the standard library only (``ast``).  Pytest does not collect this
-file; ``tests/test_names.py`` runs the check in Tier-1.  A module-level name
-is a function, a class or an assigned name at the top level of a module of
-``src/``, ``_``-prefixed names included and dunders excluded.  It has a
-reader when a top-level statement of a module of ``src/`` or ``perfbench/``,
-other than one that binds it, loads it as a name or an attribute, imports
-it, or holds it as a dotted part of a string constant
-(``perfbench/tracer.py`` names its targets by string).  A store is no read,
-so neither an assignment nor a recursive call reads its own name, and
-neither do the comments or the tests: a name that only tests read is kept
-on purpose or belongs in a test helper.
+file; Tier-1 runs the check in two halves, the ``_``-prefixed names in
+``tests/test_imports.py`` and the rest in ``tests/test_public_names.py``.  A
+module-level name is a function, a class or an assigned name at the top
+level of a module of ``src/``, ``_``-prefixed names included and dunders
+excluded.  It has a reader when a top-level statement of a module of
+``src/`` or ``perfbench/``, other than one that binds it, loads it as a
+name or an attribute, imports it, or holds it as a dotted part of a string
+constant (``perfbench/tracer.py`` names its targets by string).  A store is
+no read, so neither an assignment nor a recursive call reads its own name,
+and neither do the comments or the tests: a name that only tests read is
+kept on purpose or belongs in a test helper.
 
 ``names_allow.txt``, next to this file, lists the names kept on purpose,
 one ``<path>: <name>`` per line, in blocks separated by blank lines; each
@@ -105,6 +106,11 @@ def problems(root: Path, allow_text: str) -> list:
             ("listed but not defined", allowed - defined)):
         out += [f"{label}: {path}: {name}" for path, name in sorted(entries)]
     return out
+
+
+def private(problem: str) -> bool:
+    """Whether a line of :func:`problems` is about a ``_``-prefixed name."""
+    return problem.rsplit(": ", 1)[1].startswith("_")
 
 
 def main() -> int:

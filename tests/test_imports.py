@@ -1,15 +1,16 @@
 """Every name a ``congestlab`` or test module imports at module level is
 read in that module; the package's re-exports count as read through
 ``__all__``.
-No module imports a private name from another package module.  No linter
-is a dependency, so the checks walk the source with ``ast``;
-``tests/names.py`` checks that every module-level name of the package has a
-reader."""
+No module imports a private name from another package module, and every
+``_``-prefixed module-level name of the package has a reader, by the rule of
+``tests/names.py``.  No linter is a dependency, so the checks walk the
+source with ``ast``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+from names import ALLOWLIST, ROOT, private, problems
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "congestlab"
@@ -78,3 +79,44 @@ def test_the_check_flags_a_private_name_imported_from_the_package():
 def test_no_module_imports_a_private_name_of_another(path):
     assert private_imports(path.read_text()) == []
 
+
+def test_the_check_flags_a_helper_that_is_never_read(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "a.py").write_text(
+        "def _solo(n):\n    return _solo(n - 1) if n else 0\n"
+        "def _local():\n    return 1\n"
+        "def _remote():\n    return 2\n"
+        "def f():\n    return _local()\n"
+        "class _Lonely:\n    pass\n"
+        "class _Used:\n    pass\n"
+        "_UNREAD = 3\n"
+        "_SET = 0\n"
+        "def setter():\n    global _SET\n    _SET = 1\n"
+        "_READ: int = 4\n"
+        "__all__ = ['f']\n"
+        "def g():\n    return _Used(), _READ\n")
+    (tmp_path / "src" / "b.py").write_text(
+        "from . import a\n"
+        "def caller():\n    return a._remote()\n"
+        "def storer():\n    a._UNREAD = 5\n")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "from a import g, setter\nfrom b import caller, storer\n")
+    # a recursive call is no reader, and neither is a store from another
+    # statement or another module
+    found = problems(tmp_path, "")
+    assert all(map(private, found))
+    assert found == [
+        "no reader and not listed: src/a.py: _Lonely",
+        "no reader and not listed: src/a.py: _SET",
+        "no reader and not listed: src/a.py: _UNREAD",
+        "no reader and not listed: src/a.py: _solo",
+    ]
+    assert problems(tmp_path, (
+        "# reason\nsrc/a.py: _Lonely\nsrc/a.py: _SET\nsrc/a.py: _UNREAD\n"
+        "src/a.py: _solo")) == []
+
+
+def test_every_private_helper_has_a_reader():
+    assert [p for p in problems(ROOT, ALLOWLIST.read_text())
+            if private(p)] == []
