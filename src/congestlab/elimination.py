@@ -626,9 +626,11 @@ def result1_chain(n0: int, r: int, s: int) -> list:
     dwarf r and s sits below the bandwidth bound.  Returns a list of
     {name, lhs, rhs, holds} dicts; the chain is valid when every step holds.
     """
-    inv = [math.exp(-(34 ** l) * math.log(n0)) for l in range(r)]
-    sqrt_inv = [math.exp(-0.5 * (34 ** l) * math.log(n0)) for l in range(r)]
-    exact = 15 / 16 - sum(inv) - 15 * math.sqrt(s) * sum(sqrt_inv)
+    inv = sqrt_inv = 0.0
+    for l in range(r):
+        inv += math.exp(-(34 ** l) * math.log(n0))
+        sqrt_inv += math.exp(-0.5 * (34 ** l) * math.log(n0))
+    exact = 15 / 16 - inv - 15 * math.sqrt(s) * sqrt_inv
     relaxed = 15 / 16 - r / n0 - 15 * math.sqrt(s) * r / math.sqrt(n0)
     s_cap = theorem1_bound(n0, 0)  # n0^(1/2) / 480^2
     steps = [

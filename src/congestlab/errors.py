@@ -26,12 +26,8 @@ class EmptyOrRareSupport(CongestLabError):
         self.pair = pair
 
 
-class SupportTooLarge(CongestLabError):
-    """An exact enumeration would exceed the configured outcome cap."""
-
-
 class CapExceeded(CongestLabError):
-    """A brute-force search space exceeds the configured cap."""
+    """An exact enumeration or a brute-force search exceeds its cap."""
 
 
 class BandwidthViolation(CongestLabError):

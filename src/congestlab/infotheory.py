@@ -157,7 +157,11 @@ def entropy(d: FiniteDistribution) -> float:
 
 
 def _entropy(probs: dict) -> float:
-    return sum(p * math.log2(1 / p) for p in probs.values() if p > 0)
+    out = 0.0
+    for p in probs.values():
+        if p > 0:
+            out += p * math.log2(1 / p)
+    return out
 
 
 def cond_entropy(j: JointTable, target, given) -> float:
@@ -188,9 +192,16 @@ def kl(p: FiniteDistribution, q: FiniteDistribution) -> float:
 
 
 def tvd(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    keys = set(p.probs) | set(q.probs)
-    p_get, q_get = p.probs.get, q.probs.get
-    return 0.5 * sum(abs(p_get(x, 0.0) - q_get(x, 0.0)) for x in keys)
+    """Half the L1 distance, added up over p's outcomes in p's order, then
+    over q's outcomes that p lacks in q's order: a fixed order, so the
+    value follows neither the hash seed nor the Python version."""
+    out, p_probs, q_get = 0.0, p.probs, q.probs.get
+    for x, px in p_probs.items():
+        out += abs(px - q_get(x, 0.0))
+    for x, qx in q.probs.items():
+        if x not in p_probs:
+            out += qx  # a law's entries are never negative
+    return 0.5 * out
 
 
 def pinsker_check(p: FiniteDistribution, q: FiniteDistribution):
@@ -260,7 +271,9 @@ def overconditioning_check(xz: JointTable, yz: JointTable):
 
 
 def _normalized(weights):
-    total = sum(weights)
+    total = 0.0
+    for w in weights:
+        total += w
     return [w / total for w in weights]
 
 

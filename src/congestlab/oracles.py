@@ -13,14 +13,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from . import protocols
 from .errors import CapExceeded, InvalidDistribution
 from .params import ParamSchedule
-from .protocols import wilson_interval
 from .sampling import (enumerate_g0, has_collision, inner_cross_pairs,
                        inner_views, sample_gr_tilde)
-
-# largest inner support ``exact_inner_transcript_law`` enumerates
-ENUMERATION_CAP = 10 ** 6
 
 
 # -- exact values for the 0-round family ----------------------------------
@@ -144,11 +141,13 @@ def exact_inner_transcript_law(p: ParamSchedule, message_given_type) -> dict:
 
     Valid for protocols whose round-1 messages are fixed functions of the
     pair type: the transcript is then the pushforward of the inner instance
-    law, which is enumerated exactly.
+    law, which is enumerated exactly.  An inner support of more than
+    ``protocols.EXACT_SUPPORT_CAP`` outcomes raises ``CapExceeded``.
     """
     n0 = p.n[0]
-    if n0 ** 3 * 8 > ENUMERATION_CAP:
-        raise CapExceeded("inner support exceeds enumeration cap")
+    size, cap = n0 ** 3 * 8, protocols.EXACT_SUPPORT_CAP
+    if size > cap:
+        raise CapExceeded(f"inner support of {size} exceeds cap {cap}")
     law: dict = {}
     for inner, _, w in enumerate_g0(n0):
         key = tuple(message_given_type(t)
@@ -168,7 +167,7 @@ def collision_rate(p: ParamSchedule, level: int, trials: int, seed: int):
     for i in range(trials):
         _, _, _, flag = sample_gr_tilde(p, level, random.Random(seed + i))
         hits += bool(flag)
-    return hits / trials, wilson_interval(hits, trials)
+    return hits / trials, protocols.wilson_interval(hits, trials)
 
 
 def collision_bound(p: ParamSchedule, level: int) -> float:

@@ -12,13 +12,14 @@ player per round, one ``output_fn`` call per player and the graph's stored
 pairs: no ``n`` slots per vertex, no scan of all messages per vertex, and
 no per-player work beyond a player's input, view and inbox.
 
-``VertexInput.channels_at_round`` is the one cutoff rule: one walk of a
-player's stored slots lists its round-``i`` channels, the pairs of type
-``<= r+1-i``, each with its type, and the registry protocols send from it.
-``round_messages`` is the one round-``i`` message rule.  It checks every
-message against the sender's own rows and the bandwidth, refusing a target
-that ``channels_at_round`` would not list, and ``simulate`` and the staged
-sampler of ``elimination`` both send through it.
+One cutoff rule, that round ``i``'s channels are the pairs of type
+``<= r+1-i``, is applied twice.  ``VertexInput.channels_at_round`` lists a
+player's channels, each with its type, in one walk of its stored slots, and
+the registry protocols send from it.  ``round_messages``, the one round-``i``
+message rule, looks each target's slot up and refuses one of a higher type,
+and checks the bandwidth; ``simulate`` and the staged sampler of
+``elimination`` both send through it.  A test holds the two applications
+equal on every stored slot of two instance draws.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BandwidthViolation, ChannelViolation, OutOfRange,
-                     RegimeMismatch, SameLayerPair, SupportTooLarge)
+from .errors import (BandwidthViolation, CapExceeded, ChannelViolation,
+                     OutOfRange, RegimeMismatch, SameLayerPair)
 from .graphs import TypedTripartiteGraph, VertexId
 from .randomness import RandomnessView
 
 WILSON_Z = 1.96  # two-sided 95% normal quantile
-PROBE_SEEDS = 20  # tapes a randomized protocol's outcome must agree over
-EXACT_SUPPORT_CAP = 10 ** 6  # largest support ``exact_success`` walks
+# largest support an exact enumeration walks: ``exact_success`` here, and
+# ``oracles.exact_inner_transcript_law``, which reads it at call time
+EXACT_SUPPORT_CAP = 10 ** 6
 
 
 @dataclass
@@ -235,33 +237,25 @@ def estimate_success(p: ProtocolSpec, sampler, trials: int, seed: int):
 
 
 def exact_success(p: ProtocolSpec, support):
-    """Exact success probability over an explicit weighted support.
+    """Exact success probability of a deterministic protocol over an
+    explicit weighted support.
 
     ``support`` yields (graph, ..., weight) tuples with exact rational
-    weights.  A deterministic protocol runs on one seed.  For protocols that
-    consume randomness, the judged outcome is required to be identical
-    across ``PROBE_SEEDS`` seeds on every instance; a tape-dependent outcome
-    raises, since no exact value exists then.
+    weights; past ``EXACT_SUPPORT_CAP`` of them ``CapExceeded`` is raised.
+    A deterministic protocol ignores its tapes, so one run judges each
+    instance.  A randomized protocol is refused with ``ValueError`` before
+    any run: its success is an average over tapes that no finite probe
+    covers, so it has no exact value here.
     """
-    seeds = range(1 if p.deterministic else PROBE_SEEDS)
+    if not p.deterministic:
+        raise ValueError(f"exact_success takes deterministic protocols "
+                         f"only; {p.name} reads its randomness tapes")
     total = Fraction(0)
-    count = 0
-    for entry in support:
-        count += 1
+    for count, entry in enumerate(support, 1):
         if count > EXACT_SUPPORT_CAP:
-            raise SupportTooLarge(
-                f"support exceeds cap {EXACT_SUPPORT_CAP}")
+            raise CapExceeded(f"support exceeds cap {EXACT_SUPPORT_CAP}")
         g, weight = entry[0], entry[-1]
-        verdicts = set()
-        for s in seeds:
-            _, outputs = simulate(p, g, RandomnessView(s))
-            verdicts.add(judge(g, outputs))
-        if len(verdicts) != 1:
-            raise SupportTooLarge(
-                "judged outcome depends on the randomness tapes; "
-                "no exact success value exists"
-            )
-        if verdicts.pop():
+        if judge(g, simulate(p, g, RandomnessView(0))[1]):
             total += weight
     return total
 

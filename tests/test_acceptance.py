@@ -19,7 +19,7 @@ from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     theorem1_precondition)
 from congestlab.graphs import LAYERS
 from congestlab.params import feasibility_check
-from congestlab.protocols import exact_success, registry, simulate
+from congestlab.protocols import exact_success, judge, registry, simulate
 from congestlab.randomness import RandomnessView, derive_rng
 from congestlab.sampling import (build_gr_frame, enumerate_g0,
                                  inner_cross_pairs, sample_g0, sample_gr,
@@ -224,8 +224,18 @@ def test_criterion_7_oblivious_losslessness():
             yield g, emb, w
 
     rhs = exact_success(pi1, g1_support())
+    # the compiled pi0 reads its tapes, so exact_success refuses it; on each
+    # of tapes 0-19, every base instance is judged and its win weighted
     pi0 = build_pi_r_minus_1(pi1, cfg)
-    lhs = exact_success(pi0, enumerate_g0(1))
+    tapes = range(20)
+    per_tape, agree = [Fraction(0)] * len(tapes), True
+    for g, _, w in enumerate_g0(1):
+        won = [judge(g, simulate(pi0, g, RandomnessView(s))[1])
+               for s in tapes]
+        agree &= len(set(won)) == 1
+        per_tape = [total + w if ok else total
+                    for total, ok in zip(per_tape, won)]
+    lhs = set(per_tape)
     # the exact law computed from the declared message map, against the
     # real law simulated on every framed instance, for every declaring
     # protocol; a message read both ways must be the declared one
@@ -239,10 +249,13 @@ def test_criterion_7_oblivious_losslessness():
                     for key, w in declared.items()}
         tvds[name] = oracles.tvd_exact(_framed_inner_transcript_law(pi),
                                        declared)
-    ok = (lhs == rhs == Fraction(7, 8) and len(tvds) == 4
-          and all(d == 0 for d in tvds.values()))
+    ok = (agree and lhs == {rhs} and rhs == Fraction(7, 8)
+          and len(tvds) == 4 and all(d == 0 for d in tvds.values()))
     report(7, ok,
-           f"exact_success(built pi0, base micro)={lhs} == "
+           f"built pi0 on base micro, tapes {tapes.start}-{tapes.stop - 1}: "
+           f"each instance's judged outcome the same on every tape "
+           f"({agree}), success on every tape in "
+           f"{{{', '.join(map(str, sorted(lhs)))}}} == "
            f"exact_success(pi1, level-1 micro)={rhs}; projected "
            f"transcript TVD, simulated vs declared: "
            + ", ".join(f"{name}={d}" for name, d in tvds.items()))

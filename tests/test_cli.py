@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -633,3 +636,28 @@ def test_gen_level_0_refuses_a_size_outside_one_to_the_cap(tmp_path, n0):
     assert_one_error_line(result, code=2)
     assert f"layer size {n0} outside [1, memory cap" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_info_tvd_is_the_same_under_every_hash_seed(tmp_path):
+    # string outcomes hash by the seed; a sum over a set of them took its
+    # terms in another order under PYTHONHASHSEED 2 and 3
+    rng = random.Random(0)
+    tables = []
+    for k in range(2):
+        weights = [rng.random() for _ in range(40)]
+        total = sum(weights)
+        path = tmp_path / f"t{k}.json"
+        path.write_text(json.dumps({"coords": ["X"], "entries": [
+            [f"x{i}", w / total] for i, w in enumerate(weights)]}))
+        tables.append(str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "congestlab.cli", "info", "--table",
+             tables[0], "--measure", "tvd", "--other", tables[1]],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

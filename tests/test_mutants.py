@@ -5,7 +5,8 @@ undone when its test ends, and runs that check, which must fail under it: a
 mutant that passes every check it names shows a hole in the suite.  A
 mutant of a function's or a class's body recompiles its source with one
 expression replaced, at each of its occurrences, and asserts that the
-expression occurs there as often as the mutant expects.
+expression occurs there as often as the mutant expects.  Where a test
+module imported the mutated name itself, the mutant replaces it there too.
 """
 
 import inspect
@@ -17,11 +18,15 @@ import pytest
 import test_cli
 import test_elimination
 import test_graphs
+import test_params
 import test_protocols
 import test_randomness
+import test_sampling
+import test_streams
 import test_tapes
-from congestlab import cli, elimination, errors, sampling
-from congestlab.errors import OutOfRange
+from congestlab import (cli, elimination, errors, infotheory, params,
+                        protocols, sampling)
+from congestlab.errors import CapExceeded, OutOfRange
 from congestlab.graphs import Layer, TypedTripartiteGraph, VertexId
 from congestlab.protocols import VertexInput
 from congestlab.randomness import RestrictedView
@@ -36,15 +41,17 @@ def _moved(stream: str) -> bool:
 def _rewritten(owner, name: str, old: str, new: str, count: int = 1):
     """``owner.name``, a function, a class or a method of the class
     ``owner``, compiled from its source with the ``count`` occurrences of
-    ``old`` replaced by ``new``, reading its module's globals.  It is
+    ``old`` replaced by ``new``.  It reads its module's globals as they are
+    when it runs, so a name patched in the module reaches it too.  It is
     compiled under a file name of its own, so that a line trace does not
     count its lines as lines of the module."""
     module = inspect.getmodule(owner)
     source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == count, f"{old!r} is not {count}x in {name}"
-    namespace = dict(vars(module))
+    namespace = {}
     exec(compile(source.replace(old, new),
-                 f"<mutant of {module.__name__}.{name}>", "exec"), namespace)
+                 f"<mutant of {module.__name__}.{name}>", "exec"),
+         vars(module), namespace)
     return namespace[name]
 
 
@@ -137,12 +144,17 @@ def test_a_restrict_without_its_owner_check(monkeypatch):
 
 
 def test_a_round_cutoff_that_drops_its_last_type(monkeypatch):
-    # the channels of round i stop below type r+1-i
+    # the channels of round i stop below type r+1-i, while round_messages
+    # still sends over a channel of type r+1-i
     monkeypatch.setattr(VertexInput, "channels_at_round", _rewritten(
         VertexInput, "channels_at_round", "t <= cutoff", "t < cutoff"))
     with pytest.raises(AssertionError):
         test_protocols.\
             test_channels_at_round_match_the_dense_scan_in_both_rounds()
+    with pytest.raises(AssertionError):
+        test_protocols.\
+            test_round_messages_sends_exactly_where_channels_at_round_lists(
+                test_protocols.CUTOFF_DRAWS["level1-n200-recursive"])
 
 
 def test_a_row_check_that_lets_slot_n_through(monkeypatch):
@@ -165,3 +177,63 @@ def test_a_json_number_that_accepts_a_bool(monkeypatch, tmp_path):
         test_cli.test_info_refuses_an_entry_that_is_not_one_json_number(
             tmp_path, "[[0, true]]",
             "probability of outcome (0,) must be a number, got True")
+
+
+def test_a_gr_row_that_tops_up_every_type_to_a_full_chunk(monkeypatch):
+    # the inner row's own count of a type is not subtracted, so an outer
+    # copy of a starred vertex carries more than d channels of that type
+    monkeypatch.setattr(sampling, "_gr_rows", _rewritten(
+        sampling, "_gr_rows", "d - row.count(t)", "d - 0"))
+    with pytest.raises(AssertionError):
+        test_sampling.test_gr_per_type_degree_exact()
+
+
+def test_a_restructured_check_without_its_gamma_term(monkeypatch):
+    # F leaves out the gamma*n_prev L slots of one type
+    mutant = _rewritten(params, "restructured_feasibility_check",
+                        'lv["gamma"] * n_prev', "0")
+    for module in (params, test_sampling):
+        monkeypatch.setattr(module, "restructured_feasibility_check", mutant)
+    with pytest.raises(AssertionError):
+        test_sampling.test_aux_reservation_beyond_the_pool_is_infeasible()
+
+
+def test_a_room_rule_one_level_short(monkeypatch):
+    # the starred set and 2*d*l channel chunks, not 2*d*(l+1)
+    mutant = _rewritten(params, "feasibility_check", "2 * d * (l + 1)",
+                        "2 * d * l")
+    for module in (params, test_params):
+        monkeypatch.setattr(module, "feasibility_check", mutant)
+    with pytest.raises(AssertionError):
+        test_params.test_sampling_room_violation()
+
+
+def _exact_success(monkeypatch, old: str, new: str):
+    mutant = _rewritten(protocols, "exact_success", old, new)
+    for module in (protocols, test_protocols):
+        monkeypatch.setattr(module, "exact_success", mutant)
+
+
+def test_an_exact_success_that_runs_a_randomized_protocol(monkeypatch):
+    # a randomized protocol is run on one tape and its result called exact
+    _exact_success(monkeypatch, "not p.deterministic", "False")
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_protocols.test_exact_success_rejects_tape_dependence(monkeypatch)
+
+
+def test_a_support_cap_that_refuses_a_support_of_its_own_size(monkeypatch):
+    _exact_success(monkeypatch, "count > EXACT_SUPPORT_CAP",
+                   "count >= EXACT_SUPPORT_CAP")
+    with pytest.raises(CapExceeded, match="support exceeds cap 8"):
+        test_protocols.test_exact_success_refuses_a_support_above_its_cap(
+            monkeypatch)
+
+
+def test_an_entropy_summed_by_the_builtin(monkeypatch):
+    # the builtin sum rounds as the interpreter does: the 3.11 digest holds
+    # on 3.11, and the guard's compensated sum moves it
+    monkeypatch.setattr(infotheory, "_entropy", _rewritten(
+        infotheory, "_entropy", "return out",
+        "return sum(p * math.log2(1 / p) for p in probs.values() if p > 0)"))
+    with pytest.raises(AssertionError):
+        test_streams.test_infotheory_ignores_a_compensated_sum(monkeypatch)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from congestlab import oracles
+from congestlab import protocols
 from congestlab.elimination import (HYBRIDS, EliminationConfig,
                                     hybrid_sampler)
 from congestlab.errors import CapExceeded, InvalidDistribution
@@ -17,7 +17,8 @@ from congestlab.oracles import (collision_bound, collision_rate,
                                 project_inner_transcript, tvd_exact,
                                 zero_round_optimum)
 from congestlab.protocols import registry
-from congestlab.sampling import sample_g0, sample_gr, sample_gr_tilde
+from congestlab.sampling import (enumerate_g0, sample_g0, sample_gr,
+                                 sample_gr_tilde)
 from schedules import LOOSE, MICRO, MIXED3, SMALL2
 
 
@@ -154,15 +155,19 @@ def test_collision_rate_refuses_zero_trials():
 
 def test_inner_transcript_law_refuses_a_support_above_the_cap(monkeypatch):
     # n0 = 51 has 51**3 * 8 = 1,061,208 outcomes, above the 10**6 cap
-    with pytest.raises(CapExceeded, match="enumeration cap"):
+    with pytest.raises(CapExceeded,
+                       match="inner support of 1061208 exceeds cap 1000000"):
         exact_inner_transcript_law(ParamSchedule(n=[51]), str)
-    # n0 = 2 has 64 outcomes: a cap of 64 enumerates them, 63 refuses
-    monkeypatch.setattr(oracles, "ENUMERATION_CAP", 64)
+    # n0 = 2 has 64 outcomes: a cap of 64 enumerates them, 63 refuses; the
+    # cap is exact_success's, read at call time, so one patch moves both
+    monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 64)
     assert sum(exact_inner_transcript_law(ParamSchedule(n=[2]),
                                           str).values()) == 1
-    monkeypatch.setattr(oracles, "ENUMERATION_CAP", 63)
-    with pytest.raises(CapExceeded, match="enumeration cap"):
+    monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 63)
+    with pytest.raises(CapExceeded, match="inner support of 64 exceeds cap 63"):
         exact_inner_transcript_law(ParamSchedule(n=[2]), str)
+    with pytest.raises(CapExceeded, match="support exceeds cap 63"):
+        protocols.exact_success(registry(rounds=0)["all-no"], enumerate_g0(2))
 
 
 def test_exact_collision_outside_its_range_and_when_certain():

@@ -8,9 +8,9 @@ import pytest
 
 from congestlab import protocols
 from congestlab.elimination import EliminationConfig, build_pi_r_minus_1
-from congestlab.errors import (BandwidthViolation, ChannelViolation,
-                               OutOfRange, RegimeMismatch, SameLayerPair,
-                               SupportTooLarge)
+from congestlab.errors import (BandwidthViolation, CapExceeded,
+                               ChannelViolation, OutOfRange, RegimeMismatch,
+                               SameLayerPair)
 from congestlab.graphs import (LAYERS, Layer, TypedTripartiteGraph, VertexId,
                                pair_key)
 from congestlab.params import ParamSchedule
@@ -177,6 +177,45 @@ def test_round_messages_reads_the_round_cutoff():
         simulate(pi, g, RandomnessView(0))
 
 
+CUTOFF_DRAWS = {
+    "LOOSE-restructured": lambda: sample_gr_tilde(LOOSE, 1,
+                                                  random.Random(0))[0],
+    "level1-n200-recursive": lambda: sample_gr(N200, 1, random.Random(0))[0],
+}
+
+
+@pytest.mark.parametrize("draw", CUTOFF_DRAWS.values(), ids=CUTOFF_DRAWS)
+def test_round_messages_sends_exactly_where_channels_at_round_lists(draw):
+    # round_messages applies the cutoff on its own: at every vertex, in
+    # rounds 1 and 2, a one-target protocol is accepted exactly when
+    # channels_at_round lists the target, for every stored slot and one
+    # default slot
+    g = draw()
+    msgs = {}
+    pi = ProtocolSpec("one-target", g.r, 1,
+                      lambda i, inp, inbox, view: msgs, None)
+    seen = Counter()
+    for v in g.vertices():
+        inp = vertex_input(g, v)
+        layer, row = next(iter(inp.vectors.items()))
+        default = next(j for j in range(row.n) if j not in row.slots)
+        targets = [VertexId(w, j + 1) for w, other in inp.vectors.items()
+                   for j in other.slots] + [VertexId(layer, default + 1)]
+        for i in (1, 2):
+            listed = {w for w, _ in inp.channels_at_round(i)}
+            for target in targets:
+                msgs = {target: "1"}
+                try:
+                    round_messages(pi, i, inp, {}, None)
+                    accepted = True
+                except ChannelViolation:
+                    accepted = False
+                assert accepted == (target in listed), (v, i, target)
+                seen[i, accepted] += 1
+    # both answers occur in both rounds
+    assert all(seen[i, ok] for i in (1, 2) for ok in (True, False)), seen
+
+
 def test_inbox_of_returns_a_copy_in_recording_order():
     t = Transcript()
     t.record(2, B1, A1, "11")
@@ -219,14 +258,30 @@ def test_exact_success_always_yes_is_one_eighth():
     assert exact_success(pi, enumerate_g0(1)) == Fraction(1, 8)
 
 
-def test_exact_success_rejects_tape_dependence():
-    pi = ProtocolSpec(
+def test_exact_success_rejects_tape_dependence(monkeypatch):
+    # a randomized protocol is refused before any run: a coin flip, and the
+    # compiled protocol, whose judged outcomes agree on every tape probed
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(protocols, "simulate", counted)
+    coin = ProtocolSpec(
         "coin", 0, 1,
         lambda i, inp, inbox, view: {},
         lambda inp, inbox, view: view.private_rng("c").random() < 0.5,
         deterministic=False)
-    with pytest.raises(SupportTooLarge):
-        exact_success(pi, enumerate_g0(1))
+    compiled = build_pi_r_minus_1(registry(rounds=1)["constant-message"],
+                                  EliminationConfig(params=MICRO))
+    for pi in (coin, compiled):
+        with pytest.raises(ValueError, match="deterministic protocols only"):
+            exact_success(pi, enumerate_g0(1))
+    assert runs == []
+    assert exact_success(registry(rounds=0)["all-no"],
+                         enumerate_g0(1)) == Fraction(7, 8)
+    assert len(runs) == 8
 
 
 def test_estimate_success_matches_exact():
@@ -518,5 +573,5 @@ def test_exact_success_refuses_a_support_above_its_cap(monkeypatch):
     monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 8)
     assert exact_success(pi, enumerate_g0(1)) == Fraction(7, 8)
     monkeypatch.setattr(protocols, "EXACT_SUPPORT_CAP", 7)
-    with pytest.raises(SupportTooLarge, match="support exceeds cap 7"):
+    with pytest.raises(CapExceeded, match="support exceeds cap 7"):
         exact_success(pi, enumerate_g0(1))
